@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import sici
 
 from . import rng
 from .flows import TorusWinding
 from .measures import (Scaled, TableDensity, Triangular, TruncatedGaussian,
                        Uniform, WeightMeasure, require_atomless)
 from .quadrature import adaptive_gl, oscillation_cells
-from .spectral import (BochnerCorrelation, CorrelationModel, Observable,
-                       SpectralModel, SpikeCorrelation)
+from .spectral import (BochnerCorrelation, CorrelationModel, FrequencyBand,
+                       Observable, SpectralModel, SpikeCorrelation)
 
 DESCENT_SLACK = 1e-9
 
@@ -136,21 +137,55 @@ def l2_norm_spectral(spectrum: SpectralModel, weight: WeightMeasure,
                      t: float, tol: float = 1e-8) -> float:
     """||A_t f||_2 on the cyclic subspace carried by ``spectrum``:
     the square root of Int |nu_hat(t r)|^2 dsigma(r)."""
-    t = float(t)
-    total = 0.0
+    total, _ = _spectral_power(spectrum, weight, float(t), tol)
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def _spectral_power(spectrum: SpectralModel, weight: WeightMeasure, t: float,
+                    tol: float) -> tuple[float, float]:
+    """(Int |nu_hat(t r)|^2 dsigma(r), quadrature difference of its band
+    term).  Atoms are exact; the band term is ``_band_power``."""
+    total, error = 0.0, 0.0
     if spectrum.atoms:
         w = np.array([w for w, _ in spectrum.atoms])
         m = np.array([m for _, m in spectrum.atoms])
         total += float(m @ (np.abs(weight.char_fn(t * w)) ** 2))
     if spectrum.band is not None:
-        band = spectrum.band
-        lo, hi = weight.support()
-        cells = oscillation_cells(band.hi - band.lo, t * max(hi - lo, 1e-9))
-        val, _ = adaptive_gl(
-            lambda r: np.abs(weight.char_fn(t * r)) ** 2 * band.density(r),
-            band.lo, band.hi, tol, cells=cells)
-        total += val.real
-    return float(np.sqrt(max(total, 0.0)))
+        val, error = _band_power(spectrum.band, weight, t, tol)
+        total += val
+    return total, error
+
+
+def _exact_difference(weight: WeightMeasure) -> bool:
+    """Whether ``difference_density`` is exact for ``weight``, decided from
+    its type before anything is built."""
+    while isinstance(weight, Scaled):
+        weight = weight.inner
+    return isinstance(weight, (Uniform, TableDensity))
+
+
+def _band_power(band: FrequencyBand, weight: WeightMeasure, t: float,
+                tol: float) -> tuple[float, float]:
+    """(Int |nu_hat(t r)|^2 band.density(r) dr, quadrature difference).
+
+    When the difference density g of the weight is exactly piecewise
+    linear, |nu_hat|^2 is its cosine transform, so a band cell [c, c'] of
+    density d contributes exactly d (F(t c') - F(t c)) / t with
+    F = ``g.si_transform``: the cost does not grow with t.  Every other
+    weight integrates adaptively at ``tol``.
+    """
+    if _exact_difference(weight):
+        if t == 0.0:
+            return band.mass, 0.0
+        g, _ = difference_density(weight)
+        edges, dens = band.cells()
+        return float(dens @ np.diff(g.si_transform(t * edges))) / t, 0.0
+    lo, hi = weight.support()
+    cells = oscillation_cells(band.hi - band.lo, t * max(hi - lo, 1e-9))
+    val, diff = adaptive_gl(
+        lambda r: np.abs(weight.char_fn(t * r)) ** 2 * band.density(r),
+        band.lo, band.hi, tol, cells=cells)
+    return val.real, diff
 
 
 @dataclass(frozen=True)
@@ -183,7 +218,10 @@ def descent_check(spectrum: SpectralModel, weight, t: float = 1.0,
     cells = 2
     if spectrum.band is not None:
         cells = oscillation_cells(spectrum.band.hi - spectrum.band.lo, t * diam)
-    lhs = spectrum.expect(lambda r: mag(r) ** 2, tol=tol, cells=cells)
+    if isinstance(weight, WeightMeasure):
+        lhs, _ = _spectral_power(spectrum, weight, t, tol)
+    else:
+        lhs = spectrum.expect(lambda r: mag(r) ** 2, tol=tol, cells=cells)
     rhs = spectrum.expect(lambda r: mag(r) ** (2 * order), tol=tol, cells=cells)
     rhs = rhs ** (1.0 / order)
     return DescentReport(lhs, rhs, order, lhs <= rhs + DESCENT_SLACK)
@@ -213,21 +251,39 @@ class PiecewiseLinearDensity:
         vals = self(pts)
         return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)))
 
+    def si_transform(self, lam) -> np.ndarray:
+        """F(lam) = Int g(u) sin(lam u) / u du for an array of ``lam``.
 
-def _cell_masses(measure) -> tuple[np.ndarray, float, float, bool]:
-    """(masses, cell width, left endpoint, exact?) of a piecewise-constant
-    view of a density measure."""
+        Exact per knot segment: with g = p + q u there, the segment gives
+        p [Si(lam u)] - q [cos(lam u)] / lam, the cosine difference taken as
+        -2 sin(lam m) sin(lam h) with m, h the segment's midpoint and half
+        width, so small lam loses nothing and F(0) = 0.
+        """
+        k = np.asarray(self.knots)
+        v = np.asarray(self.values)
+        q = np.diff(v) / np.diff(k)
+        p = v[:-1] - q * k[:-1]
+        mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
+        lam = np.asarray(lam, dtype=float)[:, None]
+        si, _ = sici(lam * k)
+        dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
+        return np.diff(si, axis=1) @ p - dcos_over_lam @ q
+
+
+def _cell_masses(measure) -> tuple[np.ndarray, float]:
+    """(masses, cell width) of a piecewise-constant view of a density
+    measure; exact only where ``_exact_difference`` says so."""
     if isinstance(measure, Uniform):
-        return np.array([1.0]), measure.b - measure.a, measure.a, True
+        return np.array([1.0]), measure.b - measure.a
     if isinstance(measure, TableDensity):
         delta = (measure.hi - measure.lo) / len(measure.masses)
-        return measure.masses.copy(), delta, measure.lo, True
+        return measure.masses.copy(), delta
     if isinstance(measure, (Triangular, TruncatedGaussian)):
         lo, hi = measure.support()
         cells = 4096
         edges = np.linspace(lo, hi, cells + 1)
         masses = np.diff(measure.cdf(edges))
-        return masses, (hi - lo) / cells, lo, False
+        return masses, (hi - lo) / cells
     raise TypeError(f"no density view for {type(measure).__name__}")
 
 
@@ -240,12 +296,12 @@ def difference_density(measure: WeightMeasure) -> tuple[PiecewiseLinearDensity, 
         f = measure.factor
         return PiecewiseLinearDensity(tuple(k * f for k in inner.knots),
                                       tuple(v / f for v in inner.values)), exact
-    masses, delta, _, exact = _cell_masses(measure)
+    masses, delta = _cell_masses(measure)
     corr = np.correlate(masses, masses, mode="full")
     n = len(masses)
     knots = delta * np.arange(-n, n + 1)
     vals = np.concatenate(([0.0], corr / delta, [0.0]))
-    return PiecewiseLinearDensity(tuple(knots), tuple(vals)), exact
+    return PiecewiseLinearDensity(tuple(knots), tuple(vals)), _exact_difference(measure)
 
 
 def _tri_eval(u, t, hv, lv):
@@ -323,13 +379,20 @@ def pair_correlation_integral(correlation: CorrelationModel,
 
     ``sampling`` draws independent pairs and averages; ``quadrature``
     integrates rho(t u) against the exact piecewise-linear density of the
-    difference u = r - s (available when nu has a density view).  The two
-    paths must agree within their combined errors.
+    difference u = r - s (available when nu has a density view).  For a
+    ``BochnerCorrelation`` it is the Parseval twin of the spectral channel,
+    Int |nu_hat(t r)|^2 dsigma(r), evaluated for any weight as
+    ``l2_norm_spectral`` does.  The two paths must agree within their
+    combined errors.
     """
     require_atomless(weight, "pair correlation")
     if method not in ("auto", "sampling", "quadrature"):
         raise ValueError("method must be auto, sampling or quadrature")
     if method in ("auto", "quadrature"):
+        if isinstance(correlation, BochnerCorrelation):
+            value, error = _spectral_power(correlation.spectrum, weight,
+                                           float(t), tol)
+            return PairIntegral(value, error, "quadrature")
         try:
             g, exact = difference_density(weight)
         except TypeError:
@@ -353,14 +416,7 @@ def _pair_quadrature(correlation, g: PiecewiseLinearDensity, exact: bool,
             np.asarray(correlation.heights) @ contributions)
         return PairIntegral(value, 0.0 if exact else 1e-4, "quadrature")
     lo, hi = g.knots[0], g.knots[-1]
-    freq = abs(t)
-    if isinstance(correlation, BochnerCorrelation):
-        spec = correlation.spectrum
-        top = max([abs(w) for w, _ in spec.atoms] or [1.0])
-        if spec.band is not None:
-            top = max(top, abs(spec.band.lo), abs(spec.band.hi))
-        freq = abs(t) * top
-    cells = oscillation_cells(hi - lo, freq, minimum=max(8, len(g.knots)))
+    cells = oscillation_cells(hi - lo, abs(t), minimum=max(8, len(g.knots)))
     val, diff = adaptive_gl(
         lambda u: np.asarray(correlation.value(t * u), dtype=float) * g(u),
         lo, hi, tol, cells=cells)

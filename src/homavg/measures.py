@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import ceil, log
 
 import numpy as np
+from scipy.special import wofz
 from scipy.stats import truncnorm
 
 from .errors import AccuracyError, InvalidMeasureError
-from .quadrature import adaptive_gl, oscillation_cells
 from .rng import generator
 
 _CHAR_TOL = 1e-10
@@ -175,24 +175,25 @@ class TruncatedGaussian(DensityMeasure):
     def _bounds(self):
         return (self.lo - self.mu) / self.sigma, (self.hi - self.mu) / self.sigma
 
-    def _density(self, x):
-        al, be = self._bounds()
-        z = truncnorm.pdf(x, al, be, loc=self.mu, scale=self.sigma)
-        return z
-
     def _char(self, xi):
-        out = np.empty(len(xi), dtype=complex)
-        span = self.hi - self.lo
-        for k, f in enumerate(xi):
-            if f == 0.0:
-                out[k] = 1.0
-                continue
-            cells = oscillation_cells(span, f)
-            val, _ = adaptive_gl(
-                lambda x: np.exp(1j * f * x) * self._density(x),
-                self.lo, self.hi, _CHAR_TOL, cells=cells)
-            out[k] = val
-        return out
+        # nu_hat(xi) = e^{i mu xi} [Phi(be - i s) - Phi(al - i s)] / Z with
+        # s = sigma xi, each term written through the Faddeeva function w in
+        # the closed upper half-plane.  A truncation lying wholly above the
+        # mean is reflected (x -> -x, conjugate), so al <= 0 below and Z
+        # never comes from a difference of two numbers near 1.
+        al, be = self._bounds()
+        mu = self.mu
+        flip = al > 0
+        if flip:
+            al, be, mu = -be, -al, -mu
+        s = self.sigma * xi
+        # One-sided truncations carry a common factor e^{-be^2/2}, divided
+        # out of numerator and Z alike so far tails do not underflow.
+        shift = 0.5 * be * be if be <= 0 else 0.0
+        num = _gauss_term(be, s, shift) - _gauss_term(al, s, shift)
+        z = (_gauss_term(be, 0.0, shift) - _gauss_term(al, 0.0, shift)).real
+        out = np.exp(1j * mu * xi) * num / z
+        return np.conj(out) if flip else out
 
     def cdf(self, x):
         al, be = self._bounds()
@@ -204,6 +205,16 @@ class TruncatedGaussian(DensityMeasure):
 
     def support(self):
         return (self.lo, self.hi)
+
+
+def _gauss_term(b, s, shift):
+    """e^{shift - s^2/2} Phi(b - i s) for real b and real s (array or scalar),
+    with w evaluated only where Im >= 0."""
+    s = np.asarray(s, dtype=float)
+    phase = np.exp(shift - 0.5 * b * b + 1j * b * s)
+    if b <= 0:
+        return 0.5 * phase * wofz((-s - 1j * b) / np.sqrt(2.0))
+    return np.exp(shift - 0.5 * s * s) - 0.5 * phase * wofz((s + 1j * b) / np.sqrt(2.0))
 
 
 class TableDensity(DensityMeasure):

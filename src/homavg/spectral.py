@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import BoxSet, TorusWinding, arc_correlation
-from .quadrature import adaptive_gl, oscillation_cells
+from .quadrature import adaptive_gl
 
 _MASS_TOL = 1e-9
 
@@ -45,15 +45,24 @@ class FrequencyBand:
         if any(v < 0 for v in self.profile) or sum(self.profile) <= 0:
             raise ValueError("band profile must be nonnegative with positive sum")
 
+    @property
+    def cell_width(self) -> float:
+        return (self.hi - self.lo) / len(self.profile)
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, densities): the len(profile) + 1 cell edges and the
+        constant density on each cell."""
+        prof = np.asarray(self.profile, dtype=float)
+        edges = np.linspace(self.lo, self.hi, len(prof) + 1)
+        return edges, prof * (self.mass / (prof.sum() * self.cell_width))
+
     def density(self, r):
         """Density value at frequencies ``r`` (zero outside the band)."""
         r = np.asarray(r, dtype=float)
-        prof = np.asarray(self.profile, dtype=float)
-        cellw = (self.hi - self.lo) / len(prof)
-        scale = self.mass / (prof.sum() * cellw)
-        idx = np.clip(((r - self.lo) / cellw).astype(int), 0, len(prof) - 1)
+        _, dens = self.cells()
+        idx = np.clip(((r - self.lo) / self.cell_width).astype(int), 0, len(dens) - 1)
         inside = (r >= self.lo) & (r <= self.hi)
-        return np.where(inside, prof[idx] * scale, 0.0)
+        return np.where(inside, dens[idx], 0.0)
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,12 @@ class SpectralModel:
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"spectral mass {total} differs from 1 beyond 1e-9")
 
-    def correlation(self, t, tol: float = 1e-9):
-        """rho(t) = sum_k m_k e^{i w_k t} + Int e^{i r t} density(r) dr."""
+    def correlation(self, t):
+        """rho(t) = sum_k m_k e^{i w_k t} + Int e^{i r t} density(r) dr.
+
+        Each band cell [c, c + w] with density d contributes exactly
+        d w e^{i t (c + w/2)} sinc(t w / 2), which is d w at t = 0.
+        """
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
@@ -81,13 +94,11 @@ class SpectralModel:
             m = np.array([m for _, m in self.atoms])
             out += np.exp(1j * np.outer(tt, w)) @ m
         if self.band is not None:
-            band = self.band
-            for k, tv in enumerate(tt):
-                cells = oscillation_cells(band.hi - band.lo, tv)
-                val, _ = adaptive_gl(
-                    lambda r: np.exp(1j * tv * r) * band.density(r),
-                    band.lo, band.hi, tol, cells=cells)
-                out[k] += val
+            edges, dens = self.band.cells()
+            width = self.band.cell_width
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            out += (np.exp(1j * np.outer(tt, mids)) @ dens) * (
+                width * np.sinc(tt * width / (2.0 * np.pi)))
         return complex(out[0]) if scalar else out
 
     def expect(self, fn, tol: float = 1e-8, cells: int = 2) -> float:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import homavg
 from homavg.cli import main
 from homavg.presets import list_presets
 
@@ -35,6 +39,18 @@ def test_presets_listing(capsys):
     assert "cantor-thirds" in text
     assert text == list_presets()  # stable across calls
     assert list_presets() == list_presets()
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(homavg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "homavg.cli", "presets"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    assert proc.stdout == list_presets()
 
 
 def test_minimal_avg_scan(tmp_path):

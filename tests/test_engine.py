@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import sici
 
+from homavg import engine, spectral
 from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     InvalidMeasureError, Observable, PointMass,
                     SpectralModel, SpikeCorrelation, Uniform,
@@ -10,7 +12,8 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     golden_winding, l1_deviation, l2_deviation_mc,
                     l2_norm_spectral, pair_correlation_integral, rescale,
                     spectrum_of_observable, weighted_average_pointwise)
-from homavg.measures import SelfSimilar, TableDensity
+from homavg.measures import (SelfSimilar, TableDensity, Triangular,
+                             TruncatedGaussian)
 from homavg.spectral import BoxIndicator
 from homavg.flows import BoxSet
 
@@ -128,6 +131,66 @@ def test_l2_band_against_fine_trapezoid_oracle():
     assert l2_norm_spectral(spec, u, t) == pytest.approx(oracle, abs=1e-8)
 
 
+def table_band_oracle(masses, delta, band, t):
+    """Int |nu_hat(t r)|^2 band.density(r) dr for a table of equal cells of
+    width ``delta`` (one cell: a uniform), from the pair expansion
+    |nu_hat(x)|^2 = sum_kl m_k m_l cos(d_kl x) sinc^2(delta x / 2) and the
+    antiderivative -cos(c x)/x - c Si(c x) of cos(c x)/x^2."""
+    m = np.asarray(masses, dtype=float) / np.sum(masses)
+    n = len(m)
+    d = delta * (np.arange(n)[:, None] - np.arange(n)[None, :]).ravel()
+    w = np.outer(m, m).ravel()
+
+    def antiderivative(x):
+        def a(c):
+            return -np.cos(c * x) / x - c * sici(c * x)[0]
+        return 2.0 / delta ** 2 * float(
+            w @ (a(d) - 0.5 * a(d + delta) - 0.5 * a(d - delta)))
+
+    edges, dens = band.cells()
+    return float(dens @ np.diff([antiderivative(t * e) for e in edges])) / t
+
+
+TABLE_MASSES = np.random.default_rng(3).random(64)
+
+
+@pytest.mark.parametrize("weight, masses, delta", [
+    (Uniform(0, 1), [1.0], 1.0),
+    (rescale(Uniform(-0.2, 0.5), 2.5), [1.0], 0.7 * 2.5),
+    (TableDensity(0.0, 2.0, TABLE_MASSES), TABLE_MASSES, 2.0 / 64),
+], ids=["uniform", "scaled-uniform", "table"])
+@pytest.mark.parametrize("band", [
+    FrequencyBand(-1.0, 1.0, 1.0),
+    FrequencyBand(-1.0, 1.0, 1.0, (1.0, 3.0, 2.0)),
+    FrequencyBand(0.1, 2.3, 1.0, (2.0, 1.0, 0.5, 4.0)),
+], ids=["flat", "profiled", "one-sided"])
+def test_l2_exact_density_band_against_si_formula(weight, masses, delta, band):
+    spec = SpectralModel(band=band)
+    for t in (1.0, 10.0, 1e3, 1.45e4, 1e5):
+        got = l2_norm_spectral(spec, weight, t) ** 2
+        assert got == pytest.approx(
+            table_band_oracle(masses, delta, band, t), rel=0, abs=1e-12)
+
+
+def test_closed_form_paths_run_no_quadrature(monkeypatch):
+    calls = []
+    original = engine.adaptive_gl
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "adaptive_gl", counting)
+    monkeypatch.setattr(spectral, "adaptive_gl", counting)
+    l2_norm_spectral(spectral.lebesgue_band(), Uniform(0, 1), 1e5)
+    assert l2_norm_spectral(spectral.lebesgue_band(), Uniform(0, 1), 0.0) == 1.0
+    TruncatedGaussian(0.5, 0.2, 0.0, 1.0).char_fn(np.linspace(-300, 300, 101))
+    assert calls == []
+    # weights without an exact difference density keep adaptive quadrature
+    l2_norm_spectral(spectral.lebesgue_band(), Triangular(0, 1), 10.0)
+    assert len(calls) == 1
+
+
 def test_l2_never_exceeds_one():
     rng = np.random.default_rng(7)
     spec = SpectralModel(atoms=((0.7, 0.5), (-3.0, 0.5)))
@@ -220,6 +283,24 @@ def test_pair_integral_bochner_bridge():
         pair = pair_correlation_integral(BochnerCorrelation(spec), u, t)
         assert pair.value == pytest.approx(l2_norm_spectral(spec, u, t) ** 2,
                                            abs=1e-6)
+
+
+def test_bochner_pair_quadrature_is_the_spectral_kernel():
+    spec = SpectralModel(atoms=((2.0, 0.4),),
+                         band=FrequencyBand(-1.5, 0.5, 0.6, (1.0, 2.0)))
+    model = BochnerCorrelation(spec)
+    for weight in (Uniform(0, 1), TableDensity(0.0, 1.0, [1.0, 3.0, 2.0])):
+        pair = pair_correlation_integral(model, weight, 37.0)
+        assert pair.method == "quadrature"
+        assert pair.error == 0.0
+        assert pair.value == pytest.approx(
+            l2_norm_spectral(spec, weight, 37.0) ** 2, rel=1e-14)
+    # quantized weights fall back to adaptive quadrature and report its gap
+    pair = pair_correlation_integral(model, Triangular(0, 1), 37.0, tol=1e-9)
+    assert 0.0 <= pair.error < 1e-9
+    samp = pair_correlation_integral(model, Triangular(0, 1), 37.0,
+                                     method="sampling", n_samples=40_000)
+    assert abs(pair.value - samp.value) < 4 * samp.error
 
 
 def test_pair_integral_paths_agree_on_random_densities():

@@ -56,10 +56,41 @@ def test_char_magnitude_and_hermitian_symmetry():
     xi = rng.uniform(-80, 80, size=32)
     for m in (Uniform(-1, 2), Triangular(0, 1), CANTOR, DYADIC_EVEN,
               convolve(Uniform(0, 1), CANTOR), rescale(CANTOR, 2.5),
-              TableDensity(0.0, 2.0, rng.random(64))):
+              TableDensity(0.0, 2.0, rng.random(64)),
+              TruncatedGaussian(0.5, 0.2, 0.0, 1.0),
+              TruncatedGaussian(0.0, 0.2, 1.0, 2.0)):
         vals = m.char_fn(xi)
         assert np.all(np.abs(vals) <= 1.0 + 1e-9)
         np.testing.assert_allclose(m.char_fn(-xi), np.conj(vals), atol=1e-9)
+
+
+def truncated_gaussian_oracle(m, xs):
+    """Int e^{i xi x} pdf(x) dx / Z by 30-digit Gauss-Legendre quadrature,
+    one subinterval per half period, independently of the Faddeeva form."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        mu, sg, lo, hi = (mp.mpf(v) for v in (m.mu, m.sigma, m.lo, m.hi))
+        pdf = lambda x: mp.exp(-((x - mu) / sg) ** 2 / 2)
+        z = mp.quad(pdf, [lo, hi])
+        out = []
+        for xi in xs:
+            pts = mp.linspace(lo, hi, 2 + int(abs(xi) * (m.hi - m.lo) / np.pi))
+            val = mp.quad(lambda x: mp.expj(xi * x) * pdf(x), pts,
+                          method="gauss-legendre")
+            out.append(complex(val / z))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("params", [(0.5, 0.2, 0.0, 1.0),   # centred
+                                    (0.0, 0.2, 1.0, 2.0),   # above the mean
+                                    (3.0, 0.2, 1.0, 2.0),   # below the mean
+                                    (0.5, 2.0, 0.0, 1.0)])  # wide
+def test_truncated_gaussian_char_matches_mpmath_oracle(params):
+    m = TruncatedGaussian(*params)
+    xs = np.array([0.0, 0.7, 5.0, 60.0, 200.0])
+    np.testing.assert_allclose(m.char_fn(xs), truncated_gaussian_oracle(m, xs),
+                               rtol=0, atol=1e-12)
+    assert m.char_fn(0.0) == 1.0
 
 
 def test_self_similar_fixed_point_identity():

@@ -87,6 +87,24 @@ def test_uniform_band_gives_sinc():
                                                           abs=1e-9)
 
 
+def test_profiled_band_correlation_against_simpson_oracle():
+    band = FrequencyBand(-0.5, 2.5, 0.7, (1.0, 0.0, 3.0, 2.0))
+    model = SpectralModel(atoms=((1.5, 0.3),), band=band)
+    ts = np.array([0.0, 1e-9, 0.8, 13.0, 250.0])
+    got = model.correlation(ts)
+    for t, val in zip(ts, got):
+        edges, dens = band.cells()
+        oracle = 0.3 * np.exp(1.5j * t)
+        for a, b, d in zip(edges[:-1], edges[1:], dens):
+            r = np.linspace(a, b, 1 << 14 | 1)
+            f = np.exp(1j * t * r)
+            h = r[1] - r[0]
+            oracle += d * h / 3 * (f[0] + f[-1] + 4 * f[1:-1:2].sum()
+                                   + 2 * f[2:-1:2].sum())
+        assert abs(val - oracle) < 1e-12
+    assert model.correlation(0.0) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_correlation_at_zero_is_one():
     rng = np.random.default_rng(3)
     for _ in range(5):
