@@ -32,6 +32,8 @@ from .spectral import (BochnerCorrelation, CorrelationModel, FrequencyBand,
                        Observable, SpectralModel, SpikeCorrelation)
 
 DESCENT_SLACK = 1e-9
+PROBE_META_SPIKES = 64   # per-spike probe masses go into metadata up to this count
+SPIKE_BLOCK = 4096       # spikes per breakpoint array: bounds the pair kernel's memory
 
 
 def _point_seed(master: int, index: int) -> int:
@@ -231,25 +233,48 @@ def descent_check(spectrum: SpectralModel, weight, t: float = 1.0,
 # difference distributions (piecewise-linear densities of r - s)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PiecewiseLinearDensity:
-    """Continuous piecewise-linear density, zero outside its knot range."""
+    """Continuous piecewise-linear density, zero outside its knot range.
 
-    knots: tuple[float, ...]
-    values: tuple[float, ...]
+    ``knots`` and ``values`` are read-only float64 arrays fixed at
+    construction, and ``cumulative`` holds the integral G from the first
+    knot up to each knot, so G is piecewise quadratic in between.
+    """
+
+    def __init__(self, knots, values):
+        self.knots = np.array(knots, dtype=float)
+        self.values = np.array(values, dtype=float)
+        self.cumulative = np.concatenate(([0.0], np.cumsum(
+            0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.knots))))
+        for a in (self.knots, self.values, self.cumulative):
+            a.flags.writeable = False
 
     def __call__(self, u):
         return np.interp(u, self.knots, self.values, left=0.0, right=0.0)
 
-    def mass(self, a: float, b: float) -> float:
-        """Integral over [a, b] (exact for the piecewise-linear shape)."""
-        if b <= a:
-            return 0.0
-        k = np.asarray(self.knots)
-        pts = np.unique(np.concatenate(
-            ([a, b], k[(k > a) & (k < b)])))
-        vals = self(pts)
-        return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)))
+    def mass(self, a, b):
+        """Integral over [a, b], elementwise over array arguments and 0
+        where b <= a; a float for scalar arguments.
+
+        This is G(b) - G(a), exact for the piecewise-linear shape.  The
+        knots strictly between a and b come in as one difference of
+        ``cumulative``, the partial segments at either end as trapezoids, so
+        an interval inside one knot segment keeps its relative precision.
+        """
+        k, v = self.knots, self.values
+        a, b = np.broadcast_arrays(np.clip(a, k[0], k[-1]), np.clip(b, k[0], k[-1]))
+        out = np.zeros(a.shape)
+        live = b > a
+        a, b = a[live], b[live]
+        ia = np.minimum(np.searchsorted(k, a, side="right") - 1, len(k) - 2)
+        ib = np.minimum(np.searchsorted(k, b, side="right") - 1, len(k) - 2)
+        ga, gb = self(a), self(b)
+        inside = 0.5 * (ga + gb) * (b - a)
+        across = (0.5 * (ga + v[ia + 1]) * (k[ia + 1] - a)
+                  + (self.cumulative[ib] - self.cumulative[ia + 1])
+                  + 0.5 * (v[ib] + gb) * (b - k[ib]))
+        out[live] = np.where(ia == ib, inside, across)
+        return float(out) if out.ndim == 0 else out
 
     def si_transform(self, lam) -> np.ndarray:
         """F(lam) = Int g(u) sin(lam u) / u du for an array of ``lam``.
@@ -259,8 +284,7 @@ class PiecewiseLinearDensity:
         -2 sin(lam m) sin(lam h) with m, h the segment's midpoint and half
         width, so small lam loses nothing and F(0) = 0.
         """
-        k = np.asarray(self.knots)
-        v = np.asarray(self.values)
+        k, v = self.knots, self.values
         q = np.diff(v) / np.diff(k)
         p = v[:-1] - q * k[:-1]
         mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
@@ -294,14 +318,13 @@ def difference_density(measure: WeightMeasure) -> tuple[PiecewiseLinearDensity, 
     if isinstance(measure, Scaled):
         inner, exact = difference_density(measure.inner)
         f = measure.factor
-        return PiecewiseLinearDensity(tuple(k * f for k in inner.knots),
-                                      tuple(v / f for v in inner.values)), exact
+        return PiecewiseLinearDensity(inner.knots * f, inner.values / f), exact
     masses, delta = _cell_masses(measure)
     corr = np.correlate(masses, masses, mode="full")
     n = len(masses)
     knots = delta * np.arange(-n, n + 1)
     vals = np.concatenate(([0.0], corr / delta, [0.0]))
-    return PiecewiseLinearDensity(tuple(knots), tuple(vals)), _exact_difference(measure)
+    return PiecewiseLinearDensity(knots, vals), _exact_difference(measure)
 
 
 def _tri_eval(u, t, hv, lv):
@@ -309,54 +332,57 @@ def _tri_eval(u, t, hv, lv):
     return np.maximum(0.0, 1.0 - np.abs(np.abs(t * np.asarray(u)) - hv) / lv)
 
 
-def _simpson_band(g: PiecewiseLinearDensity, t, hv, lv, a, b):
-    """Exact Simpson for Int g(u) * bump(u) du over segments [a, b] on which
-    both factors are linear (their product is quadratic)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    return (b - a) / 6.0 * (g(a) * _tri_eval(a, t, hv, lv)
-                            + 4.0 * g(mid) * _tri_eval(mid, t, hv, lv)
-                            + g(b) * _tri_eval(b, t, hv, lv))
+def _spike_band_integrals(g: PiecewiseLinearDensity, h: np.ndarray,
+                          L: np.ndarray, t: float) -> np.ndarray:
+    """Int bump_j(|t u|) g(u) du for every spike (centers ``h``, halfwidths
+    ``L``), both signs of u, exact.
 
-
-def _spike_band_integrals(g: PiecewiseLinearDensity, spike: SpikeCorrelation,
-                          t: float) -> np.ndarray:
-    """Int bump_j(|t u|) g(u) du for every spike, both signs of u, exact.
-
-    Bands never straddle a bump kink other than the apex (h - L > 0), so a
-    two-segment Simpson is exact unless a g-knot falls into the band; those
-    few bands get their breakpoints merged in explicitly.
+    A spike band [a_j, b_j] on one side of u = 0 (h - L > 0), clipped to the
+    support of g, splits at its apex and at the g-knots inside it into
+    segments on which both factors are linear.  The breakpoints of a block
+    of J spikes go band after band into one array, at most 3J + K long and
+    laid out without a sort; Simpson is exact on each of its segments, and
+    ``np.bincount`` adds the segments up per spike.
     """
-    h = np.asarray(spike.centers)
-    L = np.asarray(spike.halfwidths)
-    knots = np.asarray(g.knots)
+    knots = g.knots
     out = np.zeros(len(h))
-    for sign in (1.0, -1.0):
-        if sign > 0:
-            lo, hi, apex = (h - L) / t, (h + L) / t, h / t
-        else:
-            lo, hi, apex = -(h + L) / t, -(h - L) / t, -h / t
-        lo = np.maximum(lo, knots[0])
-        hi = np.minimum(hi, knots[-1])
-        idx = np.nonzero(hi > lo)[0]
-        if len(idx) == 0:
-            continue
-        a, b = lo[idx], hi[idx]
-        ap = np.clip(apex[idx], a, b)
-        hv, lv = h[idx], L[idx]
-        crossed = np.searchsorted(knots, a, side="right") != \
-            np.searchsorted(knots, b, side="left")
-        res = np.zeros(len(idx))
-        plain = ~crossed
-        res[plain] = (_simpson_band(g, t, hv[plain], lv[plain], a[plain], ap[plain])
-                      + _simpson_band(g, t, hv[plain], lv[plain], ap[plain], b[plain]))
-        for j in np.nonzero(crossed)[0]:
-            inner = knots[(knots > a[j]) & (knots < b[j])]
-            pts = np.unique(np.concatenate(([a[j], ap[j], b[j]], inner)))
-            res[j] = float(np.sum(_simpson_band(
-                g, t, hv[j], lv[j], pts[:-1], pts[1:])))
-        out[idx] += res
+    for first_spike in range(0, len(h), SPIKE_BLOCK):
+        block = slice(first_spike, first_spike + SPIKE_BLOCK)
+        hb, lb = h[block], L[block]
+        for sign in (1.0, -1.0):
+            if sign > 0:
+                lo, hi = (hb - lb) / t, (hb + lb) / t
+            else:
+                lo, hi = -(hb + lb) / t, -(hb - lb) / t
+            lo = np.maximum(lo, knots[0])
+            hi = np.minimum(hi, knots[-1])
+            idx = np.nonzero(hi > lo)[0]
+            if len(idx) == 0:
+                continue
+            a, b = lo[idx], hi[idx]
+            ap = np.clip(sign * hb[idx] / t, a, b)
+            k0 = np.searchsorted(knots, a, side="right")    # first knot inside
+            inner = np.searchsorted(knots, b, side="left") - k0
+            below = np.clip(np.searchsorted(knots, ap, side="left") - k0, 0, inner)
+            count = inner + 3
+            start = np.cumsum(count) - count
+            pts = np.empty(int(count.sum()))
+            pts[start] = a
+            pts[start + 1 + below] = ap
+            pts[start + count - 1] = b
+            owner = np.repeat(np.arange(len(idx)), inner)
+            rank = np.arange(len(owner)) - (np.cumsum(inner) - inner)[owner]
+            pts[start[owner] + 1 + rank + (rank >= below[owner])] = knots[k0[owner] + rank]
+            band = np.repeat(np.arange(len(idx)), count)
+            hv, lv = hb[idx][band], lb[idx][band]
+            f = g(pts) * _tri_eval(pts, t, hv, lv)
+            x0, x1 = pts[:-1], pts[1:]
+            mid = 0.5 * (x0 + x1)
+            simpson = (x1 - x0) / 6.0 * (f[:-1] + 4.0 * g(mid) * _tri_eval(
+                mid, t, hv[:-1], lv[:-1]) + f[1:])
+            simpson[start[1:] - 1] = 0.0    # the gaps from one band to the next
+            out[first_spike + idx] += np.bincount(band[:-1], weights=simpson,
+                                                  minlength=len(idx))
     return out
 
 
@@ -398,24 +424,40 @@ def pair_correlation_integral(correlation: CorrelationModel,
         except TypeError:
             if method == "quadrature":
                 raise
-            g = None
-        if g is not None:
+        else:
             return _pair_quadrature(correlation, g, exact, float(t), tol)
-    r = weight._sample(n_samples, seed, (rng.PAIR_LEFT,))
-    s = weight._sample(n_samples, seed, (rng.PAIR_RIGHT,))
-    vals = np.asarray(correlation.value(t * (r - s)), dtype=float)
+    return _pair_sampling(correlation, t,
+                          _pair_differences(weight, n_samples, seed))
+
+
+def _pair_differences(weight: WeightMeasure, n_samples: int,
+                      seed: int) -> np.ndarray:
+    """``n_samples`` draws of r - s for independent r, s ~ ``weight``."""
+    return (weight._sample(n_samples, seed, (rng.PAIR_LEFT,))
+            - weight._sample(n_samples, seed, (rng.PAIR_RIGHT,)))
+
+
+def _pair_sampling(correlation: CorrelationModel, t: float,
+                   u: np.ndarray) -> PairIntegral:
+    vals = np.asarray(correlation.value(t * u), dtype=float)
     return PairIntegral(float(vals.mean()),
-                        float(vals.std() / np.sqrt(n_samples)), "sampling")
+                        float(vals.std() / np.sqrt(len(u))), "sampling")
+
+
+def _spike_pair(spike: SpikeCorrelation, g: PiecewiseLinearDensity,
+                exact: bool, t: float) -> PairIntegral:
+    """Exact pair integral of a spike correlation against the difference
+    density g; a quantized g reports its 1e-4 quantization slack."""
+    h, L, heights = spike.arrays
+    value = spike.baseline + float(heights @ _spike_band_integrals(g, h, L, t))
+    return PairIntegral(value, 0.0 if exact else 1e-4, "quadrature")
 
 
 def _pair_quadrature(correlation, g: PiecewiseLinearDensity, exact: bool,
                      t: float, tol: float) -> PairIntegral:
     if isinstance(correlation, SpikeCorrelation):
-        contributions = _spike_band_integrals(g, correlation, t)
-        value = correlation.baseline + float(
-            np.asarray(correlation.heights) @ contributions)
-        return PairIntegral(value, 0.0 if exact else 1e-4, "quadrature")
-    lo, hi = g.knots[0], g.knots[-1]
+        return _spike_pair(correlation, g, exact, t)
+    lo, hi = float(g.knots[0]), float(g.knots[-1])
     cells = oscillation_cells(hi - lo, abs(t), minimum=max(8, len(g.knots)))
     val, diff = adaptive_gl(
         lambda u: np.asarray(correlation.value(t * u), dtype=float) * g(u),
@@ -507,53 +549,50 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
                         threads: int = 1) -> DecayCurve:
     """Per grid point, |pair integral - baseline| for a spike correlation,
     plus bookkeeping of where the weight's difference distribution can see
-    the spikes at all: metadata records the diagonal-band mass
-    (nu x nu){ |t (r - s)| < band_halfwidth } and the per-spike captured
-    mass (nu x nu){ t (r - s) in [h_j - L_j, h_j + L_j] } for every t.
+    the spikes at all: metadata records for every t the diagonal-band mass
+    (nu x nu){ |t (r - s)| < band_halfwidth } and the captured spike mass
+    (nu x nu){ t (r - s) in [h_j - L_j, h_j + L_j] }, as a total and, for at
+    most ``PROBE_META_SPIKES`` spikes, per spike.
+
+    With a density view, the difference density is built once per probe and
+    gives the pair integral and every mass in closed form.  Otherwise each
+    grid point draws one set of pair differences, and the masses are counts
+    among the same draws that the sampled pair integral averages over.
     """
     require_atomless(weight, "almost-mixing probe")
     grid = tuple(float(t) for t in t_grid)
     try:
-        g, _ = difference_density(weight)
+        g, exact = difference_density(weight)
     except TypeError:
         g = None
-
-    h = np.asarray(spike.centers)
-    L = np.asarray(spike.halfwidths)
-    band_masses: dict[int, float] = {}
-    spike_masses: dict[int, dict] = {}
+    h, L, _ = spike.arrays
+    lo, hi = h - L, h + L
+    band_masses: dict[float, float] = {}
+    spike_masses: dict[float, dict] = {}
 
     def evaluator(t, point_seed):
-        result = pair_correlation_integral(spike, weight, t, seed=point_seed,
-                                           n_samples=n_samples)
-        idx = grid.index(t)
         if g is not None:
-            band_masses[idx] = g.mass(-band_halfwidth / t, band_halfwidth / t)
-            per = np.array([g.mass((hj - lj) / t, (hj + lj) / t)
-                            for hj, lj in zip(h, L)]) if len(h) <= 64 else None
-            if per is None:
-                lo_all = (h - L) / t
-                hi_all = (h + L) / t
-                total = float(sum(g.mass(a, b) for a, b in zip(lo_all, hi_all)
-                                  if a < g.knots[-1] and b > g.knots[0]))
-                spike_masses[idx] = {"total": total}
-            else:
-                spike_masses[idx] = {"total": float(per.sum()),
-                                     "per_spike": [float(v) for v in per]}
+            result = _spike_pair(spike, g, exact, t)
+            band = g.mass(-band_halfwidth / t, band_halfwidth / t)
+            per = g.mass(lo / t, hi / t)
         else:
-            u = (weight._sample(n_samples, point_seed, (rng.PAIR_LEFT,))
-                 - weight._sample(n_samples, point_seed, (rng.PAIR_RIGHT,)))
-            band_masses[idx] = float(np.mean(np.abs(t * u) < band_halfwidth))
-            if len(h) <= 64:
-                per = [float(np.mean((t * u >= hj - lj) & (t * u <= hj + lj)))
-                       for hj, lj in zip(h, L)]
-                spike_masses[idx] = {"total": float(np.sum(per)), "per_spike": per}
+            u = _pair_differences(weight, n_samples, point_seed)
+            result = _pair_sampling(spike, t, u)
+            tu = np.sort(t * u)
+            band = (np.searchsorted(tu, band_halfwidth, side="left")
+                    - np.searchsorted(tu, -band_halfwidth, side="right")) / len(tu)
+            per = (np.searchsorted(tu, hi, side="right")
+                   - np.searchsorted(tu, lo, side="left")) / len(tu)
+        band_masses[t] = float(band)
+        spike_masses[t] = {"total": float(per.sum())}
+        if len(per) <= PROBE_META_SPIKES:
+            spike_masses[t]["per_spike"] = per.tolist()
         return abs(result.value - spike.baseline), result.error
 
     meta = {"baseline": spike.baseline, "band_halfwidth": band_halfwidth,
             "kind": "almost-mixing-probe", "n_samples": n_samples}
     curve = convergence_scan(evaluator, grid, seed=seed, threads=threads,
                              metadata=meta)
-    curve.metadata["band_mass"] = [band_masses.get(i) for i in range(len(grid))]
-    curve.metadata["spike_mass"] = [spike_masses.get(i) for i in range(len(grid))]
+    curve.metadata["band_mass"] = [band_masses.get(t) for t in grid]
+    curve.metadata["spike_mass"] = [spike_masses.get(t) for t in grid]
     return curve

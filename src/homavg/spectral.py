@@ -15,6 +15,7 @@ plus narrow triangular bumps at sparsely spaced centers).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -269,14 +270,28 @@ class SpikeCorrelation(CorrelationModel):
             raise ValueError("baseline must be nonnegative")
         if not self.growth > 1.0:
             raise ValueError("declared growth factor must exceed 1")
-        for h, w in zip(self.centers, self.halfwidths):
-            if w <= 0 or h - w <= 0:
-                raise ValueError("spikes need positive halfwidths and h - L > 0")
-        for k, (h0, h1) in enumerate(zip(self.centers, self.centers[1:])):
-            if h1 / h0 < self.growth * (1.0 - 1e-12):
-                raise ValueError("centers must grow by at least the declared factor")
-            if h0 + self.halfwidths[k] >= h1 - self.halfwidths[k + 1]:
-                raise ValueError("spike intervals must be pairwise disjoint")
+        h, w, _ = self.arrays
+        if not np.all((w > 0) & (h - w > 0)):  # NaN (e.g. a null entry) fails too
+            raise ValueError("spikes need positive halfwidths and h - L > 0")
+        # the first offending neighbour pair decides; at one pair the growth
+        # test comes before the disjointness test
+        with np.errstate(invalid="ignore"):  # inf / inf compares False
+            slow = h[1:] / h[:-1] < self.growth * (1.0 - 1e-12)
+        bad = np.flatnonzero(slow | (h[:-1] + w[:-1] >= h[1:] - w[1:]))
+        if len(bad) and slow[bad[0]]:
+            raise ValueError("centers must grow by at least the declared factor")
+        if len(bad):
+            raise ValueError("spike intervals must be pairwise disjoint")
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, halfwidths, heights) as read-only float64 arrays,
+        converted once per model."""
+        out = tuple(np.array(v, dtype=float)
+                    for v in (self.centers, self.halfwidths, self.heights))
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def value(self, t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -284,12 +299,12 @@ class SpikeCorrelation(CorrelationModel):
         tt = np.atleast_1d(t)
         out = np.full(len(tt), self.baseline)
         if self.centers:
-            h = np.asarray(self.centers)
+            h, halfwidths, heights = self.arrays
             j = np.clip(np.searchsorted(h, tt), 0, len(h) - 1)
             jm = np.maximum(j - 1, 0)
             for cand, active in ((j, np.ones(len(tt), bool)), (jm, jm != j)):
-                hw = np.asarray(self.halfwidths)[cand]
-                ht = np.asarray(self.heights)[cand]
+                hw = halfwidths[cand]
+                ht = heights[cand]
                 dist = np.abs(tt - h[cand])
                 bump = np.where(active & (dist < hw), ht * (1.0 - dist / hw), 0.0)
                 out = out + bump

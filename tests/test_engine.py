@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.special import sici
@@ -448,3 +450,163 @@ def test_probe_supports_singular_weights_by_sampling():
                                 n_samples=20_000, seed=16)
     assert all(v >= 0 for v in curve.values)
     assert curve.metadata["band_mass"][0] is not None
+
+
+# -- vectorized difference-density kernels -------------------------------------------
+
+def trapezoid_mass_reference(g, a, b):
+    """Scalar interval mass by merging the knots into [a, b] and applying the
+    trapezoid rule (exact for a continuous piecewise-linear density)."""
+    if b <= a:
+        return 0.0
+    k = np.asarray(g.knots)
+    pts = np.unique(np.concatenate(([a, b], k[(k > a) & (k < b)])))
+    vals = g(pts)
+    return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)))
+
+
+def test_density_mass_matches_trapezoid_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        n = int(rng.integers(2, 60))
+        knots = np.sort(rng.uniform(-3.0, 3.0, n + 1))
+        values = np.concatenate(([0.0], rng.random(n - 1), [0.0]))
+        g = engine.PiecewiseLinearDensity(knots, values)
+        lo = rng.uniform(-4.0, 4.0, 200)
+        hi = lo + rng.choice([-1.0, 1.0], 200) * rng.exponential(0.5, 200)
+        hi[:10] = lo[:10]                          # empty intervals
+        lo[10:20], hi[10:20] = -9.0, -8.0          # wholly left of the support
+        lo[20:30], hi[20:30] = 7.0, 9.0            # wholly right of it
+        lo[30:40], hi[30:40] = knots[3], knots[-2] # knot-aligned, across knots
+        lo[40:50] = knots[1] + 0.3 * (knots[2] - knots[1])   # inside one segment
+        hi[40:50] = knots[1] + 0.6 * (knots[2] - knots[1])
+        ref = [trapezoid_mass_reference(g, a, b) for a, b in zip(lo, hi)]
+        got = g.mass(lo, hi)
+        assert isinstance(got, np.ndarray) and got.shape == lo.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        for a, b, r in zip(lo[::17], hi[::17], ref[::17]):
+            one = g.mass(a, b)
+            assert isinstance(one, float)
+            assert one == pytest.approx(r, rel=0, abs=1e-13)
+    assert g.mass(1.0, -1.0) == 0.0
+    # an interval inside one knot segment keeps its relative precision
+    u = knots[1] + 0.5 * (knots[2] - knots[1])
+    assert g.mass(u, u + 1e-9) == pytest.approx(
+        trapezoid_mass_reference(g, u, u + 1e-9), rel=1e-13, abs=0)
+    assert g.mass(-10.0, 10.0) == pytest.approx(g.cumulative[-1], abs=1e-15)
+
+
+def spike_band_reference(g, h, L, t):
+    """One spike and one sign at a time: merge the band's ends, apex and
+    inner knots, then Simpson on each piece."""
+    knots = np.asarray(g.knots)
+    out = np.zeros(len(h))
+    for j in range(len(h)):
+        bump = lambda u: np.maximum(0.0, 1.0 - np.abs(np.abs(t * u) - h[j]) / L[j])
+        for sign in (1.0, -1.0):
+            lo, hi = sorted((sign * (h[j] - L[j]) / t, sign * (h[j] + L[j]) / t))
+            lo, hi = max(lo, knots[0]), min(hi, knots[-1])
+            if hi <= lo:
+                continue
+            apex = min(max(sign * h[j] / t, lo), hi)
+            pts = np.unique(np.concatenate(
+                ([lo, apex, hi], knots[(knots > lo) & (knots < hi)])))
+            x0, x1 = pts[:-1], pts[1:]
+            mid = 0.5 * (x0 + x1)
+            out[j] += np.sum((x1 - x0) / 6.0 * (g(x0) * bump(x0)
+                                                + 4.0 * g(mid) * bump(mid)
+                                                + g(x1) * bump(x1)))
+    return out
+
+
+@pytest.mark.parametrize("block", [engine.SPIKE_BLOCK, 7])
+def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
+    monkeypatch.setattr(engine, "SPIKE_BLOCK", block)
+    g, exact = difference_density(Triangular(0.0, 1.0))
+    assert len(g.knots) == 8193 and not exact
+    cases = [
+        # bands 0.5/t wide: about 20 knots each at t = 100; at t = 4096 the
+        # apexes j / 4096 sit exactly on knots and bands cross one or two
+        (arithmetic_spikes(step=1.0, halfwidth=0.25, count=150), 100.0),
+        (arithmetic_spikes(step=1.0, halfwidth=0.25, count=4200), 4096.0),
+        (geometric_spikes(growth=3.0, halfwidth=0.4, count=12, first=1.5), 7.3),
+        # unequal halfwidths on a unit step: on the u < 0 side the span from
+        # one band's end to the next band's start reaches back into a bump
+        (SpikeCorrelation(0.25, tuple(float(j) for j in range(1, 41)),
+                          (0.45, 0.05) * 20, (1.0,) * 40,
+                          growth=40 / 39 * (1 - 1e-12)), 30.0),
+    ]
+    for spike, t in cases:
+        h, L, _ = spike.arrays
+        got = engine._spike_band_integrals(g, h, L, t)
+        np.testing.assert_allclose(got, spike_band_reference(g, h, L, t),
+                                   rtol=0, atol=1e-13)
+        assert np.count_nonzero(got) > 0
+
+
+def test_probe_builds_once_and_counts_calls(monkeypatch):
+    counts = {"density": 0, "mass": 0, "sample": 0}
+    build, mass = engine.difference_density, engine.PiecewiseLinearDensity.mass
+    sample = SelfSimilar._sample
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "difference_density", counted("density", build))
+    monkeypatch.setattr(engine.PiecewiseLinearDensity, "mass", counted("mass", mass))
+    monkeypatch.setattr(SelfSimilar, "_sample", counted("sample", sample))
+    spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, count=500)
+    grid = geometric_grid(10.0, 10.0, 4)
+    for weight in (Uniform(0, 1), Triangular(0, 1)):
+        counts.update(density=0, mass=0)
+        almost_mixing_probe(spikes, weight, grid, threads=2)
+        assert counts["density"] == 1
+        assert counts["mass"] <= 2 * len(grid)
+    counts.update(density=0, mass=0, sample=0)
+    almost_mixing_probe(spikes, CANTOR, grid, n_samples=2000, seed=3)
+    assert counts == {"density": 1, "mass": 0, "sample": 2 * len(grid)}
+
+
+@pytest.mark.parametrize("count", [64, 65])
+def test_probe_spike_mass_shape_on_both_paths(count):
+    spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, count=count)
+    grid = geometric_grid(10.0, 10.0, 3)
+    n, seed, bw = 3000, 17, 1.0
+    sampled = almost_mixing_probe(spikes, CANTOR, grid, n_samples=n, seed=seed,
+                                  band_halfwidth=bw)
+    exact = almost_mixing_probe(spikes, Uniform(0, 1), grid)
+    h, L, _ = spikes.arrays
+    g, _ = difference_density(Uniform(0, 1))
+    for k, t in enumerate(grid):
+        # sampling path: counts among the pair integral's own draws equal the
+        # fractions of the draws that fall in each window
+        u = engine._pair_differences(CANTOR, n, engine._point_seed(seed, k))
+        per = [float(np.mean((t * u >= hj - lj) & (t * u <= hj + lj)))
+               for hj, lj in zip(h, L)]
+        entry = sampled.metadata["spike_mass"][k]
+        assert entry["total"] == float(np.sum(per))
+        assert sampled.metadata["band_mass"][k] == float(np.mean(np.abs(t * u) < bw))
+        # density path: the same total as one scalar mass per spike
+        per_exact = [g.mass((hj - lj) / t, (hj + lj) / t) for hj, lj in zip(h, L)]
+        entry_exact = exact.metadata["spike_mass"][k]
+        assert entry_exact["total"] == pytest.approx(sum(per_exact), rel=0, abs=1e-13)
+        if count <= engine.PROBE_META_SPIKES:
+            assert entry["per_spike"] == per
+            np.testing.assert_allclose(entry_exact["per_spike"], per_exact,
+                                       rtol=0, atol=1e-13)
+        else:
+            assert list(entry) == ["total"] and list(entry_exact) == ["total"]
+
+
+def test_probe_dense_progression_on_quantized_triangular_weight():
+    spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, height=1.0,
+                               count=100_001, baseline=0.25)
+    start = time.perf_counter()
+    curve = almost_mixing_probe(spikes, Triangular(0, 2),
+                                geometric_grid(10.0, 10.0, 5))
+    elapsed = time.perf_counter() - start
+    assert curve.values[-1] > 0.5 * curve.values[0]     # criterion 5's dense check
+    assert elapsed < 15.0

@@ -150,6 +150,36 @@ def test_spike_validation():
     arithmetic_spikes(count=50)  # ratio (j+1)/j stays above the declared growth
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0.25, (1.0, 4.0), (0.1,), (1.0, 1.0)), {}, "must align"),
+    ((-0.1, (1.0,), (0.1,), (1.0,)), {}, "baseline must be nonnegative"),
+    ((0.25, (1.0,), (0.1,), (1.0,)), {"growth": 1.0}, "growth factor must exceed 1"),
+    ((0.25, (1.0, 4.0), (0.1, 0.0), (1.0, 1.0)), {}, "positive halfwidths"),
+    ((0.25, (1.0, 4.0), (0.1, 4.0), (1.0, 1.0)), {}, "positive halfwidths"),
+    ((0.25, (1.0, 4.0), (0.1, None), (1.0, 1.0)), {}, "positive halfwidths"),
+    # a later non-positive band is reported before an earlier pair failure
+    ((0.25, (1.0, 1.5, 5.0), (0.1, 0.1, 6.0), (1.0,) * 3), {}, "positive halfwidths"),
+    ((0.25, (1.0, 1.5), (0.1, 0.1), (1.0, 1.0)), {}, "must grow by at least"),
+    ((0.25, (1.0, 2.0), (0.6, 0.6), (1.0, 1.0)), {}, "pairwise disjoint"),
+    # the first offending pair decides, growth before disjointness at a pair
+    ((0.25, (1.0, 2.0, 2.5), (0.6, 0.6, 0.1), (1.0,) * 3), {}, "pairwise disjoint"),
+    ((0.25, (1.0, 2.0, 4.0, 5.0), (0.1, 0.1, 0.1, 0.1), (1.0,) * 4), {}, "must grow by at least"),
+    ((0.25, (1.0, 1.5), (0.4, 0.4), (1.0, 1.0)), {}, "must grow by at least"),
+])
+def test_spike_validation_messages(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SpikeCorrelation(*args, **{"growth": 2.0, **kwargs})
+
+
+def test_spike_arrays_are_read_only_copies():
+    model = geometric_spikes(count=3)
+    h, L, heights = model.arrays
+    assert h.tolist() == list(model.centers) and L.tolist() == list(model.halfwidths)
+    assert heights.tolist() == list(model.heights)
+    with pytest.raises(ValueError):
+        h[0] = 2.0
+
+
 def test_positive_definite_models_bounded_by_value_at_zero():
     # For transform-based and box-set correlations |rho(t)| <= rho(0);
     # spike profiles are exempt by design (their apexes model deviation).
