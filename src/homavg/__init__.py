@@ -31,5 +31,5 @@ from .engine import (DecayCurve, DescentReport, DeviationEstimate,  # noqa: F401
                      l2_norm_spectral, pair_correlation_integral,
                      weighted_average_pointwise)
 from .adversary import (AdversaryPlan, LevelEstimate, LevelRecord,  # noqa: F401
-                        build_adversarial_measure, choose_delta,
-                        choose_multiplier, verify_non_almost_mixing)
+                        build_adversarial_measure, choose_multiplier,
+                        verify_non_almost_mixing)

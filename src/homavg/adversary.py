@@ -12,8 +12,12 @@ far above the mixing level mu(A)^2, at the unbounded scale sequence s(i_n).
 
 Scales grow triple-exponentially in the level, so every piece of interval
 bookkeeping is exact: integer times and multipliers at arbitrary
-magnitude, Fraction endpoints, and lattice distances from fixed-point
-integer square roots.  Nothing here ever rounds an interval endpoint.
+magnitude, Fraction endpoints, and lattice distances from the one
+fixed-point routine of ``flows.QuadraticIrrational``, whose error stays
+below dist**2 at any magnitude, so the multiplier floor(1 / sqrt(dist)) is
+exact even where 1 / sqrt(dist) sits within sqrt(dist) of an integer.
+Shifts and correlations are the exact ones of ``flows``.  Nothing here
+ever rounds an interval endpoint.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from math import ceil, isqrt
 import numpy as np
 
 from . import rng
-from .errors import LevelInfeasibleError
-from .flows import (BoxSet, QuadraticIrrational, TorusWinding, arc_overlap,
-                    rigidity_times)
+from .flows import (BoxSet, QuadraticIrrational, TorusWinding, _exact_shifts,
+                    arc_correlation_exact, arc_overlap, rigidity_times)
 from .measures import NestedIntervals
 
-MULTIPLIER_CAP = 1 << 30     # only reachable when the displacement is exactly 0
+MULTIPLIER_CAP = 1 << 30     # only reachable for an exactly periodic (Fraction) slope
 _DELTA_SAFETY = Fraction((1 << 20) - 1, 1 << 20)
 
 
@@ -56,23 +59,17 @@ def _floor_inv_sqrt(num: int, den: int) -> int:
     return m
 
 
-def _shifts_at(flow: TorusWinding, num: int, den: int = 1) -> tuple[float, float]:
-    """Coordinate shifts of T_{num/den} on a d=2 winding, exactly."""
-    return ((num % den) / den, flow.slope_fraction_of(num, den))
-
-
-def _correlation_from_shifts(box: BoxSet, shifts) -> float:
-    out = 1.0
-    for a, s in zip(box.sides, shifts):
-        out *= float(arc_overlap(a, a, s))
-    return out
+def _multiplier(flow: TorusWinding, time: int) -> int:
+    """floor(1 / sqrt(dist(time * slope, Z))), or MULTIPLIER_CAP when the
+    distance is exactly 0 (only an exactly periodic Fraction slope)."""
+    num, den = _exact_distance(flow, time)
+    return MULTIPLIER_CAP if num == 0 else _floor_inv_sqrt(num, den)
 
 
 def correlation_deviation(flow: TorusWinding, box: BoxSet, time: int,
                           den: int = 1) -> float:
     """|mu(A intersect T_{time/den} A) - mu(A)| via exact shifts."""
-    corr = _correlation_from_shifts(box, _shifts_at(flow, int(time), den))
-    return abs(corr - box.volume)
+    return abs(arc_correlation_exact(flow, box, box, int(time), den) - box.volume)
 
 
 def _lipschitz(flow: TorusWinding) -> float:
@@ -89,46 +86,7 @@ def choose_multiplier(flow: TorusWinding, box: BoxSet, i: int) -> int:
     """
     if i < 1:
         raise ValueError("rigidity index starts at 1")
-    time = rigidity_times(flow, i)[i - 1]
-    num, den = _exact_distance(flow, time)
-    if num == 0:
-        return MULTIPLIER_CAP
-    return _floor_inv_sqrt(num, den)
-
-
-def choose_delta(flow: TorusWinding, box: BoxSet, t_center: int, level: int,
-                 certificate_points: int = 129) -> float:
-    """Largest certified radius delta around an integer center time such
-    that the arc correlation stays within 1/level of mu(A) on the whole
-    interval [t_center - delta, t_center + delta].
-
-    Requires the correlation at the center to sit within 1/(2 level) of
-    mu(A); the remaining slack divided by the Lipschitz bound
-    (1 + |alpha|_1) is the certified radius, re-checked on a sampled grid
-    and halved (never needed in exact arithmetic) if the check fails.
-    """
-    if level < 1:
-        raise ValueError("level starts at 1")
-    dev = correlation_deviation(flow, box, t_center)
-    if dev > 0.5 / level:
-        raise LevelInfeasibleError(
-            f"center correlation deviates by {dev:.3g} > 1/(2*{level}); "
-            "use a deeper rigidity index", level=level)
-    lip = _lipschitz(flow)
-    delta = (1.0 / level - dev) / lip
-    base = _shifts_at(flow, int(t_center))
-    for _ in range(60):
-        offsets = np.linspace(-delta, delta, certificate_points)
-        worst = 0.0
-        for u in offsets:
-            shifts = [(b + u * a) % 1.0 for b, a in zip(base, flow.alpha)]
-            worst = max(worst, abs(_correlation_from_shifts(box, shifts) - box.volume))
-        margin = lip * delta / (certificate_points - 1)
-        if worst + margin <= 1.0 / level + 1e-12:
-            return delta
-        delta *= 0.5
-    raise LevelInfeasibleError("radius certificate failed to stabilize",
-                               level=level)
+    return _multiplier(flow, rigidity_times(flow, i)[i - 1])
 
 
 @dataclass(frozen=True)
@@ -214,8 +172,7 @@ def build_adversarial_measure(flow: TorusWinding, box: BoxSet, depth: int,
             while i > len(times):
                 times = rigidity_times(flow, min(2 * len(times), max_index))
             t = times[i - 1]
-            num, den = _exact_distance(flow, t)
-            m = MULTIPLIER_CAP if num == 0 else _floor_inv_sqrt(num, den)
+            m = _multiplier(flow, t)
             if m < 3:
                 continue
             if any(m * (b - a) < 2 for a, b in parents):
@@ -300,8 +257,7 @@ def _leaf_bases(plan: AdversaryPlan, scale_n: int) -> tuple[np.ndarray, np.ndarr
     base = np.empty((2, len(ks)))
     for j, k in enumerate(ks):
         num = scale_n * k
-        b1, b2 = _shifts_at(plan.flow, num, last.multiplier)
-        base[0, j], base[1, j] = b1, b2
+        base[:, j] = _exact_shifts(plan.flow, num, last.multiplier)
     amp = float(Fraction(scale_n) * last.delta / last.scale)
     return base, np.asarray(plan.flow.alpha), amp
 
@@ -356,13 +312,13 @@ def _quadrature_level_value(box: BoxSet, base: np.ndarray, alpha: np.ndarray,
     for j in range(n_leaves):
         cuts = {-1.0, 1.0}
         for c in range(2):
-            if offs[c] == 0.0:
-                continue
             for target_base in (0.0, box.sides[c], 1.0 - box.sides[c], 1.0):
                 for wrap in (-1.0, 0.0, 1.0):
-                    eta = (target_base + wrap - base[c, j]) / offs[c]
-                    if -1.0 < eta < 1.0:
-                        cuts.add(float(eta))
+                    # |gap| < |offs| is -1 < eta < 1 without overflowing
+                    # gap / offs at deep levels, where offs is tiny
+                    gap = target_base + wrap - base[c, j]
+                    if abs(gap) < abs(offs[c]):
+                        cuts.add(float(gap / offs[c]))
 
         def corr(e):
             val = np.ones_like(np.asarray(e, dtype=float))

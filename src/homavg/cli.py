@@ -9,8 +9,9 @@ config and library versions).  Reruns of an identical config are
 byte-identical, and the thread count never changes any output byte.
 
 Exit codes: 0 success (numeric failures at single grid points are flagged
-in the CSV, not fatal), 2 config/preset validation failure (the message
-names the field), 3 output I/O failure.
+in the CSV, and a partial adversary plan is reported on stderr, neither
+fatal), 2 config/preset validation failure (the message names the field),
+3 output I/O failure.
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def _run_adversary(cfg: dict) -> tuple[str, dict]:
     samples = int(cfg.get("samples", {}).get("n_pairs", 100_000))
     plan = build_adversarial_measure(flow, box, depth,
                                      max_index=int(cfg.get("max_index", 2000)))
+    if plan.failure_level is not None:
+        print(f"adversary plan partial: failure_level {plan.failure_level}: "
+              f"{plan.failure_reason}", file=sys.stderr)
     estimates = verify_non_almost_mixing(plan, n_samples=samples, seed=seed)
     csv_text = serialize.level_report_csv(estimates)
     meta = {"plan": serialize.plan_to_doc(plan), "n_pairs": samples,

@@ -447,9 +447,11 @@ def _pair_sampling(correlation: CorrelationModel, t: float,
 def _spike_pair(spike: SpikeCorrelation, g: PiecewiseLinearDensity,
                 exact: bool, t: float) -> PairIntegral:
     """Exact pair integral of a spike correlation against the difference
-    density g; a quantized g reports its 1e-4 quantization slack."""
+    density g; a quantized g reports its 1e-4 quantization slack.  The
+    correlation is even in t, so the bands are laid out at |t|."""
     h, L, heights = spike.arrays
-    value = spike.baseline + float(heights @ _spike_band_integrals(g, h, L, t))
+    bands = _spike_band_integrals(g, h, L, abs(t))
+    value = spike.baseline + float(heights @ bands)
     return PairIntegral(value, 0.0 if exact else 1e-4, "quadrature")
 
 

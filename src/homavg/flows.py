@@ -2,9 +2,10 @@
 
 Box sets have exact arc-overlap correlations, and windings whose second
 slope is a quadratic irrational expose exact continued-fraction rigidity
-times through integer-only arithmetic (no precision ceiling: the surd is
-tracked symbolically and distances to the integer lattice are produced by
-fixed-point integer square roots at any magnitude).
+times through integer-only arithmetic.  The surd is tracked symbolically,
+and every multiple num * slope comes from one fixed-point integer square
+root whose precision grows with num (``QuadraticIrrational._fixed``): the
+error of dist(num * slope, Z) stays far below dist**2 at any magnitude.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ FLOAT_SAFE_DENOMINATOR = 1 << 52   # float CF extraction refused past this
 class QuadraticIrrational:
     """The number (p + sqrt(d)) / q with integer p, q and non-square d > 0.
 
-    Partial quotients come from the classical integer recurrence, and
-    ``frac_multiple`` returns frac(num * value / den) for arbitrarily large
-    integers with absolute error below 2**-120.
+    Partial quotients come from the classical integer recurrence.
+    ``__float__``, ``frac_multiple`` and ``lattice_distance`` are views of
+    one fixed-point routine, ``_fixed``, exact to below 2**-128 / num**2
+    for integers num of any size and sign.
     """
 
     p: int
@@ -42,10 +44,25 @@ class QuadraticIrrational:
             object.__setattr__(self, "d", self.d * self.q * self.q)
             object.__setattr__(self, "q", self.q * self.q)
 
+    def _fixed(self, num: int, den: int = 1) -> tuple[int, int]:
+        """num * value / den as the integer pair (total, modulus).
+
+        The fixed point carries 2 * bitlen(num) + 128 fraction bits, so the
+        absolute error stays below 2**-128 / num**2.  Bounded partial
+        quotients keep dist(num * value, Z) >= c / num for a constant c of
+        the surd, so the error stays far below dist**2, which is what an
+        exact floor of 1 / sqrt(dist) needs.
+        """
+        if den < 1:
+            raise ValueError("need den >= 1")
+        bits = 2 * num.bit_length() + 128
+        root = isqrt(self.d * num * num << 2 * bits)
+        total = (num * self.p << bits) + (root if num >= 0 else -root)
+        return total, self.q * den << bits
+
     def __float__(self):
-        bits = 80
-        s = isqrt(self.d << (2 * bits))
-        return ((self.p << bits) + s) / (self.q << bits)
+        total, modulus = self._fixed(1)
+        return total / modulus
 
     def partial_quotients(self, count: int) -> list[int]:
         out = []
@@ -71,34 +88,22 @@ class QuadraticIrrational:
             pm1, qm1, p0, q0 = p0, q0, p1, q1
         return out
 
-    def frac_multiple(self, num: int, den: int = 1, bits: int = 160) -> float:
-        """Fractional part of num * value / den (num >= 0, den >= 1)."""
-        if num < 0 or den < 1:
-            raise ValueError("need num >= 0, den >= 1")
-        s = isqrt(self.d * num * num << (2 * bits))
-        total = (num * self.p << bits) + s
-        modulus = self.q * den << bits
-        return (total % modulus) / modulus
+    def frac_multiple(self, num: int, den: int = 1) -> float:
+        """Fractional part of num * value / den (any sign of num, den >= 1)."""
+        total, modulus = self._fixed(num, den)
+        return total % modulus / modulus
 
     def lattice_distance(self, num: int, den: int = 1) -> float:
-        """Distance from num * value / den to the nearest integer.
+        """Distance from num * value / den to the nearest integer, computed
+        on the integer side so that distances far below float resolution
+        of the fractional part (near 0 or near 1) survive."""
+        dist, modulus = self._dist_fixed(num, den)
+        return dist / modulus
 
-        Computed on the integer side so that distances far below float
-        resolution of the fractional part (near 0 or near 1) survive.
-        """
-        bits = 192
-        s = isqrt(self.d * num * num << (2 * bits))
-        total = (num * self.p << bits) + s
-        modulus = self.q * den << bits
-        rem = total % modulus
-        return min(rem, modulus - rem) / modulus
-
-    def _dist_fixed(self, num: int, bits: int = 192) -> tuple[int, int]:
-        """(dist, modulus): lattice distance of num * value as the exact
-        integer pair dist / modulus up to 2**-bits resolution."""
-        s = isqrt(self.d * num * num << (2 * bits))
-        total = (num * self.p << bits) + s
-        modulus = self.q << bits
+    def _dist_fixed(self, num: int, den: int = 1) -> tuple[int, int]:
+        """(dist, modulus): the lattice distance of num * value / den as
+        the integer pair dist / modulus, to the precision of ``_fixed``."""
+        total, modulus = self._fixed(num, den)
         rem = total % modulus
         return min(rem, modulus - rem), modulus
 

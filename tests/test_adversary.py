@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homavg import (AdversaryPlan, BoxSet, LevelInfeasibleError,
-                    arc_correlation, build_adversarial_measure, choose_delta,
-                    choose_multiplier, golden_winding, lattice_distance,
+from homavg import (AdversaryPlan, BoxSet, arc_correlation,
+                    build_adversarial_measure, choose_multiplier,
+                    golden_winding, lattice_distance, pell_winding,
                     periodic_winding, rigidity_times,
                     verify_non_almost_mixing)
 from homavg.adversary import MULTIPLIER_CAP, correlation_deviation
@@ -40,37 +40,26 @@ def test_multiplier_grows_every_other_index():
         assert c > a
 
 
+@pytest.mark.parametrize("flow", [GOLDEN_FLOW, pell_winding()],
+                         ids=["golden", "pell"])
+def test_multiplier_matches_mpmath_oracle(flow):
+    # m = floor(1 / sqrt(dist(q_i slope))) with 1 / sqrt(dist) within about
+    # sqrt(dist) of an integer at every other index: the oracle needs dist
+    # to about q_i**-2 absolute, i.e. three times the digits of q_i.
+    mp = pytest.importorskip("mpmath")
+    count = 300
+    times = rigidity_times(flow, count)
+    slope = flow.slope
+    with mp.workdps(3 * len(str(times[-1])) + 40):
+        value = (slope.p + mp.sqrt(slope.d)) / slope.q
+        for i, q in enumerate(times, start=1):
+            x = q * value
+            oracle = int(mp.floor(1 / mp.sqrt(abs(x - mp.nint(x)))))
+            assert choose_multiplier(flow, HALF_BOX, i) == oracle, i
+
+
 def test_multiplier_cap_for_exact_period():
     assert choose_multiplier(periodic_winding(2), HALF_BOX, 5) == MULTIPLIER_CAP
-
-
-# -- radii -----------------------------------------------------------------------
-
-def test_delta_at_deep_rigidity_center():
-    t = rigidity_times(GOLDEN_FLOW, 20)[-1]
-    lip = 1.0 + sum(GOLDEN_FLOW.alpha)
-    delta = choose_delta(GOLDEN_FLOW, HALF_BOX, t, 2)
-    assert delta >= 0.25 / lip
-
-
-def test_delta_nonincreasing_in_level():
-    t = rigidity_times(GOLDEN_FLOW, 15)[-1]
-    deltas = [choose_delta(GOLDEN_FLOW, HALF_BOX, t, n) for n in range(2, 7)]
-    assert all(a >= b for a, b in zip(deltas, deltas[1:]))
-
-
-def test_delta_exact_for_periodic_center():
-    flow = periodic_winding(2)
-    lip = 1.0 + sum(flow.alpha)
-    for n in (1, 2, 3, 5):
-        assert choose_delta(flow, HALF_BOX, 4, n) == (1.0 / n) / lip
-
-
-def test_delta_precondition_failure():
-    # t = 1 displaces the slope coordinate by 0.382: the correlation misses
-    # mu(A) by far more than 1/(2n) for n >= 3.
-    with pytest.raises(LevelInfeasibleError):
-        choose_delta(GOLDEN_FLOW, HALF_BOX, 1, 4)
 
 
 # -- plan construction ---------------------------------------------------------------
@@ -127,7 +116,6 @@ def test_partial_plan_when_indices_run_out():
 
 
 def test_plan_on_pell_winding():
-    from homavg import pell_winding
     plan = build_adversarial_measure(pell_winding(), HALF_BOX, 2)
     assert plan.failure_level is None
     plan.check_invariants()
@@ -156,6 +144,23 @@ def test_verification_bounds_and_agreement():
         if n >= 2:
             assert e.mc_value > e.mixing_value
             assert e.quad_value > e.mixing_value
+
+
+@pytest.mark.parametrize("flow", [GOLDEN_FLOW, pell_winding()],
+                         ids=["golden", "pell"])
+def test_depth_six_plan_builds_and_verifies(flow):
+    plan = build_adversarial_measure(flow, HALF_BOX, 6)
+    assert plan.failure_level is None
+    plan.check_invariants()
+    scales = plan.scales()
+    assert all(a < b for a, b in zip(scales, scales[1:]))
+    assert scales[-1] > 10 ** 400
+    estimates = verify_non_almost_mixing(plan, n_samples=100_000, seed=0)
+    assert [e.level for e in estimates] == [1, 2, 3, 4, 5, 6]
+    for e in estimates:
+        assert abs(e.mc_value - e.quad_value) <= 3.0 * e.mc_std_error
+        assert e.mc_value > e.mixing_value
+        assert e.quad_value > e.mixing_value
 
 
 def test_verification_gap_over_mixing_value():

@@ -170,6 +170,27 @@ def test_adversary_config(tmp_path):
     assert meta["plan"]["levels"][3]["level"] == 4
 
 
+def test_partial_adversary_plan_reported_on_stderr(tmp_path, capsys):
+    cfg = {
+        "kind": "adversary",
+        "flow": "winding-golden",
+        "box": [0.5, 0.5],
+        "depth": 4,
+        "max_index": 20,
+        "samples": {"n_pairs": 2000},
+        "seed": 8,
+    }
+    path = write_config(tmp_path, "adv.json", cfg)
+    out = tmp_path / "adv"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "failure_level 3" in err
+    assert "no rigidity index up to 20 fits level 3" in err
+    assert len(read_rows(out.with_suffix(".csv"))) == 2
+    meta = json.loads(out.with_suffix(".meta").read_text())
+    assert meta["plan"]["failure_level"] == 3
+
+
 def test_unknown_flow_exit_2(tmp_path, capsys):
     cfg = dict(AVG_CONFIG, flow="winding-gold")
     path = write_config(tmp_path, "bad.json", cfg)

@@ -321,6 +321,20 @@ def test_pair_integral_paths_agree_on_random_densities():
             + 1e-12
 
 
+def test_spike_pair_quadrature_is_even_in_t():
+    spike = geometric_spikes(10, 0.25, count=4)
+    neg = pair_correlation_integral(spike, Uniform(0, 1), -20.0,
+                                    method="quadrature")
+    pos = pair_correlation_integral(spike, Uniform(0, 1), 20.0,
+                                    method="quadrature")
+    assert neg.value == pos.value
+    assert neg.value > spike.baseline
+    samp = pair_correlation_integral(spike, Uniform(0, 1), -20.0,
+                                     method="sampling", n_samples=100_000,
+                                     seed=4)
+    assert abs(neg.value - samp.value) <= 3.0 * samp.error
+
+
 def test_difference_density_is_a_probability_density():
     for m in (Uniform(0, 1), TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])):
         g, exact = difference_density(m)

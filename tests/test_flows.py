@@ -163,6 +163,19 @@ def test_lattice_distance_matches_float_at_small_times():
         assert exact == pytest.approx(naive, abs=1e-9)
 
 
+@pytest.mark.parametrize("surd", [QuadraticIrrational(1, 7, 3), GOLDEN])
+@pytest.mark.parametrize("num", [-5, -1, 1, 5])
+def test_negative_operands_match_mpmath_oracle(surd, num):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x = num * (surd.p + mp.sqrt(surd.d)) / surd.q
+        frac = float(x - mp.floor(x))
+        dist = float(abs(x - mp.nint(x)))
+    assert surd.frac_multiple(num) == pytest.approx(frac, abs=1e-15)
+    assert surd.lattice_distance(num) == pytest.approx(dist, abs=1e-15)
+    assert surd.lattice_distance(num) == surd.lattice_distance(-num)
+
+
 def test_lattice_distance_huge_argument_consistency():
     # The fixed-point path must stay consistent with convergent theory:
     # dist(q_k slope) = 1 / (q_{k+1} + q_k * slope') decays geometrically.
