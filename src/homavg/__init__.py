@@ -9,7 +9,7 @@ nested-interval weights that defeat averaging on rigid flows.
 __version__ = "0.1.0"
 
 from .errors import (AccuracyError, InvalidMeasureError,  # noqa: F401
-                     LevelInfeasibleError, PresetError)
+                     PresetError)
 from .measures import (Convolution, NestedIntervals, PointMass,  # noqa: F401
                        Scaled, SelfSimilar, TableDensity, Triangular,
                        TruncatedGaussian, Uniform, WeightMeasure, convolve,

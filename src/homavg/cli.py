@@ -48,16 +48,24 @@ def _grid(cfg: dict) -> tuple[float, ...]:
         raise PresetError("grid", f"bad geometric grid spec: {exc}") from None
 
 
+def _observable_spectrum(flow, obs):
+    """Spectral model of a finite Fourier observable of unit L2 norm."""
+    if not isinstance(obs, FourierObservable):
+        raise PresetError("observable",
+                          "spectral evaluation needs a finite Fourier observable")
+    try:
+        return spectrum_of_observable(flow, obs)
+    except ValueError as exc:    # an observable of L2 norm other than 1
+        raise PresetError("observable", str(exc)) from None
+
+
 def _spectrum_for(cfg: dict):
     """Spectral model from an explicit spec or from (flow, observable)."""
     if "spectral" in cfg:
         return presets.resolve_spectral(cfg["spectral"]), None, None
     flow = presets.resolve_flow(_require(cfg, "flow"))
     obs = presets.resolve_observable(_require(cfg, "observable"), flow)
-    if not isinstance(obs, FourierObservable):
-        raise PresetError("observable",
-                          "spectral evaluation needs a finite Fourier observable")
-    return spectrum_of_observable(flow, obs), flow, obs
+    return _observable_spectrum(flow, obs), flow, obs
 
 
 def _run_avg_scan(cfg: dict, threads: int) -> DecayCurve:
@@ -78,7 +86,7 @@ def _run_avg_scan(cfg: dict, threads: int) -> DecayCurve:
     meta = {"kind": "avg-scan", "evaluator": evaluator_name,
             "n_x": n_x, "n_r": n_r}
     if evaluator_name == "spectral":
-        spectrum = spectrum_of_observable(flow, obs)
+        spectrum = _observable_spectrum(flow, obs)
 
         def point(t, _seed):
             return l2_norm_spectral(spectrum, measure, t), 0.0

@@ -28,8 +28,8 @@ from .flows import TorusWinding
 from .measures import (Scaled, TableDensity, Triangular, TruncatedGaussian,
                        Uniform, WeightMeasure, require_atomless)
 from .quadrature import adaptive_gl, oscillation_cells
-from .spectral import (BochnerCorrelation, CorrelationModel, FrequencyBand,
-                       Observable, SpectralModel, SpikeCorrelation)
+from .spectral import (BochnerCorrelation, CorrelationModel, Observable,
+                       SpectralModel, SpikeCorrelation)
 
 DESCENT_SLACK = 1e-9
 PROBE_META_SPIKES = 64   # per-spike probe masses go into metadata up to this count
@@ -143,51 +143,46 @@ def l2_norm_spectral(spectrum: SpectralModel, weight: WeightMeasure,
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _spectral_power(spectrum: SpectralModel, weight: WeightMeasure, t: float,
-                    tol: float) -> tuple[float, float]:
-    """(Int |nu_hat(t r)|^2 dsigma(r), quadrature difference of its band
-    term).  Atoms are exact; the band term is ``_band_power``."""
-    total, error = 0.0, 0.0
-    if spectrum.atoms:
-        w = np.array([w for w, _ in spectrum.atoms])
-        m = np.array([m for _, m in spectrum.atoms])
-        total += float(m @ (np.abs(weight.char_fn(t * w)) ** 2))
-    if spectrum.band is not None:
-        val, error = _band_power(spectrum.band, weight, t, tol)
-        total += val
-    return total, error
+def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
+                    power: int = 1) -> tuple[float, float]:
+    """(Int |g(t r)|^(2 power) dsigma(r), quadrature difference of its band
+    term), g = nu_hat for a weight measure, or a magnitude callable.
+
+    At ``power`` 1, when the difference density of the weight is exactly
+    piecewise linear, |nu_hat|^2 is its cosine transform, so a band cell
+    [c, c'] of density d contributes exactly d (F(t c') - F(t c)) / t with
+    F = ``si_transform``: the cost does not grow with t.  Everything else
+    goes to ``spectrum.expect`` at ``tol``, about three cells per
+    oscillation of g(t r) (frequency t times the support width of nu, or
+    t for a callable).
+    """
+    if isinstance(multiplier, WeightMeasure):
+        lo, hi = multiplier.support()
+        mag = lambda r: np.abs(multiplier.char_fn(t * r))
+        frequency = t * max(hi - lo, 1e-9)
+    else:
+        mag = lambda r: np.abs(np.asarray(multiplier(t * r), dtype=float))
+        frequency = t
+    fn = lambda r: mag(r) ** (2 * power)
+    band = spectrum.band
+    if band is None:
+        return spectrum.expect(fn, tol)
+    if power == 1 and _exact_difference(multiplier):
+        total = spectrum.atom_sum(fn)
+        if t == 0.0:
+            return total + band.mass, 0.0
+        g, _ = difference_density(multiplier)
+        edges, dens = band.cells()
+        return total + float(dens @ np.diff(g.si_transform(t * edges))) / t, 0.0
+    return spectrum.expect(fn, tol, oscillation_cells(band.hi - band.lo, frequency))
 
 
-def _exact_difference(weight: WeightMeasure) -> bool:
+def _exact_difference(weight) -> bool:
     """Whether ``difference_density`` is exact for ``weight``, decided from
     its type before anything is built."""
     while isinstance(weight, Scaled):
         weight = weight.inner
     return isinstance(weight, (Uniform, TableDensity))
-
-
-def _band_power(band: FrequencyBand, weight: WeightMeasure, t: float,
-                tol: float) -> tuple[float, float]:
-    """(Int |nu_hat(t r)|^2 band.density(r) dr, quadrature difference).
-
-    When the difference density g of the weight is exactly piecewise
-    linear, |nu_hat|^2 is its cosine transform, so a band cell [c, c'] of
-    density d contributes exactly d (F(t c') - F(t c)) / t with
-    F = ``g.si_transform``: the cost does not grow with t.  Every other
-    weight integrates adaptively at ``tol``.
-    """
-    if _exact_difference(weight):
-        if t == 0.0:
-            return band.mass, 0.0
-        g, _ = difference_density(weight)
-        edges, dens = band.cells()
-        return float(dens @ np.diff(g.si_transform(t * edges))) / t, 0.0
-    lo, hi = weight.support()
-    cells = oscillation_cells(band.hi - band.lo, t * max(hi - lo, 1e-9))
-    val, diff = adaptive_gl(
-        lambda r: np.abs(weight.char_fn(t * r)) ** 2 * band.density(r),
-        band.lo, band.hi, tol, cells=cells)
-    return val.real, diff
 
 
 @dataclass(frozen=True)
@@ -210,21 +205,8 @@ def descent_check(spectrum: SpectralModel, weight, t: float = 1.0,
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    if isinstance(weight, WeightMeasure):
-        lo, hi = weight.support()
-        diam = max(hi - lo, 1e-9)
-        mag = lambda r: np.abs(weight.char_fn(t * r))
-    else:
-        diam = 1.0
-        mag = lambda r: np.abs(np.asarray(weight(t * r), dtype=float))
-    cells = 2
-    if spectrum.band is not None:
-        cells = oscillation_cells(spectrum.band.hi - spectrum.band.lo, t * diam)
-    if isinstance(weight, WeightMeasure):
-        lhs, _ = _spectral_power(spectrum, weight, t, tol)
-    else:
-        lhs = spectrum.expect(lambda r: mag(r) ** 2, tol=tol, cells=cells)
-    rhs = spectrum.expect(lambda r: mag(r) ** (2 * order), tol=tol, cells=cells)
+    lhs, _ = _spectral_power(spectrum, weight, t, tol)
+    rhs, _ = _spectral_power(spectrum, weight, t, tol, power=order)
     rhs = rhs ** (1.0 / order)
     return DescentReport(lhs, rhs, order, lhs <= rhs + DESCENT_SLACK)
 
@@ -573,10 +555,10 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     spike_masses: dict[float, dict] = {}
 
     def evaluator(t, point_seed):
-        if g is not None:
+        if g is not None:    # g is even, so the masses are taken at |t|
             result = _spike_pair(spike, g, exact, t)
-            band = g.mass(-band_halfwidth / t, band_halfwidth / t)
-            per = g.mass(lo / t, hi / t)
+            band = g.mass(-band_halfwidth / abs(t), band_halfwidth / abs(t))
+            per = g.mass(lo / abs(t), hi / abs(t))
         else:
             u = _pair_differences(weight, n_samples, point_seed)
             result = _pair_sampling(spike, t, u)

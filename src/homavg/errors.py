@@ -17,15 +17,6 @@ class AccuracyError(RuntimeError):
         self.achieved = achieved
 
 
-class LevelInfeasibleError(RuntimeError):
-    """A nesting level of the adversarial construction cannot be realized
-    with the available rigidity times."""
-
-    def __init__(self, message: str, level: int | None = None):
-        super().__init__(message)
-        self.level = level
-
-
 class PresetError(ValueError):
     """A named preset or config field could not be resolved.
 

@@ -70,6 +70,19 @@ _OBSERVABLES = {
 }
 
 
+def _build(field: str, what: str, make, *args):
+    """make(*args), a TypeError, ValueError or KeyError it raises reported
+    as a PresetError naming ``field``."""
+    try:
+        return make(*args)
+    except PresetError:
+        raise
+    except KeyError as exc:
+        raise PresetError(field, f"{what} lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise PresetError(field, f"bad {what}: {exc}") from None
+
+
 def _parse(spec: str, field: str) -> tuple[str, tuple[float, ...]]:
     m = _SPEC.match(spec.strip())
     if not m:
@@ -85,42 +98,41 @@ def _parse(spec: str, field: str) -> tuple[str, tuple[float, ...]]:
 
 def resolve_measure(spec, field: str = "measure"):
     if isinstance(spec, dict):
-        return serialize.measure_from_doc(spec)
+        return _build(field, "measure document", serialize.measure_from_doc, spec)
     name, args = _parse(spec, field)
     if name == "uniform" and not args:
         args = (0.0, 1.0)
     entry = _MEASURES.get(name)
     if entry is None:
         raise PresetError(field, f"unknown measure preset {name!r}")
-    try:
-        return entry[1](*args)
-    except TypeError:
-        raise PresetError(field, f"bad arguments for {name!r}") from None
+    return _build(field, f"arguments for {name!r}", entry[1], *args)
 
 
 def resolve_flow(spec, field: str = "flow") -> TorusWinding:
     if isinstance(spec, dict):
-        return serialize.flow_from_doc(spec)
+        return _build(field, "flow document", serialize.flow_from_doc, spec)
     name, args = _parse(spec, field)
     entry = _FLOWS.get(name)
     if entry is None:
         raise PresetError(field, f"unknown flow preset {name!r}")
-    return entry[1](*args)
+    return _build(field, f"arguments for {name!r}", entry[1], *args)
 
 
 def resolve_spectral(spec, field: str = "spectral"):
     if isinstance(spec, dict):
-        return serialize.spectral_from_doc(spec)
+        return _build(field, "spectral document",
+                      serialize.spectral_from_doc, spec)
     name, args = _parse(spec, field)
     entry = _SPECTRAL.get(name)
     if entry is None:
         raise PresetError(field, f"unknown spectral preset {name!r}")
-    return entry[1](*args)
+    return _build(field, f"arguments for {name!r}", entry[1], *args)
 
 
 def resolve_correlation(spec, field: str = "correlation"):
     if isinstance(spec, dict):
-        return serialize.correlation_from_doc(spec)
+        return _build(field, "correlation document",
+                      serialize.correlation_from_doc, spec)
     name, args = _parse(spec, field)
     entry = _CORRELATIONS.get(name)
     if entry is None:
@@ -128,22 +140,19 @@ def resolve_correlation(spec, field: str = "correlation"):
     fixed = list(args)
     if len(fixed) >= 4:
         fixed[3] = int(fixed[3])
-    try:
-        model = entry[1](*fixed)
-    except (TypeError, ValueError) as exc:
-        raise PresetError(field, f"bad spike parameters: {exc}") from None
-    return model
+    return _build(field, "spike parameters", entry[1], *fixed)
 
 
 def resolve_observable(spec, flow: TorusWinding, field: str = "observable") -> Observable:
     if isinstance(spec, dict):
-        obs = serialize.observable_from_doc(spec)
+        obs = _build(field, "observable document",
+                     serialize.observable_from_doc, spec)
     else:
         name, args = _parse(spec, field)
         if name == "indicator":
             if not args:
                 raise PresetError(field, "indicator needs box sides")
-            obs = BoxIndicator(BoxSet(tuple(args)))
+            obs = BoxIndicator(_build(field, "box sides", BoxSet, tuple(args)))
         elif name in _OBSERVABLES:
             axis = _OBSERVABLES[name][1]
             if axis >= flow.dimension:

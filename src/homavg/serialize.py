@@ -17,7 +17,6 @@ import scipy
 
 from . import __version__
 from .adversary import AdversaryPlan, LevelEstimate, LevelRecord
-from .engine import DecayCurve
 from .errors import PresetError
 from .flows import BoxSet, QuadraticIrrational, TorusWinding
 from .measures import (Convolution, NestedIntervals, PointMass, Scaled,
@@ -253,8 +252,3 @@ def write_outputs(prefix: str, csv_text: str, meta: dict) -> tuple[Path, Path]:
     meta_path.write_text(dumps(meta))
     return csv_path, meta_path
 
-
-def curve_outputs(prefix: str, curve: DecayCurve, meta_extra: dict) -> tuple[Path, Path]:
-    meta = {"metadata": curve.metadata, "versions": versions()}
-    meta.update(meta_extra)
-    return write_outputs(prefix, curve.to_csv(), meta)

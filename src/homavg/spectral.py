@@ -102,19 +102,25 @@ class SpectralModel:
                 width * np.sinc(tt * width / (2.0 * np.pi)))
         return complex(out[0]) if scalar else out
 
-    def expect(self, fn, tol: float = 1e-8, cells: int = 2) -> float:
-        """Int fn(r) dsigma(r) for a real vectorized integrand."""
-        total = 0.0
-        if self.atoms:
-            w = np.array([w for w, _ in self.atoms])
-            m = np.array([m for _, m in self.atoms])
-            total += float(fn(w) @ m)
+    def atom_sum(self, fn) -> float:
+        """sum_k m_k fn(w_k) over the atoms, one vectorized call of ``fn``."""
+        if not self.atoms:
+            return 0.0
+        w = np.array([w for w, _ in self.atoms])
+        m = np.array([m for _, m in self.atoms])
+        return float(fn(w) @ m)
+
+    def expect(self, fn, tol: float = 1e-8, cells: int = 2) -> tuple[float, float]:
+        """(Int fn(r) dsigma(r), quadrature difference of the band term) for
+        a real vectorized integrand: the atoms exactly, the band by
+        ``adaptive_gl`` from ``cells`` equal cells."""
+        total, diff = self.atom_sum(fn), 0.0
         if self.band is not None:
             band = self.band
-            val, _ = adaptive_gl(lambda r: fn(r) * band.density(r),
-                                 band.lo, band.hi, tol, cells=cells)
+            val, diff = adaptive_gl(lambda r: fn(r) * band.density(r),
+                                    band.lo, band.hi, tol, cells=cells)
             total += val.real
-        return total
+        return total, diff
 
 
 def lebesgue_band(lo: float = -1.0, hi: float = 1.0) -> SpectralModel:

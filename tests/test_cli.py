@@ -206,6 +206,51 @@ def test_missing_seed_exit_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+
+SCAN_CONFIG = {
+    "kind": "spectral-scan",
+    "spectral": "spectral-lebesgue",
+    "measure": "uniform[0,1]",
+    "grid": {"start": 1, "factor": 2, "count": 2},
+    "seed": 3,
+}
+
+
+def run_bad(tmp_path, capsys, cfg) -> str:
+    """Run ``cfg``, require exit 2 and return the error message."""
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    return capsys.readouterr().err
+
+
+def test_invalid_measure_arguments_exit_2(tmp_path, capsys):
+    for spec in ("uniform[1,0]", "triangular[2,1]"):
+        err = run_bad(tmp_path, capsys, dict(SCAN_CONFIG, measure=spec))
+        assert "measure" in err and "a < b" in err
+
+
+def test_inline_measure_missing_field_exit_2(tmp_path, capsys):
+    err = run_bad(tmp_path, capsys,
+                  dict(SCAN_CONFIG, measure={"type": "uniform", "a": 0}))
+    assert "measure" in err and "'b'" in err
+
+
+def test_fourier_observable_without_unit_norm_exit_2(tmp_path, capsys):
+    doubled = {"type": "fourier",
+               "coefficients": [[[0, 1], 1.0, 0.0], [[0, -1], 1.0, 0.0]]}
+    for cfg in (dict(AVG_CONFIG, observable=doubled),
+                dict(SCAN_CONFIG, spectral=None, flow="winding-golden",
+                     observable=doubled)):
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        err = run_bad(tmp_path, capsys, cfg)
+        assert "observable" in err and "unit L2 norm" in err
+
+
+def test_spectral_evaluator_needs_a_fourier_observable_exit_2(tmp_path, capsys):
+    cfg = dict(AVG_CONFIG, evaluator="spectral", observable="indicator[0.5,0.5]")
+    err = run_bad(tmp_path, capsys, cfg)
+    assert "observable" in err and "Fourier" in err
+
 def test_unreadable_config_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     assert "config" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     InvalidMeasureError, Observable, PointMass,
                     SpectralModel, SpikeCorrelation, Uniform,
                     almost_mixing_probe, arithmetic_spikes, circle_rotation,
-                    convergence_scan, cos_mode, descent_check,
+                    convergence_scan, convolve, cos_mode, descent_check,
                     difference_density, geometric_grid, geometric_spikes,
                     golden_winding, l1_deviation, l2_deviation_mc,
                     l2_norm_spectral, pair_correlation_integral, rescale,
@@ -248,6 +248,39 @@ def test_descent_randomized_instances():
         assert rep.passed
 
 
+
+def test_descent_check_is_two_spectral_integrals(monkeypatch):
+    counts = {"engine": 0, "spectral": 0}
+    original = engine.adaptive_gl
+
+    def counted(binding):
+        def wrapper(*args, **kwargs):
+            counts[binding] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "adaptive_gl", counted("engine"))
+    monkeypatch.setattr(spectral, "adaptive_gl", counted("spectral"))
+    spec = SpectralModel(band=FrequencyBand(-1.0, 1.0, 1.0))
+    descent_check(spec, Triangular(0, 1), t=20.0, order=3)
+    assert counts["engine"] + counts["spectral"] == 2
+    counts.update(engine=0, spectral=0)
+    # the |nu_hat|^2 side of an exact-difference weight takes the Si path
+    descent_check(spec, Uniform(0, 1), t=20.0, order=3)
+    assert counts["engine"] + counts["spectral"] == 1
+
+
+def test_descent_callable_multiplier_matches_its_weight():
+    # at support width 1 the callable and the weight share integrand and cells
+    spec = SpectralModel(atoms=((0.8, 0.3),),
+                         band=FrequencyBand(-2.0, 1.0, 0.7, (1.0, 2.0)))
+    tri = Triangular(0, 1)
+    for t, order in ((3.0, 2), (40.0, 3)):
+        by_weight = descent_check(spec, tri, t=t, order=order)
+        by_callable = descent_check(spec, lambda xi: np.abs(tri.char_fn(xi)),
+                                    t=t, order=order)
+        assert by_callable == by_weight
+
 # -- pair-correlation integrals -----------------------------------------------------
 
 def test_pair_integral_of_constant_correlation():
@@ -465,6 +498,24 @@ def test_probe_supports_singular_weights_by_sampling():
     assert all(v >= 0 for v in curve.values)
     assert curve.metadata["band_mass"][0] is not None
 
+
+
+def test_probe_masses_are_even_in_t():
+    spikes = geometric_spikes(10, 0.25, count=4)
+    grid = (-10.0, 10.0)
+    exact = almost_mixing_probe(spikes, Triangular(0, 1), grid)
+    band, per = exact.metadata["band_mass"], exact.metadata["spike_mass"]
+    assert band[0] == band[1] > 0.0
+    assert per[0] == per[1]
+    assert per[0]["total"] > 0.0
+    # the same law without a density view goes through the sampling path
+    n = 200_000
+    sampled = almost_mixing_probe(spikes, convolve(Uniform(0, 0.5), Uniform(0, 0.5)),
+                                  grid, n_samples=n, seed=12)
+    for k in (0, 1):
+        for got, want in ((sampled.metadata["band_mass"][k], band[k]),
+                          (sampled.metadata["spike_mass"][k]["total"], per[k]["total"])):
+            assert abs(got - want) <= 5.0 * np.sqrt(want * (1 - want) / n) + 1e-4
 
 # -- vectorized difference-density kernels -------------------------------------------
 

@@ -192,3 +192,13 @@ def test_positive_definite_models_bounded_by_value_at_zero():
     for t in rng.uniform(-200, 200, size=50):
         assert abs(box_model.value(t)) <= rho0 + 1e-12
         assert abs(boch.value(t)) <= boch.value(0.0) + 1e-12
+
+
+def test_expect_returns_value_and_band_difference():
+    spec = SpectralModel(atoms=((0.5, 0.5),), band=FrequencyBand(-1.0, 1.0, 0.5))
+    value, diff = spec.expect(lambda r: np.cos(7.0 * r), tol=1e-10, cells=4)
+    assert 0.0 <= diff < 1e-10
+    assert value == pytest.approx(0.5 * np.cos(3.5) + 0.5 * np.sin(7.0) / 7.0,
+                                  abs=1e-12)
+    atoms_only = SpectralModel(atoms=((0.5, 0.5), (2.0, 0.5)))
+    assert atoms_only.expect(lambda r: r, tol=1e-10) == (1.25, 0.0)
