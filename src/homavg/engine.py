@@ -16,11 +16,15 @@ bitwise independent of the number of worker threads.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
 from . import rng
@@ -148,14 +152,24 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
     """(Int |g(t r)|^(2 power) dsigma(r), quadrature difference of its band
     term), g = nu_hat for a weight measure, or a magnitude callable.
 
-    At ``power`` 1, when the difference density of the weight is exactly
-    piecewise linear, |nu_hat|^2 is its cosine transform, so a band cell
-    [c, c'] of density d contributes exactly d (F(t c') - F(t c)) / t with
-    F = ``si_transform``: the cost does not grow with t.  Everything else
-    goes to ``spectrum.expect`` at ``tol``, about three cells per
-    oscillation of g(t r) (frequency t times the support width of nu, or
-    t for a callable).
+    The band term takes the first of three paths that applies:
+
+    * at ``power`` 1, when the difference density of the weight is exactly
+      piecewise linear, |nu_hat|^2 is its cosine transform, so a band cell
+      [c, c'] of density d contributes exactly d (F(t c') - F(t c)) / t with
+      F = ``si_transform``;
+    * when |nu_hat(xi)| = |sinc(q xi)|^m (see ``_sinc_form``),
+      |g(t r)|^(2 power) = sinc^n(lam r) with lam = |t| q and
+      n = 2 m power, and the cell contributes d I_n(lam c, lam c') / lam
+      with I_n = ``_sinc_power_integral``;
+    * everything else goes to ``spectrum.expect`` at ``tol``, about three
+      cells per oscillation of g(t r) (frequency t times the support width
+      of nu, or t for a callable).
+
+    The two closed forms report difference 0, and their cost does not grow
+    with t.
     """
+    power = operator.index(power)
     if isinstance(multiplier, WeightMeasure):
         lo, hi = multiplier.support()
         mag = lambda r: np.abs(multiplier.char_fn(t * r))
@@ -164,17 +178,25 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
         mag = lambda r: np.abs(np.asarray(multiplier(t * r), dtype=float))
         frequency = t
     fn = lambda r: mag(r) ** (2 * power)
+    si_path = power == 1 and _exact_difference(multiplier)
+    form = None if si_path else _sinc_form(multiplier)
+    if form is not None:
+        lam, n = abs(t) * form[0], 2 * form[1] * power
+        fn = lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
     band = spectrum.band
     if band is None:
         return spectrum.expect(fn, tol)
-    if power == 1 and _exact_difference(multiplier):
-        total = spectrum.atom_sum(fn)
-        if t == 0.0:
-            return total + band.mass, 0.0
+    if not si_path and form is None:
+        return spectrum.expect(fn, tol, oscillation_cells(band.hi - band.lo, frequency))
+    total = spectrum.atom_sum(fn)
+    if t == 0.0:
+        return total + band.mass, 0.0
+    edges, dens = band.cells()
+    if si_path:
         g, _ = difference_density(multiplier)
-        edges, dens = band.cells()
         return total + float(dens @ np.diff(g.si_transform(t * edges))) / t, 0.0
-    return spectrum.expect(fn, tol, oscillation_cells(band.hi - band.lo, frequency))
+    cells = _sinc_power_integral(n, lam * edges[:-1], lam * edges[1:])
+    return total + float(dens @ cells) / lam, 0.0
 
 
 def _exact_difference(weight) -> bool:
@@ -183,6 +205,101 @@ def _exact_difference(weight) -> bool:
     while isinstance(weight, Scaled):
         weight = weight.inner
     return isinstance(weight, (Uniform, TableDensity))
+
+
+def _sinc_form(weight) -> tuple[float, int] | None:
+    """(q, m) with |nu_hat(xi)| = |sinc(q xi)|^m for a uniform or triangular
+    weight of width w, or a rescaling of one (q = w/2, m = 1 and q = w/4,
+    m = 2, times the scale factors); None for anything else.  Decided from
+    the type, as ``_exact_difference`` is."""
+    factor = 1.0
+    while isinstance(weight, Scaled):
+        factor *= weight.factor
+        weight = weight.inner
+    if isinstance(weight, Uniform):
+        return 0.5 * factor * (weight.b - weight.a), 1
+    if isinstance(weight, Triangular):
+        return 0.25 * factor * (weight.b - weight.a), 2
+    return None
+
+
+_SINC_NEAR = 40          # sinc^n is integrated by quadrature up to x = 2 n + _SINC_NEAR
+_SINC_TERMS = 40         # terms of each asymptotic tail series
+_SINC_BLOCK = 1 << 20    # quadrature nodes evaluated at once
+
+
+@lru_cache(maxsize=16)
+def _sinc_power_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of ``_sinc_power_integral`` for one even n: composite
+    Gauss-Legendre nodes and weights on [0, 1] (n + 20 cells of 64 nodes),
+    and the a_k of sin^n x = sum_{k=0}^{n/2} a_k cos(2 k x)."""
+    cells = n + _SINC_NEAR // 2
+    x, w = leggauss(64)
+    nodes = ((np.arange(cells)[:, None] + 0.5 * (x + 1.0)) / cells).ravel()
+    weights = np.tile(0.5 * w / cells, cells)
+    m = n // 2
+    coef = np.array([comb(n, m) / 2 ** n]
+                    + [(-1) ** k * comb(n, m - k) / 2 ** (n - 1) for k in range(1, m + 1)])
+    for arr in (nodes, weights, coef):      # shared by every caller through the cache
+        arr.flags.writeable = False
+    return nodes, weights, coef
+
+
+def _sinc_power_integral(n: int, a, b) -> np.ndarray:
+    """Int_a^b sinc^n(x) dx, sinc(x) = sin(x) / x, for even n >= 2,
+    elementwise over arrays a <= b.  The cost is bounded in n and does not
+    depend on a or b.
+
+    The integrand is even and nonnegative, so [a, b] folds onto one or two
+    pieces [A, B] in [0, inf), and with X0 = 2 n + 40
+
+        Int_A^B = Q(min(A, X0), min(B, X0)) + T(max(A, X0)) - T(max(B, X0)).
+
+    Q is a fixed composite Gauss-Legendre rule on its own interval, no cell
+    wider than 2, so a piece far from 0 keeps its relative precision.  T is
+    the tail Int_X^inf for X >= X0: with w = 2k,
+    T(X) = a_0 X^(1-n) / (n-1) + sum_k a_k Re Int_X^inf e^(i w x) x^-n dx,
+    each integral its asymptotic series
+    i e^(i w X) X^-n / w sum_j (n)_j (-i / (w X))^j.  At w X >= 4 n + 80 the
+    terms fall geometrically, and 40 of them leave a remainder far below
+    rounding.  (Integrating by parts down to Si(2 k X) instead is exact, but
+    cancels catastrophically in floating point from about n = 12.)
+    """
+    nodes, weights, coef = _sinc_power_rule(n)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    # the pieces [lo, hi]: [min |.|, max |.|] per cell, and a cell across 0
+    # is [0, |a|] + [0, b], its second piece appended after all the others
+    across = (a < 0.0) & (b > 0.0)
+    near, far = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
+    lo = np.concatenate((np.where(across, 0.0, near), np.zeros(np.count_nonzero(across))))
+    hi = np.concatenate((far, near[across]))
+    x0 = 2 * n + _SINC_NEAR
+    out = (_sinc_power_tail(n, coef, np.maximum(lo, x0))
+           - _sinc_power_tail(n, coef, np.maximum(hi, x0)))
+    qa, qb = np.minimum(lo, x0), np.minimum(hi, x0)
+    live = np.flatnonzero(qb > qa)
+    step = max(1, _SINC_BLOCK // len(nodes))
+    for first in range(0, len(live), step):
+        idx = live[first:first + step]
+        span = qb[idx] - qa[idx]
+        pts = qa[idx, None] + span[:, None] * nodes     # > 0: the nodes are interior
+        out[idx] += span * ((np.sin(pts) / pts) ** n @ weights)
+    out = np.maximum(out, 0.0)      # rounding must not make a piece negative
+    total = out[:a.size]
+    total[across] += out[a.size:]
+    return total.reshape(shape)
+
+
+def _sinc_power_tail(n: int, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Int_x^inf sinc^n(u) du for an array x >= 2 n + 40 (see
+    ``_sinc_power_integral``)."""
+    xs = x[:, None]
+    w = 2.0 * np.arange(1, n // 2 + 1)
+    ratios = (n + np.arange(_SINC_TERMS - 1)) * (-1j / (w * xs))[..., None]
+    series = 1.0 + np.cumprod(ratios, axis=-1).sum(axis=-1)
+    waves = (1j * np.exp(1j * w * xs) * xs ** -n / w * series).real
+    return coef[0] * x ** (1 - n) / (n - 1) + waves @ coef[1:]
 
 
 @dataclass(frozen=True)
@@ -555,7 +672,9 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     spike_masses: dict[float, dict] = {}
 
     def evaluator(t, point_seed):
-        if g is not None:    # g is even, so the masses are taken at |t|
+        # g is even, so the masses are taken at |t|; at t = 0 every t (r - s)
+        # is 0, which the sampling branch counts without dividing by t
+        if g is not None and t != 0.0:
             result = _spike_pair(spike, g, exact, t)
             band = g.mass(-band_halfwidth / abs(t), band_halfwidth / abs(t))
             per = g.mass(lo / abs(t), hi / abs(t))

@@ -1,10 +1,9 @@
 """Probability measures on the real line with exact characteristic functions.
 
-A weight measure answers three queries:
+A weight measure answers two queries:
 
 * ``char_fn(xi)``      -- the transform  nu_hat(xi) = Int e^{i xi x} dnu(x),
-* ``sample(n, seed)``  -- deterministic i.i.d. draws,
-* ``tail_mass(radius)``-- the mass outside [-radius, radius].
+* ``sample(n, seed)``  -- deterministic i.i.d. draws.
 
 Measures combine by convolution (characteristic functions multiply, samples
 add) and rescale by a positive factor t (char_fn at t*xi, samples times t).
@@ -29,7 +28,6 @@ from .rng import generator
 
 _CHAR_TOL = 1e-10
 _SAMPLE_RESOLUTION = 1e-12
-_TAIL_TOL = 1e-6
 
 
 def _sinc(u):
@@ -38,7 +36,7 @@ def _sinc(u):
 
 
 class WeightMeasure:
-    """Base class; subclasses implement the three queries plus support()."""
+    """Base class; subclasses implement the two queries plus support()."""
 
     atomless: bool = True
 
@@ -62,16 +60,6 @@ class WeightMeasure:
     def _sample(self, count: int, master: int, path: tuple) -> np.ndarray:
         raise NotImplementedError
 
-    # -- tail mass -----------------------------------------------------------
-    def tail_mass(self, radius: float) -> float:
-        """Mass of the complement of [-radius, radius]; radius > 0."""
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return self._tail(float(radius))
-
-    def _tail(self, radius: float) -> float:
-        raise NotImplementedError
-
     def support(self) -> tuple[float, float]:
         """An interval certainly containing all the mass."""
         raise NotImplementedError
@@ -85,7 +73,7 @@ class DensityMeasure(WeightMeasure):
     """Absolutely continuous measure on a bounded interval.
 
     Subclasses provide cdf/ppf; sampling is inverse-CDF on a shared uniform
-    stream and tail mass is exact through the cdf.
+    stream.
     """
 
     def cdf(self, x):
@@ -97,12 +85,6 @@ class DensityMeasure(WeightMeasure):
     def _sample(self, count, master, path):
         u = generator(master, *path).random(count)
         return self.ppf(u)
-
-    def _tail(self, radius):
-        lo, hi = self.support()
-        below = float(self.cdf(-radius)) if lo < -radius else 0.0
-        above = 1.0 - float(self.cdf(radius)) if hi > radius else 0.0
-        return below + above
 
 
 @dataclass(frozen=True)
@@ -369,32 +351,6 @@ class SelfSimilar(WeightMeasure):
             x = c[idx] + r[idx] * x
         return x
 
-    def _tail(self, radius):
-        # Branch-and-bound over cylinder intervals; cylinders fully inside
-        # [-radius, radius] contribute nothing, fully outside contribute
-        # their mass, straddlers split until the undecided mass is < 1e-9.
-        lo, hi = self.support()
-        outside = 0.0
-        frontier = [(lo, hi, 1.0)]
-        for _ in range(200_000):
-            if not frontier:
-                return outside
-            nxt = []
-            undecided = 0.0
-            for (a, b, mass) in frontier:
-                if -radius <= a and b <= radius:
-                    continue
-                if a > radius or b < -radius:
-                    outside += mass
-                    continue
-                undecided += mass
-                for r, c, p in zip(self.ratios, self.shifts, self.weights):
-                    nxt.append((c + r * a, c + r * b, mass * p))
-            if undecided < 1e-9:
-                return outside + 0.5 * undecided
-            frontier = nxt
-        raise AccuracyError("tail mass refinement stalled", achieved=undecided)
-
 
 # ---------------------------------------------------------------------------
 # nested-interval (Cantor-tree) measures
@@ -458,15 +414,6 @@ class NestedIntervals(WeightMeasure):
         u = rng.random(count)
         return self._leaf_lo[idx] + u * (self._leaf_hi[idx] - self._leaf_lo[idx])
 
-    def _tail(self, radius):
-        leaves = self.levels[-1] if self.levels else ((Fraction(0), Fraction(1)),)
-        rad = Fraction(radius)
-        total = Fraction(0)
-        for a, b in leaves:
-            inside = max(Fraction(0), min(b, rad) - max(a, -rad))
-            total += 1 - inside / (b - a)
-        return float(total / len(leaves))
-
     def __eq__(self, other):
         return isinstance(other, NestedIntervals) and self.levels == other.levels
 
@@ -491,9 +438,6 @@ class PointMass(WeightMeasure):
 
     def _sample(self, count, master, path):
         return np.full(count, self.at)
-
-    def _tail(self, radius):
-        return 0.0 if abs(self.at) <= radius else 1.0
 
     def support(self):
         return (self.at, self.at)
@@ -527,17 +471,6 @@ class Convolution(WeightMeasure):
         los, his = zip(*(c.support() for c in self.components))
         return (sum(los), sum(his))
 
-    def _tail(self, radius):
-        lo, hi = self.support()
-        if -radius <= lo and hi <= radius:
-            return 0.0
-        if lo > radius or hi < -radius:
-            return 1.0
-        # Straddling supports fall back to a fixed-seed Monte Carlo estimate
-        # (statistical accuracy ~1e-3, reported as the best available here).
-        draws = self._sample(1 << 20, 202_608, (97,))
-        return float(np.mean(np.abs(draws) > radius))
-
 
 @dataclass(frozen=True)
 class Scaled(WeightMeasure):
@@ -557,9 +490,6 @@ class Scaled(WeightMeasure):
 
     def _sample(self, count, master, path):
         return self.factor * self.inner._sample(count, master, path)
-
-    def _tail(self, radius):
-        return self.inner._tail(radius / self.factor)
 
     def support(self):
         lo, hi = self.inner.support()

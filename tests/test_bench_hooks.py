@@ -1,13 +1,17 @@
-"""The traced benchmark patches homavg by name; installing and removing its
-tracer must find every name it hooks and leave the library as it was."""
+"""The benchmark's tracer patches homavg by name; installing and removing it
+must find every name it hooks and leave the library as it was.  The
+benchmark's workload generator is imported read-only to guard which configs
+reach adaptive quadrature."""
 
+import json
 import sys
 from pathlib import Path
 
-from homavg import engine, quadrature, spectral
+from homavg import cli, engine, quadrature, spectral
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_installs_and_undoes_cleanly():
@@ -26,3 +30,24 @@ def test_tracer_installs_and_undoes_cleanly():
         patches.undo()
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
+
+
+def test_spectral_decay_quadrature_stays_on_gauss_and_cantor(tmp_path, monkeypatch):
+    """Uniform and triangular weights take closed-form band terms at every
+    power, so one round of the benchmark's spectral-decay workload calls
+    adaptive quadrature only for its truncated-gaussian and Cantor bands."""
+    callers = set()
+    template = None
+    original = quadrature.adaptive_gl
+
+    def counting(*args, **kwargs):
+        callers.add(template)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "adaptive_gl", counting)
+    monkeypatch.setattr(spectral, "adaptive_gl", counting)
+    for template, cfg in workloads.ConfigStream("spectral-decay", 1).round(0):
+        path = tmp_path / f"{template}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / template)]) == 0
+    assert callers == {"band-gauss", "band-cantor"}

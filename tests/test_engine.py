@@ -16,10 +16,12 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     spectrum_of_observable, weighted_average_pointwise)
 from homavg.measures import (SelfSimilar, TableDensity, Triangular,
                              TruncatedGaussian)
+from homavg.quadrature import oscillation_cells
 from homavg.spectral import BoxIndicator
 from homavg.flows import BoxSet
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
+GAUSS = TruncatedGaussian(0.5, 0.2, 0.0, 1.0)
 
 
 class ConstantOne(Observable):
@@ -187,9 +189,11 @@ def test_closed_form_paths_run_no_quadrature(monkeypatch):
     l2_norm_spectral(spectral.lebesgue_band(), Uniform(0, 1), 1e5)
     assert l2_norm_spectral(spectral.lebesgue_band(), Uniform(0, 1), 0.0) == 1.0
     TruncatedGaussian(0.5, 0.2, 0.0, 1.0).char_fn(np.linspace(-300, 300, 101))
-    assert calls == []
-    # weights without an exact difference density keep adaptive quadrature
+    # a triangular transform is a power of sinc
     l2_norm_spectral(spectral.lebesgue_band(), Triangular(0, 1), 10.0)
+    assert calls == []
+    # weights with neither closed form keep adaptive quadrature
+    l2_norm_spectral(spectral.lebesgue_band(), GAUSS, 10.0)
     assert len(calls) == 1
 
 
@@ -262,12 +266,13 @@ def test_descent_check_is_two_spectral_integrals(monkeypatch):
     monkeypatch.setattr(engine, "adaptive_gl", counted("engine"))
     monkeypatch.setattr(spectral, "adaptive_gl", counted("spectral"))
     spec = SpectralModel(band=FrequencyBand(-1.0, 1.0, 1.0))
-    descent_check(spec, Triangular(0, 1), t=20.0, order=3)
+    descent_check(spec, GAUSS, t=20.0, order=3)
     assert counts["engine"] + counts["spectral"] == 2
-    counts.update(engine=0, spectral=0)
-    # the |nu_hat|^2 side of an exact-difference weight takes the Si path
-    descent_check(spec, Uniform(0, 1), t=20.0, order=3)
-    assert counts["engine"] + counts["spectral"] == 1
+    # both sides of a sinc-power weight are closed forms (Si or sinc power)
+    for weight in (Triangular(0, 1), Uniform(0, 1)):
+        counts.update(engine=0, spectral=0)
+        descent_check(spec, weight, t=20.0, order=3)
+        assert counts["engine"] + counts["spectral"] == 0
 
 
 def test_descent_callable_multiplier_matches_its_weight():
@@ -276,10 +281,106 @@ def test_descent_callable_multiplier_matches_its_weight():
                          band=FrequencyBand(-2.0, 1.0, 0.7, (1.0, 2.0)))
     tri = Triangular(0, 1)
     for t, order in ((3.0, 2), (40.0, 3)):
+        by_weight = descent_check(spec, GAUSS, t=t, order=order)
+        by_callable = descent_check(spec, lambda xi: np.abs(GAUSS.char_fn(xi)),
+                                    t=t, order=order)
+        assert by_callable == by_weight
+        # the triangular weight's closed form against quadrature of its callable
         by_weight = descent_check(spec, tri, t=t, order=order)
         by_callable = descent_check(spec, lambda xi: np.abs(tri.char_fn(xi)),
                                     t=t, order=order)
-        assert by_callable == by_weight
+        assert by_callable.lhs == pytest.approx(by_weight.lhs, rel=0, abs=1e-11)
+        assert by_callable.rhs == pytest.approx(by_weight.rhs, rel=0, abs=1e-11)
+
+
+# -- sinc-power band kernel ------------------------------------------------------------
+
+def sinc_power_oracle(n, x, dps=40):
+    """Int_0^x sinc^n for even n at ``dps`` digits, by integrating by parts
+    down to Si(2 k x) with sin^n = sum_k a_k cos(2 k u); that cancels heavily
+    in doubles, not at this precision."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        x, m = mp.mpf(x), n // 2
+        a = [mp.binomial(n, m) / mp.mpf(2) ** n] + [
+            2 * (-1) ** k * mp.binomial(n, m - k) / mp.mpf(2) ** n for k in range(1, m + 1)]
+        deriv = lambda j: sum(a[k] * (2 * k) ** j * mp.cos(2 * k * x + j * mp.pi / 2)
+                              for k in range(m + 1))
+        ends = -sum(deriv(j) * x ** (j + 1 - n) * mp.factorial(n - 2 - j)
+                    for j in range(n - 1))
+        si = sum(a[k] * (2 * k) ** (n - 1) * mp.si(2 * k * x) for k in range(1, m + 1))
+        return (ends + (-1) ** m * si) / mp.factorial(n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+def test_sinc_power_integral_matches_mpmath(n):
+    switch = 2 * n + engine._SINC_NEAR     # quadrature below, tail series above
+    xs = np.array([0.3, 1.0, 7.5, switch - 0.5, switch, switch + 0.5, 300.0, 2000.0])
+    want = np.array([float(sinc_power_oracle(n, x)) for x in xs])
+    got = engine._sinc_power_integral(n, 0.0, xs)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    assert np.array_equal(engine._sinc_power_integral(n, -xs, 0.0), got)
+    # a cell away from 0 keeps its relative precision, on either side of the switch
+    for a, b in ((40.1, 41.8), (switch - 3.0, switch + 2.0), (1e3, 1e3 + 1.5)):
+        want = float(sinc_power_oracle(n, b, 120) - sinc_power_oracle(n, a, 120))
+        assert engine._sinc_power_integral(n, a, b) == pytest.approx(want, rel=1e-13)
+
+
+def test_sinc_square_integral_is_si_form():
+    xs = np.array([0.01, 0.5, 3.0, 43.5, 44.5, 1e3, 1e5])
+    want = sici(2.0 * xs)[0] - np.sin(xs) ** 2 / xs
+    np.testing.assert_allclose(engine._sinc_power_integral(2, 0.0, xs), want,
+                               rtol=0, atol=1e-14)
+
+
+SINC_SPEC = SpectralModel(atoms=((0.8, 0.2), (-2.5, 0.1)),
+                          band=FrequencyBand(-1.5, 1.0, 0.7, (1.0, 3.0, 2.0)))
+
+
+def test_triangular_power_is_uniform_double_power():
+    # |nu_hat| of Triangular(0, 2) = U(0, 1) * U(0, 1) is |nu_hat_U|^2
+    for t in (0.0, 3.0, 1e3, 5.8e3):
+        for p in (1, 2, 3):
+            assert (engine._spectral_power(SINC_SPEC, Triangular(0, 2), t, 1e-8, p)
+                    == engine._spectral_power(SINC_SPEC, Uniform(0, 1), t, 1e-8, 2 * p))
+
+
+@pytest.mark.parametrize("weight, width", [(Triangular(0, 1), 1.0),
+                                           (rescale(Uniform(0, 2), 0.5), 1.0)],
+                         ids=["triangular", "scaled-uniform"])
+def test_sinc_power_band_matches_expect(weight, width):
+    band = SINC_SPEC.band
+    for t in (10.0, 1e3, 5.8e3):
+        for p in (1, 2, 3):
+            got, diff = engine._spectral_power(SINC_SPEC, weight, t, 1e-13, p)
+            assert diff == 0.0
+            # whole quadrature cells per band cell: the density jumps only at their edges
+            cells = len(band.profile) * oscillation_cells(band.cell_width, t * width)
+            want, _ = SINC_SPEC.expect(
+                lambda r: np.abs(weight.char_fn(t * r)) ** (2 * p), 1e-13, cells)
+            assert got == pytest.approx(want, rel=0, abs=1e-13)
+
+
+def test_sinc_power_cost_does_not_grow_with_t(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "adaptive_gl", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(spectral, "adaptive_gl", lambda *a, **k: calls.append(a))
+    t = 1e7
+    got, diff = engine._spectral_power(spectral.lebesgue_band(), Uniform(0, 1), t, 1e-8, 3)
+    assert calls == [] and diff == 0.0
+    # flat density 1/2 on [-1, 1]: S_6(t / 2) / (t / 2), and S_6(inf) = 11 pi / 40
+    assert got == pytest.approx(11.0 * np.pi / 40.0 / (0.5 * t), rel=1e-12)
+    assert descent_check(spectral.lebesgue_band(), Triangular(0, 1), t=t, order=3).passed
+    assert calls == []
+
+
+def test_spectral_power_takes_numpy_integer_powers():
+    spec = SpectralModel(atoms=((0.8, 0.3),), band=FrequencyBand(-2.0, 1.0, 0.7, (1.0, 2.0)))
+    for weight in (Triangular(0, 1), Uniform(0, 1), GAUSS):
+        for p in (1, 3):
+            assert (engine._spectral_power(spec, weight, 20.0, 1e-11, np.int64(p))
+                    == engine._spectral_power(spec, weight, 20.0, 1e-11, p))
+    assert descent_check(SINC_SPEC, Triangular(0, 1), t=20.0, order=np.int64(5)).passed
 
 # -- pair-correlation integrals -----------------------------------------------------
 
@@ -516,6 +617,20 @@ def test_probe_masses_are_even_in_t():
         for got, want in ((sampled.metadata["band_mass"][k], band[k]),
                           (sampled.metadata["spike_mass"][k]["total"], per[k]["total"])):
             assert abs(got - want) <= 5.0 * np.sqrt(want * (1 - want) / n) + 1e-4
+
+
+
+def test_probe_at_zero_matches_sampling_path():
+    # at t = 0 every difference t (r - s) is 0: deviation 0, band mass 1, no spike mass
+    spikes = geometric_spikes(10, 0.25, count=4)
+    exact = almost_mixing_probe(spikes, Triangular(0, 1), (0.0, 1.0))
+    sampled = almost_mixing_probe(spikes, convolve(Uniform(0, 0.5), Uniform(0, 0.5)),
+                                  (0.0, 1.0), n_samples=2000, seed=3)
+    for curve in (exact, sampled):
+        assert "failed_points" not in curve.metadata
+        assert (curve.values[0], curve.errors[0]) == (0.0, 0.0)
+        assert curve.metadata["band_mass"][0] == 1.0
+        assert curve.metadata["spike_mass"][0] == {"total": 0.0, "per_spike": [0.0] * 4}
 
 # -- vectorized difference-density kernels -------------------------------------------
 

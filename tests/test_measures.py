@@ -246,38 +246,6 @@ def test_convolution_sample_is_sum_of_component_streams():
     np.testing.assert_allclose(total, part_a + part_b, atol=0)
 
 
-# -- tail mass ----------------------------------------------------------------
-
-def test_tail_mass_uniform_inside_support():
-    assert Uniform(0, 1).tail_mass(1.0) == 0.0
-
-
-def test_tail_mass_cantor_half():
-    # Oracle: count level-interval mass beyond 1/2.  At level 1 the cylinder
-    # [2/3, 1] (mass 1/2) lies beyond and [0, 1/3] lies inside.
-    assert CANTOR.tail_mass(0.5) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_tail_mass_scaling_identity():
-    for radius in (0.3, 0.5, 0.8):
-        t = 3.7
-        assert rescale(CANTOR, t).tail_mass(t * radius) == pytest.approx(
-            CANTOR.tail_mass(radius), abs=1e-9)
-
-
-def test_tail_mass_convolution_support_bound():
-    conv = convolve(Uniform(0, 1), Uniform(0, 1))
-    assert conv.tail_mass(2.0) == 0.0
-    shifted = convolve(Uniform(4, 5), Uniform(4, 5))
-    assert shifted.tail_mass(2.0) == 1.0
-
-
-def test_tail_mass_nested_intervals_exact():
-    m = NestedIntervals([[(0, "1/4"), ("3/4", 1)]])
-    # half the mass sits in [3/4, 1]; beyond radius 7/8 lies half of it
-    assert m.tail_mass(0.875) == pytest.approx(0.25, abs=1e-12)
-
-
 # -- validation ---------------------------------------------------------------
 
 def test_self_similar_rejects_bad_weights():
