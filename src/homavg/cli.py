@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import presets, serialize
@@ -39,13 +40,43 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
-def _grid(cfg: dict) -> tuple[float, ...]:
-    spec = _require(cfg, "grid")
+_REQUIRED = object()
+
+
+def _number(cfg: dict, field: str, kind: type, above, default=_REQUIRED):
+    """The numeric config field ``field`` ("samples.n_x" names
+    ``cfg["samples"]["n_x"]``) converted by ``kind`` (int or float).  It
+    must be finite and exceed ``above``, and an int field takes no fraction.
+    A missing field gives ``default``; anything else raises a PresetError
+    naming the field."""
+    *parents, name = field.split(".")
+    node = cfg
+    for key in parents:
+        node = node.get(key, {})
+        if not isinstance(node, dict):
+            raise PresetError(key, "must be a JSON object")
+    if name not in node:
+        if default is _REQUIRED:
+            raise PresetError(field, "missing required config field")
+        return default
+    value = node[name]
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
     try:
-        return geometric_grid(float(spec["start"]), float(spec["factor"]),
-                              int(spec["count"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PresetError("grid", f"bad geometric grid spec: {exc}") from None
+        number = None if isinstance(value, bool) or fraction else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not above < number < math.inf:
+        want = (f"an integer >= {above + 1}" if kind is int
+                else f"a finite number > {above}")
+        raise PresetError(field, f"must be {want}, got {value!r}")
+    return number
+
+
+def _grid(cfg: dict) -> tuple[float, ...]:
+    _require(cfg, "grid")
+    return geometric_grid(_number(cfg, "grid.start", float, 0),
+                          _number(cfg, "grid.factor", float, 1),
+                          _number(cfg, "grid.count", int, 1))
 
 
 def _observable_spectrum(flow, obs):
@@ -68,15 +99,13 @@ def _spectrum_for(cfg: dict):
     return _observable_spectrum(flow, obs), flow, obs
 
 
-def _run_avg_scan(cfg: dict, threads: int) -> DecayCurve:
+def _run_avg_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
     flow = presets.resolve_flow(_require(cfg, "flow"))
     measure = presets.resolve_measure(_require(cfg, "measure"))
     obs = presets.resolve_observable(_require(cfg, "observable"), flow)
     grid = _grid(cfg)
-    seed = int(_require(cfg, "seed"))
-    samples = cfg.get("samples", {})
-    n_x = int(samples.get("n_x", 10_000))
-    n_r = int(samples.get("n_r", 10_000))
+    n_x = _number(cfg, "samples.n_x", int, 0, 10_000)
+    n_r = _number(cfg, "samples.n_r", int, 0, 10_000)
     evaluator_name = cfg.get("evaluator", "auto")
     if evaluator_name not in ("auto", "spectral", "l1-mc"):
         raise PresetError("evaluator", f"unknown evaluator {evaluator_name!r}")
@@ -100,11 +129,10 @@ def _run_avg_scan(cfg: dict, threads: int) -> DecayCurve:
                             metadata=meta)
 
 
-def _run_spectral_scan(cfg: dict, threads: int) -> DecayCurve:
+def _run_spectral_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
     spectrum, _, _ = _spectrum_for(cfg)
     measure = presets.resolve_measure(_require(cfg, "measure"))
     grid = _grid(cfg)
-    seed = int(_require(cfg, "seed"))
 
     def point(t, _seed):
         return l2_norm_spectral(spectrum, measure, t), 0.0
@@ -113,12 +141,11 @@ def _run_spectral_scan(cfg: dict, threads: int) -> DecayCurve:
                             metadata={"kind": "spectral-scan"})
 
 
-def _run_convolution_root(cfg: dict, threads: int) -> DecayCurve:
+def _run_convolution_root(cfg: dict, seed: int, threads: int) -> DecayCurve:
     spectrum, _, _ = _spectrum_for(cfg)
     measure = presets.resolve_measure(_require(cfg, "measure"))
-    order = int(cfg.get("power", 2))
+    order = _number(cfg, "power", int, 1, 2)
     grid = _grid(cfg)
-    seed = int(_require(cfg, "seed"))
     reports = {}
 
     def point(t, _seed):
@@ -134,31 +161,29 @@ def _run_convolution_root(cfg: dict, threads: int) -> DecayCurve:
     return curve
 
 
-def _run_probe(cfg: dict, threads: int) -> DecayCurve:
+def _run_probe(cfg: dict, seed: int, threads: int) -> DecayCurve:
     model = presets.resolve_correlation(_require(cfg, "correlation"))
     if not isinstance(model, SpikeCorrelation):
         raise PresetError("correlation", "the probe needs a spike correlation")
     measure = presets.resolve_measure(_require(cfg, "measure"))
     grid = _grid(cfg)
-    seed = int(_require(cfg, "seed"))
-    samples = int(cfg.get("samples", {}).get("n_pairs", 10_000))
-    band = float(cfg.get("band_halfwidth", 1.0))
+    samples = _number(cfg, "samples.n_pairs", int, 0, 10_000)
+    band = _number(cfg, "band_halfwidth", float, 0, 1.0)
     return almost_mixing_probe(model, measure, grid, band_halfwidth=band,
                                n_samples=samples, seed=seed, threads=threads)
 
 
-def _run_adversary(cfg: dict) -> tuple[str, dict]:
+def _run_adversary(cfg: dict, seed: int) -> tuple[str, dict]:
     flow = presets.resolve_flow(_require(cfg, "flow"))
     sides = _require(cfg, "box")
     try:
         box = BoxSet(tuple(float(a) for a in sides))
     except (TypeError, ValueError) as exc:
         raise PresetError("box", f"bad box sides: {exc}") from None
-    depth = int(_require(cfg, "depth"))
-    seed = int(_require(cfg, "seed"))
-    samples = int(cfg.get("samples", {}).get("n_pairs", 100_000))
-    plan = build_adversarial_measure(flow, box, depth,
-                                     max_index=int(cfg.get("max_index", 2000)))
+    depth = _number(cfg, "depth", int, 0)
+    samples = _number(cfg, "samples.n_pairs", int, 0, 100_000)
+    plan = build_adversarial_measure(
+        flow, box, depth, max_index=_number(cfg, "max_index", int, 0, 2000))
     if plan.failure_level is not None:
         print(f"adversary plan partial: failure_level {plan.failure_level}: "
               f"{plan.failure_reason}", file=sys.stderr)
@@ -176,17 +201,17 @@ def run_config(cfg: dict, out_prefix: str | None, threads: int) -> int:
     prefix = out_prefix or cfg.get("out")
     if not prefix:
         raise PresetError("out", "no output prefix given (config `out` or --out)")
-    _require(cfg, "seed")
+    seed = _number(cfg, "seed", int, -1)
 
     resolved = {"config": cfg, "versions": serialize.versions()}
     if kind == "adversary":
-        csv_text, extra = _run_adversary(cfg)
+        csv_text, extra = _run_adversary(cfg, seed)
         resolved.update(extra)
     else:
         runner = {"avg-scan": _run_avg_scan, "spectral-scan": _run_spectral_scan,
                   "convolution-root": _run_convolution_root,
                   "almost-mixing-probe": _run_probe}[kind]
-        curve = runner(cfg, threads)
+        curve = runner(cfg, seed, threads)
         csv_text = curve.to_csv()
         resolved["metadata"] = curve.metadata
     try:

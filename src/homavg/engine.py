@@ -24,14 +24,13 @@ from math import comb
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
 from . import rng
 from .flows import TorusWinding
 from .measures import (Scaled, TableDensity, Triangular, TruncatedGaussian,
                        Uniform, WeightMeasure, require_atomless)
-from .quadrature import adaptive_gl, oscillation_cells
+from .quadrature import GL_NODES, GL_WEIGHTS, adaptive_gl
 from .spectral import (BochnerCorrelation, CorrelationModel, Observable,
                        SpectralModel, SpikeCorrelation)
 
@@ -162,9 +161,9 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
       |g(t r)|^(2 power) = sinc^n(lam r) with lam = |t| q and
       n = 2 m power, and the cell contributes d I_n(lam c, lam c') / lam
       with I_n = ``_sinc_power_integral``;
-    * everything else goes to ``spectrum.expect`` at ``tol``, about three
-      cells per oscillation of g(t r) (frequency t times the support width
-      of nu, or t for a callable).
+    * everything else goes to ``spectrum.expect`` at ``tol``, with g(t r)
+      oscillating at frequency t times the support width of nu (t for a
+      callable).
 
     The two closed forms report difference 0, and their cost does not grow
     with t.
@@ -184,10 +183,8 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
         lam, n = abs(t) * form[0], 2 * form[1] * power
         fn = lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
     band = spectrum.band
-    if band is None:
-        return spectrum.expect(fn, tol)
-    if not si_path and form is None:
-        return spectrum.expect(fn, tol, oscillation_cells(band.hi - band.lo, frequency))
+    if band is None or (not si_path and form is None):
+        return spectrum.expect(fn, tol, frequency)
     total = spectrum.atom_sum(fn)
     if t == 0.0:
         return total + band.mass, 0.0
@@ -234,9 +231,8 @@ def _sinc_power_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Gauss-Legendre nodes and weights on [0, 1] (n + 20 cells of 64 nodes),
     and the a_k of sin^n x = sum_{k=0}^{n/2} a_k cos(2 k x)."""
     cells = n + _SINC_NEAR // 2
-    x, w = leggauss(64)
-    nodes = ((np.arange(cells)[:, None] + 0.5 * (x + 1.0)) / cells).ravel()
-    weights = np.tile(0.5 * w / cells, cells)
+    nodes = ((np.arange(cells)[:, None] + 0.5 * (GL_NODES + 1.0)) / cells).ravel()
+    weights = np.tile(0.5 * GL_WEIGHTS / cells, cells)
     m = n // 2
     coef = np.array([comb(n, m) / 2 ** n]
                     + [(-1) ** k * comb(n, m - k) / 2 ** (n - 1) for k in range(1, m + 1)])
@@ -558,11 +554,10 @@ def _pair_quadrature(correlation, g: PiecewiseLinearDensity, exact: bool,
                      t: float, tol: float) -> PairIntegral:
     if isinstance(correlation, SpikeCorrelation):
         return _spike_pair(correlation, g, exact, t)
-    lo, hi = float(g.knots[0]), float(g.knots[-1])
-    cells = oscillation_cells(hi - lo, abs(t), minimum=max(8, len(g.knots)))
+    # a difference density has equispaced knots: each segment is one piece
     val, diff = adaptive_gl(
         lambda u: np.asarray(correlation.value(t * u), dtype=float) * g(u),
-        lo, hi, tol, cells=cells)
+        float(g.knots[0]), float(g.knots[-1]), tol, len(g.knots) - 1, abs(t))
     return PairIntegral(float(val.real), diff + (0.0 if exact else 1e-4),
                         "quadrature")
 

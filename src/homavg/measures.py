@@ -151,6 +151,8 @@ class TruncatedGaussian(DensityMeasure):
     hi: float
 
     def __post_init__(self):
+        if not np.isfinite(self.mu):
+            raise InvalidMeasureError("truncated gaussian needs a finite mu")
         if not (self.hi > self.lo and self.sigma > 0):
             raise InvalidMeasureError("truncated gaussian needs lo < hi, sigma > 0")
 
@@ -279,6 +281,8 @@ class SelfSimilar(WeightMeasure):
             raise InvalidMeasureError("need >= 2 maps with matching shifts/weights")
         if any(not (0.0 < r < 1.0) for r in self.ratios):
             raise InvalidMeasureError("contraction ratios must lie in (0, 1)")
+        if not np.all(np.isfinite((*self.shifts, *self.weights))):
+            raise InvalidMeasureError("shifts and weights must be finite")
         if any(w <= 0 for w in self.weights):
             raise InvalidMeasureError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-12:

@@ -39,6 +39,8 @@ class FrequencyBand:
     profile: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.lo, self.hi, self.mass, *self.profile))):
+            raise ValueError("band bounds, mass and profile must be finite")
         if not self.hi > self.lo:
             raise ValueError("band needs lo < hi")
         if self.mass <= 0:
@@ -74,6 +76,8 @@ class SpectralModel:
     band: FrequencyBand | None = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([v for atom in self.atoms for v in atom])):
+            raise ValueError("atom frequencies and masses must be finite")
         if any(m <= 0 for _, m in self.atoms):
             raise ValueError("atom masses must be positive")
         total = sum(m for _, m in self.atoms) + (self.band.mass if self.band else 0.0)
@@ -110,15 +114,18 @@ class SpectralModel:
         m = np.array([m for _, m in self.atoms])
         return float(fn(w) @ m)
 
-    def expect(self, fn, tol: float = 1e-8, cells: int = 2) -> tuple[float, float]:
+    def expect(self, fn, tol: float = 1e-8,
+               frequency: float = 0.0) -> tuple[float, float]:
         """(Int fn(r) dsigma(r), quadrature difference of the band term) for
-        a real vectorized integrand: the atoms exactly, the band by
-        ``adaptive_gl`` from ``cells`` equal cells."""
+        a real vectorized integrand oscillating like exp(i*frequency*r): the
+        atoms exactly, the band by ``adaptive_gl`` on whole band cells, so
+        the density jumps only at cell edges."""
         total, diff = self.atom_sum(fn), 0.0
         if self.band is not None:
             band = self.band
             val, diff = adaptive_gl(lambda r: fn(r) * band.density(r),
-                                    band.lo, band.hi, tol, cells=cells)
+                                    band.lo, band.hi, tol, len(band.profile),
+                                    frequency)
             total += val.real
         return total, diff
 
@@ -276,9 +283,11 @@ class SpikeCorrelation(CorrelationModel):
             raise ValueError("baseline must be nonnegative")
         if not self.growth > 1.0:
             raise ValueError("declared growth factor must exceed 1")
-        h, w, _ = self.arrays
+        h, w, heights = self.arrays
         if not np.all((w > 0) & (h - w > 0)):  # NaN (e.g. a null entry) fails too
             raise ValueError("spikes need positive halfwidths and h - L > 0")
+        if not (np.isfinite(self.baseline) and np.all(np.isfinite(heights))):
+            raise ValueError("baseline and spike heights must be finite")
         # the first offending neighbour pair decides; at one pair the growth
         # test comes before the disjointness test
         with np.errstate(invalid="ignore"):  # inf / inf compares False

@@ -51,3 +51,21 @@ def test_spectral_decay_quadrature_stays_on_gauss_and_cantor(tmp_path, monkeypat
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out", str(tmp_path / template)]) == 0
     assert callers == {"band-gauss", "band-cantor"}
+
+
+def test_tracer_reads_the_quadrature_signature(tmp_path):
+    """The tracer counts fixed_gl nodes from its positional cell count: a
+    traced band-gauss run must record whole 64-node cells on every pass."""
+    stream = workloads.ConfigStream("spectral-decay", 1)
+    template, cfg = next(entry for entry in stream.round(0)
+                         if entry[0] == "band-gauss")
+    path = tmp_path / f"{template}.json"
+    path.write_text(json.dumps(cfg))
+    trace = tracer.Tracer()
+    patches = tracer.install(trace)
+    try:
+        assert cli.main(["run", str(path), "--out", str(tmp_path / template)]) == 0
+    finally:
+        patches.undo()
+    nodes = [span[7]["nodes"] for span in trace.spans if span[1] == "quadrature.fixed_gl"]
+    assert nodes and all(n > 0 and n % 64 == 0 for n in nodes)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import homavg
 from homavg.cli import main
@@ -263,3 +264,68 @@ def test_output_io_failure_exit_3(tmp_path, capsys):
     out = blocker / "sub" / "prefix"  # parent is a regular file
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert "writing outputs" in capsys.readouterr().err
+
+
+PROFILED_SCAN = {
+    "kind": "spectral-scan",
+    "measure": "gauss-trunc",
+    "spectral": {"type": "spectral", "atoms": [[2.0, 0.3]],
+                 "band": {"lo": -1.5, "hi": 1.0, "mass": 0.7, "profile": [1, 3, 2]}},
+    "grid": {"start": 5, "factor": 4, "count": 2},
+    "seed": 1,
+}
+
+
+def test_profiled_band_scan_has_no_failed_points(tmp_path):
+    path = write_config(tmp_path, "profiled.json", PROFILED_SCAN)
+    out = tmp_path / "profiled"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    values = [float(r[1]) for r in read_rows(out.with_suffix(".csv"))]
+    assert len(values) == 2 and all(np.isfinite(values))
+    meta = json.loads(out.with_suffix(".meta").read_text())
+    assert "failed_points" not in meta["metadata"]
+
+
+ROOT_CONFIG = dict(SCAN_CONFIG, kind="convolution-root")
+MC_CONFIG = dict(AVG_CONFIG, evaluator="l1-mc")
+PROBE_CONFIG = {"kind": "almost-mixing-probe", "measure": "uniform[0,1]",
+                "correlation": "spike(10,0.25,1)",
+                "grid": {"start": 10, "factor": 10, "count": 2}, "seed": 7}
+ADVERSARY_CONFIG = {"kind": "adversary", "flow": "winding-golden",
+                    "box": [0.5, 0.5], "depth": 2, "seed": 8}
+
+
+@pytest.mark.parametrize("base, change, field", [
+    (SCAN_CONFIG, {"seed": "x"}, "seed"),
+    (SCAN_CONFIG, {"seed": -1}, "seed"),
+    (SCAN_CONFIG, {"seed": 2.5}, "seed"),
+    (SCAN_CONFIG, {"grid": {"start": 0, "factor": 2, "count": 2}}, "grid.start"),
+    (SCAN_CONFIG, {"grid": {"start": 1, "factor": float("inf"), "count": 2}}, "grid.factor"),
+    (SCAN_CONFIG, {"grid": {"start": 1, "factor": 2, "count": "two"}}, "grid.count"),
+    (SCAN_CONFIG, {"grid": [1, 2, 2]}, "grid"),
+    (ROOT_CONFIG, {"power": 1}, "power"),
+    (MC_CONFIG, {"samples": 5}, "samples"),
+    (MC_CONFIG, {"samples": {"n_x": 0}}, "samples.n_x"),
+    (MC_CONFIG, {"samples": {"n_r": True}}, "samples.n_r"),
+    (PROBE_CONFIG, {"samples": {"n_pairs": -3}}, "samples.n_pairs"),
+    (PROBE_CONFIG, {"band_halfwidth": -1}, "band_halfwidth"),
+    (PROBE_CONFIG, {"band_halfwidth": float("nan")}, "band_halfwidth"),
+    (ADVERSARY_CONFIG, {"depth": "x"}, "depth"),
+    (ADVERSARY_CONFIG, {"depth": 0}, "depth"),
+    (ADVERSARY_CONFIG, {"max_index": 0}, "max_index"),
+    (ADVERSARY_CONFIG, {"samples": {"n_pairs": 1e3 + 0.5}}, "samples.n_pairs"),
+])
+def test_bad_numeric_field_exit_2(tmp_path, capsys, base, change, field):
+    err = run_bad(tmp_path, capsys, {**base, **change})
+    assert err.startswith(f"config error at {field}: ")
+
+
+def test_non_finite_atom_document_exit_2(tmp_path, capsys):
+    doc = {"type": "spectral", "atoms": [[1.0, float("nan")]], "band": None}
+    err = run_bad(tmp_path, capsys, dict(SCAN_CONFIG, spectral=doc))
+    assert err.startswith("config error at spectral: ") and "finite" in err
+
+
+def test_non_finite_preset_argument_exit_2(tmp_path, capsys):
+    err = run_bad(tmp_path, capsys, dict(SCAN_CONFIG, measure="gauss-trunc[nan,0.2,0,1]"))
+    assert err.startswith("config error at measure: ") and "finite" in err

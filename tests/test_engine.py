@@ -2,9 +2,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import sici
 
-from homavg import engine, spectral
+from homavg import engine, quadrature, spectral
 from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     InvalidMeasureError, Observable, PointMass,
                     SpectralModel, SpikeCorrelation, Uniform,
@@ -16,7 +17,6 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     spectrum_of_observable, weighted_average_pointwise)
 from homavg.measures import (SelfSimilar, TableDensity, Triangular,
                              TruncatedGaussian)
-from homavg.quadrature import oscillation_cells
 from homavg.spectral import BoxIndicator
 from homavg.flows import BoxSet
 
@@ -349,15 +349,12 @@ def test_triangular_power_is_uniform_double_power():
                                            (rescale(Uniform(0, 2), 0.5), 1.0)],
                          ids=["triangular", "scaled-uniform"])
 def test_sinc_power_band_matches_expect(weight, width):
-    band = SINC_SPEC.band
     for t in (10.0, 1e3, 5.8e3):
         for p in (1, 2, 3):
             got, diff = engine._spectral_power(SINC_SPEC, weight, t, 1e-13, p)
             assert diff == 0.0
-            # whole quadrature cells per band cell: the density jumps only at their edges
-            cells = len(band.profile) * oscillation_cells(band.cell_width, t * width)
             want, _ = SINC_SPEC.expect(
-                lambda r: np.abs(weight.char_fn(t * r)) ** (2 * p), 1e-13, cells)
+                lambda r: np.abs(weight.char_fn(t * r)) ** (2 * p), 1e-13, t * width)
             assert got == pytest.approx(want, rel=0, abs=1e-13)
 
 
@@ -381,6 +378,38 @@ def test_spectral_power_takes_numpy_integer_powers():
             assert (engine._spectral_power(spec, weight, 20.0, 1e-11, np.int64(p))
                     == engine._spectral_power(spec, weight, 20.0, 1e-11, p))
     assert descent_check(SINC_SPEC, Triangular(0, 1), t=20.0, order=np.int64(5)).passed
+
+PROFILED_SPEC = SpectralModel(atoms=((2.0, 0.3),),
+                              band=FrequencyBand(-1.5, 1.0, 0.7, (1.0, 3.0, 2.0)))
+
+
+def profiled_power_oracle(weight, t):
+    """Int |nu_hat(t r)|^2 dsigma over PROFILED_SPEC, band cell by band cell
+    with scipy's adaptive quad."""
+    f = lambda r: abs(complex(weight.char_fn(t * r))) ** 2
+    edges, dens = PROFILED_SPEC.band.cells()
+    cells = [quad(f, lo, hi, limit=500, epsabs=1e-14, epsrel=1e-14)[0]
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    return 0.3 * f(2.0) + float(dens @ cells)
+
+
+def test_profiled_band_quadrature_follows_band_cells(monkeypatch):
+    passes = []
+    original = quadrature.fixed_gl
+
+    def counting(*args):
+        passes.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "fixed_gl", counting)
+    for t in (5.0, 20.0, 100.0):
+        passes.clear()
+        got, diff = engine._spectral_power(PROFILED_SPEC, GAUSS, t, 1e-11)
+        assert 0 < len(passes) <= 4 and diff < 1e-11
+        assert all(cells % 3 == 0 for cells in passes)
+        assert got == pytest.approx(profiled_power_oracle(GAUSS, t), rel=0, abs=1e-10)
+    assert descent_check(PROFILED_SPEC, GAUSS, t=20.0).passed
+
 
 # -- pair-correlation integrals -----------------------------------------------------
 

@@ -269,3 +269,21 @@ def test_point_mass_rejected_for_averaging():
     require_atomless(convolve(Uniform(0, 1), PointMass(0.3)), "test")
     assert not Convolution((PointMass(0.0), PointMass(1.0))).atomless
     assert Scaled(2.0, CANTOR).atomless
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("shifts, weights", [((0.0, NAN), (0.5, 0.5)),
+                                             ((0.0, INF), (0.5, 0.5)),
+                                             ((0.0, 2 / 3), (NAN, 0.5)),
+                                             ((0.0, 2 / 3), (0.5, NAN))])
+def test_self_similar_rejects_non_finite(shifts, weights):
+    with pytest.raises(InvalidMeasureError, match="finite"):
+        SelfSimilar((1 / 3, 1 / 3), shifts, weights)
+
+
+@pytest.mark.parametrize("mu", [NAN, INF, -INF])
+def test_truncated_gaussian_rejects_non_finite_mu(mu):
+    with pytest.raises(InvalidMeasureError, match="finite"):
+        TruncatedGaussian(mu, 0.2, 0.0, 1.0)

@@ -1,0 +1,40 @@
+import math
+
+import numpy as np
+import pytest
+
+from homavg import quadrature
+from homavg.quadrature import adaptive_gl
+
+
+def first_pass_cells(monkeypatch, a, b, pieces, frequency):
+    """Cells of the first ``fixed_gl`` pass of one ``adaptive_gl`` call."""
+    cells = []
+    original = quadrature.fixed_gl
+
+    def recording(f, lo, hi, n):
+        cells.append(n)
+        return original(f, lo, hi, n)
+
+    monkeypatch.setattr(quadrature, "fixed_gl", recording)
+    adaptive_gl(lambda x: np.cos(frequency * x), a, b, 1e-10, pieces, frequency)
+    return cells[0]
+
+
+@pytest.mark.parametrize("a, b, frequency", [(0.0, 1.0, 0.0), (-1.0, 1.0, 7.0),
+                                             (-1.5, 1.0, 20.0), (0.0, 2.0, 1e3)])
+def test_first_pass_is_three_cells_per_period(monkeypatch, a, b, frequency):
+    # the count of the former oscillation_cells(b - a, frequency)
+    want = max(2, math.ceil(3.0 * frequency * (b - a) / (2.0 * np.pi)) + 1)
+    assert first_pass_cells(monkeypatch, a, b, 1, frequency) == want
+    for pieces in (2, 3, 7, 16):
+        cells = first_pass_cells(monkeypatch, a, b, pieces, frequency)
+        assert cells % pieces == 0 and want <= cells < want + pieces
+
+
+def test_piece_aligned_cells_integrate_a_step_exactly():
+    # a jump at a piece edge never falls inside a cell: the first two passes agree
+    step = lambda x: np.where(x < 1.0, 1.0, 3.0)
+    value, diff = adaptive_gl(step, 0.0, 3.0, 1e-14, pieces=3)
+    assert value.real == pytest.approx(7.0, rel=0, abs=1e-13) and diff < 1e-14
+

@@ -196,9 +196,33 @@ def test_positive_definite_models_bounded_by_value_at_zero():
 
 def test_expect_returns_value_and_band_difference():
     spec = SpectralModel(atoms=((0.5, 0.5),), band=FrequencyBand(-1.0, 1.0, 0.5))
-    value, diff = spec.expect(lambda r: np.cos(7.0 * r), tol=1e-10, cells=4)
+    value, diff = spec.expect(lambda r: np.cos(7.0 * r), tol=1e-10, frequency=7.0)
     assert 0.0 <= diff < 1e-10
     assert value == pytest.approx(0.5 * np.cos(3.5) + 0.5 * np.sin(7.0) / 7.0,
                                   abs=1e-12)
     atoms_only = SpectralModel(atoms=((0.5, 0.5), (2.0, 0.5)))
     assert atoms_only.expect(lambda r: r, tol=1e-10) == (1.25, 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("args", [(NAN, 1.0, 1.0), (-1.0, INF, 1.0), (-1.0, 1.0, NAN),
+                                  (-1.0, 1.0, 1.0, (1.0, NAN)), (-1.0, 1.0, 1.0, (INF,))])
+def test_frequency_band_rejects_non_finite(args):
+    with pytest.raises(ValueError, match="finite"):
+        FrequencyBand(*args)
+
+
+@pytest.mark.parametrize("atoms", [((1.0, NAN),), ((NAN, 1.0),),
+                                   ((INF, 0.5), (0.0, 0.5))])
+def test_spectral_model_rejects_non_finite_atoms(atoms):
+    with pytest.raises(ValueError, match="finite"):
+        SpectralModel(atoms=atoms)
+
+
+@pytest.mark.parametrize("baseline, heights", [(NAN, (1.0,)), (INF, (1.0,)),
+                                               (0.25, (NAN,)), (0.25, (-INF,))])
+def test_spike_rejects_non_finite_levels(baseline, heights):
+    with pytest.raises(ValueError, match="finite"):
+        SpikeCorrelation(baseline, (1.0,), (0.1,), heights)
