@@ -29,24 +29,13 @@ from math import ceil, isqrt
 import numpy as np
 
 from . import rng
-from .flows import (BoxSet, QuadraticIrrational, TorusWinding, _exact_shifts,
-                    arc_correlation_exact, arc_overlap, rigidity_times)
+from .flows import (BoxSet, TorusWinding, _exact_distance, _exact_shifts,
+                    arc_correlation_exact, arc_overlap, arc_overlap_integral,
+                    rigidity_times)
 from .measures import NestedIntervals
 
 MULTIPLIER_CAP = 1 << 30     # only reachable for an exactly periodic (Fraction) slope
 _DELTA_SAFETY = Fraction((1 << 20) - 1, 1 << 20)
-
-
-def _exact_distance(flow: TorusWinding, time: int) -> tuple[int, int]:
-    """dist(time * slope, Z) as an exact(ly bounded) integer pair num/den."""
-    if isinstance(flow.slope, QuadraticIrrational):
-        return flow.slope._dist_fixed(int(time))
-    if isinstance(flow.slope, Fraction):
-        frac = Fraction(int(time)) * flow.slope
-        frac -= frac.numerator // frac.denominator
-        dist = min(frac, 1 - frac)
-        return dist.numerator, dist.denominator
-    raise ValueError("adversary construction needs a winding with an exact slope")
 
 
 def _floor_inv_sqrt(num: int, den: int) -> int:
@@ -304,32 +293,8 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
 def _quadrature_level_value(box: BoxSet, base: np.ndarray, alpha: np.ndarray,
                             amp: float) -> float:
     """Exact average over leaves of E_eta prod_k overlap(a_k, base_k + eta
-    * amp * alpha_k); the integrand is piecewise quadratic in eta with
-    kinks where a coordinate shift crosses an overlap breakpoint."""
-    total = 0.0
-    n_leaves = base.shape[1]
+    * amp * alpha_k), eta uniform on [-1, 1]."""
     offs = amp * alpha
-    for j in range(n_leaves):
-        cuts = {-1.0, 1.0}
-        for c in range(2):
-            for target_base in (0.0, box.sides[c], 1.0 - box.sides[c], 1.0):
-                for wrap in (-1.0, 0.0, 1.0):
-                    # |gap| < |offs| is -1 < eta < 1 without overflowing
-                    # gap / offs at deep levels, where offs is tiny
-                    gap = target_base + wrap - base[c, j]
-                    if abs(gap) < abs(offs[c]):
-                        cuts.add(float(gap / offs[c]))
-
-        def corr(e):
-            val = np.ones_like(np.asarray(e, dtype=float))
-            for c in range(2):
-                val = val * arc_overlap(box.sides[c], box.sides[c],
-                                        (base[c, j] + np.asarray(e) * offs[c]) % 1.0)
-            return val
-
-        pts = np.array(sorted(cuts))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        seg = (pts[1:] - pts[:-1]) / 6.0 * (
-            corr(pts[:-1]) + 4.0 * corr(mids) + corr(pts[1:]))
-        total += float(np.sum(seg)) / 2.0
-    return total / n_leaves
+    total = sum(arc_overlap_integral(box.sides, base[:, j], offs, (-1.0, 1.0),
+                                     (0.5, 0.5)) for j in range(base.shape[1]))
+    return total / base.shape[1]

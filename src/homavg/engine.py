@@ -27,12 +27,12 @@ import numpy as np
 from scipy.special import sici
 
 from . import rng
-from .flows import TorusWinding
+from .flows import TorusWinding, arc_overlap_integral
 from .measures import (Scaled, TableDensity, Triangular, TruncatedGaussian,
                        Uniform, WeightMeasure, require_atomless)
-from .quadrature import GL_NODES, GL_WEIGHTS, adaptive_gl
-from .spectral import (BochnerCorrelation, CorrelationModel, Observable,
-                       SpectralModel, SpikeCorrelation)
+from .quadrature import GL_NODES, GL_WEIGHTS
+from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
+                       Observable, SpectralModel, SpikeCorrelation)
 
 DESCENT_SLACK = 1e-9
 PROBE_META_SPIKES = 64   # per-spike probe masses go into metadata up to this count
@@ -499,11 +499,13 @@ def pair_correlation_integral(correlation: CorrelationModel,
     """Int Int rho(t (r - s)) dnu(r) dnu(s).
 
     ``sampling`` draws independent pairs and averages; ``quadrature``
-    integrates rho(t u) against the exact piecewise-linear density of the
-    difference u = r - s (available when nu has a density view).  For a
-    ``BochnerCorrelation`` it is the Parseval twin of the spectral channel,
-    Int |nu_hat(t r)|^2 dsigma(r), evaluated for any weight as
-    ``l2_norm_spectral`` does.  The two paths must agree within their
+    integrates a spike or box correlation rho(t u) exactly against the
+    piecewise-linear density of the difference u = r - s (available when nu
+    has a density view).  For a ``BochnerCorrelation`` it is the Parseval
+    twin of the spectral channel, Int |nu_hat(t r)|^2 dsigma(r), evaluated
+    for any weight as ``l2_norm_spectral`` does.  Any other correlation, or
+    a weight without a density view, is sampled under ``auto`` and raises
+    TypeError under ``quadrature``.  The two paths must agree within their
     combined errors.
     """
     require_atomless(weight, "pair correlation")
@@ -515,12 +517,14 @@ def pair_correlation_integral(correlation: CorrelationModel,
                                            float(t), tol)
             return PairIntegral(value, error, "quadrature")
         try:
+            if not isinstance(correlation, (SpikeCorrelation, BoxAutocorrelation)):
+                raise TypeError(f"no pair quadrature for {type(correlation).__name__}")
             g, exact = difference_density(weight)
         except TypeError:
             if method == "quadrature":
                 raise
         else:
-            return _pair_quadrature(correlation, g, exact, float(t), tol)
+            return _pair_quadrature(correlation, g, exact, float(t))
     return _pair_sampling(correlation, t,
                           _pair_differences(weight, n_samples, seed))
 
@@ -539,27 +543,20 @@ def _pair_sampling(correlation: CorrelationModel, t: float,
                         float(vals.std() / np.sqrt(len(u))), "sampling")
 
 
-def _spike_pair(spike: SpikeCorrelation, g: PiecewiseLinearDensity,
-                exact: bool, t: float) -> PairIntegral:
-    """Exact pair integral of a spike correlation against the difference
-    density g; a quantized g reports its 1e-4 quantization slack.  The
-    correlation is even in t, so the bands are laid out at |t|."""
-    h, L, heights = spike.arrays
-    bands = _spike_band_integrals(g, h, L, abs(t))
-    value = spike.baseline + float(heights @ bands)
-    return PairIntegral(value, 0.0 if exact else 1e-4, "quadrature")
-
-
 def _pair_quadrature(correlation, g: PiecewiseLinearDensity, exact: bool,
-                     t: float, tol: float) -> PairIntegral:
+                     t: float) -> PairIntegral:
+    """Exact pair integral of a spike or box correlation against the
+    difference density g; a quantized g reports its 1e-4 quantization
+    slack.  Both correlations are even in t, so they are integrated at |t|."""
     if isinstance(correlation, SpikeCorrelation):
-        return _spike_pair(correlation, g, exact, t)
-    # a difference density has equispaced knots: each segment is one piece
-    val, diff = adaptive_gl(
-        lambda u: np.asarray(correlation.value(t * u), dtype=float) * g(u),
-        float(g.knots[0]), float(g.knots[-1]), tol, len(g.knots) - 1, abs(t))
-    return PairIntegral(float(val.real), diff + (0.0 if exact else 1e-4),
-                        "quadrature")
+        h, L, heights = correlation.arrays
+        bands = _spike_band_integrals(g, h, L, abs(t))
+        value = correlation.baseline + float(heights @ bands)
+    else:
+        slope = abs(t) * np.asarray(correlation.flow.alpha)
+        value = arc_overlap_integral(correlation.box.sides, 0.0 * slope, slope,
+                                     g.knots, g.values)
+    return PairIntegral(value, 0.0 if exact else 1e-4, "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +667,7 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
         # g is even, so the masses are taken at |t|; at t = 0 every t (r - s)
         # is 0, which the sampling branch counts without dividing by t
         if g is not None and t != 0.0:
-            result = _spike_pair(spike, g, exact, t)
+            result = _pair_quadrature(spike, g, exact, t)
             band = g.mass(-band_halfwidth / abs(t), band_halfwidth / abs(t))
             per = g.mass(lo / abs(t), hi / abs(t))
         else:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 FLOAT_SAFE_DENOMINATOR = 1 << 52   # float CF extraction refused past this
 
@@ -200,6 +202,41 @@ def arc_overlap(a: float, b: float, shift) -> np.ndarray:
     return first + wrapped
 
 
+_legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
+
+
+def arc_overlap_integral(sides, base, slope, knots, values) -> float:
+    """Int prod_k arc_overlap(a_k, a_k, base_k + x * slope_k) w(x) dx over
+    [knots[0], knots[-1]], where w is piecewise linear through (knots,
+    values); exact up to rounding.
+
+    Factor k bends where its shift crosses Z, Z + a_k or Z - a_k.  Those
+    places come from the integers the shift sweeps over, so no gap is ever
+    divided by a slope far smaller than itself.  Between the bends and the
+    knots the integrand is a polynomial of degree d + 1, which
+    Gauss-Legendre with (d + 3) // 2 nodes integrates exactly.
+    """
+    knots = np.asarray(knots, dtype=float)
+    x0, x1 = knots[0], knots[-1]
+    coords = list(zip(sides, base, slope, strict=True))
+    cuts = [knots]
+    for a, b, s in coords:
+        if s == 0.0:
+            continue
+        lo, hi = sorted((b + x0 * s, b + x1 * s))
+        for c in (0.0, a, -a):
+            n = np.arange(np.ceil(lo - c), np.floor(hi - c) + 1.0)
+            cuts.append((n + c - b) / s)
+    pts = np.unique(np.clip(np.concatenate(cuts), x0, x1))
+    nodes, weights = _legendre((len(coords) + 3) // 2)
+    half = 0.5 * np.diff(pts)[:, None]
+    x = 0.5 * (pts[1:] + pts[:-1])[:, None] + half * nodes
+    f = np.interp(x, knots, values)
+    for a, b, s in coords:
+        f = f * arc_overlap(a, a, b + x * s)
+    return float(np.sum(half * f @ weights))
+
+
 def arc_correlation(flow: TorusWinding, a: BoxSet, b: BoxSet, t) -> np.ndarray | float:
     """mu(A intersect T_t B) as the exact product of coordinate overlaps."""
     if len(a.sides) != flow.dimension or len(b.sides) != flow.dimension:
@@ -279,12 +316,22 @@ def _float_convergent_denominators(x: float, count: int) -> list[int]:
     return out
 
 
+def _exact_distance(flow: TorusWinding, time: int) -> tuple[int, int]:
+    """dist(time * slope, Z) as the integer pair num / den: exact for a
+    Fraction slope, to the precision of ``_fixed`` for a surd."""
+    if isinstance(flow.slope, QuadraticIrrational):
+        return flow.slope._dist_fixed(int(time))
+    if isinstance(flow.slope, Fraction):
+        frac = int(time) * flow.slope % 1
+        dist = min(frac, 1 - frac)
+        return dist.numerator, dist.denominator
+    raise ValueError("winding carries no exact slope")
+
+
 def lattice_distance(flow: TorusWinding, time: int) -> float:
     """dist(time * alpha[1], Z) via the exact slope when available."""
-    if isinstance(flow.slope, QuadraticIrrational):
-        return flow.slope.lattice_distance(int(time))
-    if isinstance(flow.slope, Fraction):
-        f = flow.slope_fraction_of(int(time))
+    if flow.slope is None:
+        f = (time * flow.alpha[1]) % 1.0
         return min(f, 1.0 - f)
-    f = (time * flow.alpha[1]) % 1.0
-    return min(f, 1.0 - f)
+    num, den = _exact_distance(flow, time)
+    return num / den

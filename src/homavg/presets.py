@@ -36,6 +36,13 @@ def dyadic_even() -> SelfSimilar:
     return SelfSimilar((0.25, 0.25), (0.0, 0.25), (0.5, 0.5))
 
 
+def _int(v: float) -> int:
+    """A preset argument that must be a whole number."""
+    if v != int(v):
+        raise ValueError(f"{v:g} is not an integer")
+    return int(v)
+
+
 _MEASURES = {
     "uniform": ("uniform[a,b]  (defaults [0,1])", lambda *a: Uniform(*a)),
     "triangular": ("triangular[a,b]  (defaults [0,2])",
@@ -51,7 +58,7 @@ _FLOWS = {
     "winding-golden": ("d=2 winding, slope (sqrt(5)-1)/2", lambda: golden_winding()),
     "winding-pell": ("d=2 winding, slope sqrt(2)-1", lambda: pell_winding()),
     "winding-periodic": ("winding-periodic[k]: synthetic rational slope 1/k",
-                         lambda *a: periodic_winding(int(a[0]) if a else 2)),
+                         lambda *a: periodic_winding(*map(_int, a))),
     "winding-circle": ("d=1 unit-speed rotation flow", lambda: circle_rotation()),
 }
 
@@ -61,7 +68,7 @@ _SPECTRAL = {
 
 _CORRELATIONS = {
     "spike": ("spike(growth,halfwidth,height[,count,baseline])",
-              lambda *a: geometric_spikes(*a)),
+              lambda *a: geometric_spikes(*a[:3], *map(_int, a[3:4]), *a[4:])),
 }
 
 _OBSERVABLES = {
@@ -71,15 +78,15 @@ _OBSERVABLES = {
 
 
 def _build(field: str, what: str, make, *args):
-    """make(*args), a TypeError, ValueError or KeyError it raises reported
-    as a PresetError naming ``field``."""
+    """make(*args), a TypeError, ValueError, OverflowError or KeyError it
+    raises reported as a PresetError naming ``field``."""
     try:
         return make(*args)
     except PresetError:
         raise
     except KeyError as exc:
         raise PresetError(field, f"{what} lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PresetError(field, f"bad {what}: {exc}") from None
 
 
@@ -96,51 +103,31 @@ def _parse(spec: str, field: str) -> tuple[str, tuple[float, ...]]:
         raise PresetError(field, f"non-numeric arguments in {spec!r}") from None
 
 
-def resolve_measure(spec, field: str = "measure"):
+def _resolve(kind: str, table: dict, from_doc, spec, field: str):
     if isinstance(spec, dict):
-        return _build(field, "measure document", serialize.measure_from_doc, spec)
+        return _build(field, f"{kind} document", from_doc, spec)
     name, args = _parse(spec, field)
-    if name == "uniform" and not args:
-        args = (0.0, 1.0)
-    entry = _MEASURES.get(name)
+    entry = table.get(name)
     if entry is None:
-        raise PresetError(field, f"unknown measure preset {name!r}")
+        raise PresetError(field, f"unknown {kind} preset {name!r}")
     return _build(field, f"arguments for {name!r}", entry[1], *args)
+
+
+def resolve_measure(spec, field: str = "measure"):
+    return _resolve("measure", _MEASURES, serialize.measure_from_doc, spec, field)
 
 
 def resolve_flow(spec, field: str = "flow") -> TorusWinding:
-    if isinstance(spec, dict):
-        return _build(field, "flow document", serialize.flow_from_doc, spec)
-    name, args = _parse(spec, field)
-    entry = _FLOWS.get(name)
-    if entry is None:
-        raise PresetError(field, f"unknown flow preset {name!r}")
-    return _build(field, f"arguments for {name!r}", entry[1], *args)
+    return _resolve("flow", _FLOWS, serialize.flow_from_doc, spec, field)
 
 
 def resolve_spectral(spec, field: str = "spectral"):
-    if isinstance(spec, dict):
-        return _build(field, "spectral document",
-                      serialize.spectral_from_doc, spec)
-    name, args = _parse(spec, field)
-    entry = _SPECTRAL.get(name)
-    if entry is None:
-        raise PresetError(field, f"unknown spectral preset {name!r}")
-    return _build(field, f"arguments for {name!r}", entry[1], *args)
+    return _resolve("spectral", _SPECTRAL, serialize.spectral_from_doc, spec, field)
 
 
 def resolve_correlation(spec, field: str = "correlation"):
-    if isinstance(spec, dict):
-        return _build(field, "correlation document",
-                      serialize.correlation_from_doc, spec)
-    name, args = _parse(spec, field)
-    entry = _CORRELATIONS.get(name)
-    if entry is None:
-        raise PresetError(field, f"unknown correlation preset {name!r}")
-    fixed = list(args)
-    if len(fixed) >= 4:
-        fixed[3] = int(fixed[3])
-    return _build(field, "spike parameters", entry[1], *fixed)
+    return _resolve("correlation", _CORRELATIONS, serialize.correlation_from_doc,
+                    spec, field)
 
 
 def resolve_observable(spec, flow: TorusWinding, field: str = "observable") -> Observable:

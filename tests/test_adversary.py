@@ -8,7 +8,9 @@ from homavg import (AdversaryPlan, BoxSet, arc_correlation,
                     golden_winding, lattice_distance, pell_winding,
                     periodic_winding, rigidity_times,
                     verify_non_almost_mixing)
+from homavg import adversary
 from homavg.adversary import MULTIPLIER_CAP, correlation_deviation
+from homavg.flows import arc_overlap
 
 GOLDEN_FLOW = golden_winding()
 HALF_BOX = BoxSet((0.5, 0.5))
@@ -161,6 +163,20 @@ def test_depth_six_plan_builds_and_verifies(flow):
         assert abs(e.mc_value - e.quad_value) <= 3.0 * e.mc_std_error
         assert e.mc_value > e.mixing_value
         assert e.quad_value > e.mixing_value
+
+
+def test_level_quadrature_matches_fine_grid():
+    plan = build_adversarial_measure(GOLDEN_FLOW, BoxSet((0.4, 0.6)), 4)
+    sides = np.asarray(plan.box.sides)[:, None, None]
+    eta = np.linspace(-1.0, 1.0, 200_001)
+    for lev in plan.levels:
+        base, alpha, amp = adversary._leaf_bases(plan, lev.scale)
+        shift = base[:, :, None] + eta * (amp * alpha)[:, None, None]
+        corr = np.prod(arc_overlap(sides, sides, shift), axis=0)
+        # trapezoid rule at step 1e-5, averaged over eta and the leaves
+        ref = np.mean(corr.sum(axis=1) - 0.5 * (corr[:, 0] + corr[:, -1])) / (len(eta) - 1)
+        got = adversary._quadrature_level_value(plan.box, base, alpha, amp)
+        assert got == pytest.approx(ref, rel=0, abs=1e-9)
 
 
 def test_verification_gap_over_mixing_value():

@@ -19,7 +19,6 @@ def test_tracer_installs_and_undoes_cleanly():
         (engine, "l2_norm_spectral"): engine.l2_norm_spectral,
         (spectral.SpectralModel, "expect"): spectral.SpectralModel.expect,
         (quadrature, "adaptive_gl"): quadrature.adaptive_gl,
-        (engine, "adaptive_gl"): engine.adaptive_gl,
         (spectral, "adaptive_gl"): spectral.adaptive_gl,
     }
     patches = tracer.install(tracer.Tracer())
@@ -38,13 +37,12 @@ def test_spectral_decay_quadrature_stays_on_gauss_and_cantor(tmp_path, monkeypat
     adaptive quadrature only for its truncated-gaussian and Cantor bands."""
     callers = set()
     template = None
-    original = quadrature.adaptive_gl
+    original = spectral.adaptive_gl
 
     def counting(*args, **kwargs):
         callers.add(template)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "adaptive_gl", counting)
     monkeypatch.setattr(spectral, "adaptive_gl", counting)
     for template, cfg in workloads.ConfigStream("spectral-decay", 1).round(0):
         path = tmp_path / f"{template}.json"
@@ -69,3 +67,23 @@ def test_tracer_reads_the_quadrature_signature(tmp_path):
         patches.undo()
     nodes = [span[7]["nodes"] for span in trace.spans if span[1] == "quadrature.fixed_gl"]
     assert nodes and all(n > 0 and n % 64 == 0 for n in nodes)
+
+
+def test_tracer_reaches_the_adversary_level_quadrature(tmp_path):
+    """A traced depth-4 golden adversary run records one level-quadrature
+    span per level, with the box overlaps it evaluates nested inside."""
+    template, cfg = next(entry for entry in
+                         workloads.ConfigStream("rigidity-adversary", 1).round(0)
+                         if entry[0] == "golden")
+    path = tmp_path / f"{template}.json"
+    path.write_text(json.dumps(cfg))
+    trace = tracer.Tracer()
+    patches = tracer.install(trace)
+    try:
+        assert cli.main(["run", str(path), "--out", str(tmp_path / template)]) == 0
+    finally:
+        patches.undo()
+    levels = {span[0] for span in trace.spans if span[1] == "adversary.quad_level"}
+    assert len(levels) == 4
+    assert any(span[1] == "flows.arc_overlap" and span[4] in levels
+               for span in trace.spans)

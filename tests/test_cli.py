@@ -314,6 +314,9 @@ ADVERSARY_CONFIG = {"kind": "adversary", "flow": "winding-golden",
     (ADVERSARY_CONFIG, {"depth": 0}, "depth"),
     (ADVERSARY_CONFIG, {"max_index": 0}, "max_index"),
     (ADVERSARY_CONFIG, {"samples": {"n_pairs": 1e3 + 0.5}}, "samples.n_pairs"),
+    (PROBE_CONFIG, {"correlation": "spike(10,0.25,1,2.5)"}, "correlation"),
+    (PROBE_CONFIG, {"correlation": "spike(10,0.25,1,400)"}, "correlation"),
+    (ADVERSARY_CONFIG, {"flow": "winding-periodic[2.5]"}, "flow"),
 ])
 def test_bad_numeric_field_exit_2(tmp_path, capsys, base, change, field):
     err = run_bad(tmp_path, capsys, {**base, **change})

@@ -17,8 +17,8 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     spectrum_of_observable, weighted_average_pointwise)
 from homavg.measures import (SelfSimilar, TableDensity, Triangular,
                              TruncatedGaussian)
-from homavg.spectral import BoxIndicator
-from homavg.flows import BoxSet
+from homavg.spectral import BoxAutocorrelation, BoxIndicator, CorrelationModel
+from homavg.flows import BoxSet, TorusWinding
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
 GAUSS = TruncatedGaussian(0.5, 0.2, 0.0, 1.0)
@@ -178,13 +178,12 @@ def test_l2_exact_density_band_against_si_formula(weight, masses, delta, band):
 
 def test_closed_form_paths_run_no_quadrature(monkeypatch):
     calls = []
-    original = engine.adaptive_gl
+    original = spectral.adaptive_gl
 
     def counting(*args, **kwargs):
         calls.append(args[1:3])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "adaptive_gl", counting)
     monkeypatch.setattr(spectral, "adaptive_gl", counting)
     l2_norm_spectral(spectral.lebesgue_band(), Uniform(0, 1), 1e5)
     assert l2_norm_spectral(spectral.lebesgue_band(), Uniform(0, 1), 0.0) == 1.0
@@ -255,7 +254,7 @@ def test_descent_randomized_instances():
 
 def test_descent_check_is_two_spectral_integrals(monkeypatch):
     counts = {"engine": 0, "spectral": 0}
-    original = engine.adaptive_gl
+    original = spectral.adaptive_gl
 
     def counted(binding):
         def wrapper(*args, **kwargs):
@@ -263,7 +262,6 @@ def test_descent_check_is_two_spectral_integrals(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(engine, "adaptive_gl", counted("engine"))
     monkeypatch.setattr(spectral, "adaptive_gl", counted("spectral"))
     spec = SpectralModel(band=FrequencyBand(-1.0, 1.0, 1.0))
     descent_check(spec, GAUSS, t=20.0, order=3)
@@ -360,7 +358,6 @@ def test_sinc_power_band_matches_expect(weight, width):
 
 def test_sinc_power_cost_does_not_grow_with_t(monkeypatch):
     calls = []
-    monkeypatch.setattr(engine, "adaptive_gl", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(spectral, "adaptive_gl", lambda *a, **k: calls.append(a))
     t = 1e7
     got, diff = engine._spectral_power(spectral.lebesgue_band(), Uniform(0, 1), t, 1e-8, 3)
@@ -496,6 +493,66 @@ def test_spike_pair_quadrature_is_even_in_t():
                                      method="sampling", n_samples=100_000,
                                      seed=4)
     assert abs(neg.value - samp.value) <= 3.0 * samp.error
+
+
+def fine_pair_reference(model, weight, t, cells=65536, parts=16):
+    """65,536-cell composite Gauss-Legendre value of Int rho(t u) g(u) du,
+    taken in 16 runs of equal cells to keep the node arrays small."""
+    g, _ = difference_density(weight)
+    edges = np.linspace(g.knots[0], g.knots[-1], parts + 1)
+    return sum(quadrature.fixed_gl(lambda u: model.value(t * u) * g(u), a, b,
+                                   cells // parts).real
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+GOLDEN_BOX = BoxAutocorrelation(golden_winding(), BoxSet((0.5, 0.4)))
+
+
+@pytest.mark.parametrize("model, weight, t", [
+    (GOLDEN_BOX, TableDensity(0.0, 1.0, np.linspace(1.0, 2.0, 16)), 30.0),
+    (GOLDEN_BOX, Uniform(0, 1), 3.0),
+    (BoxAutocorrelation(circle_rotation(), BoxSet((0.3,))), Uniform(0, 1), 50.0),
+    (BoxAutocorrelation(TorusWinding((1.0, 0.6180339887498949, 0.4142135623730951)),
+                        BoxSet((0.5, 0.4, 0.3))), Uniform(0, 1), 40.0),
+], ids=["golden-table", "golden-uniform", "circle", "d3"])
+def test_box_pair_quadrature_is_exact(model, weight, t):
+    pair = pair_correlation_integral(model, weight, t, method="quadrature")
+    assert pair.error == 0.0
+    assert pair.value == pytest.approx(fine_pair_reference(model, weight, t),
+                                       rel=0, abs=1e-9)
+
+
+def test_box_pair_quadrature_error_and_symmetry():
+    tri = pair_correlation_integral(GOLDEN_BOX, Triangular(0, 2), 100.0)
+    assert tri.method == "quadrature" and tri.error == 1e-4
+    table = TableDensity(0.0, 1.0, np.linspace(1.0, 2.0, 16))
+    for t in (3.0, 30.0, 300.0):
+        neg = pair_correlation_integral(GOLDEN_BOX, table, -t)
+        assert neg.value == pair_correlation_integral(GOLDEN_BOX, table, t).value
+    at_zero = pair_correlation_integral(GOLDEN_BOX, table, 0.0)
+    assert at_zero.value == pytest.approx(0.2, rel=0, abs=1e-15)
+
+
+def test_exact_pair_quadrature_needs_no_gauss_cells(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fixed_gl called")
+
+    monkeypatch.setattr(quadrature, "fixed_gl", refuse)
+    for model in (geometric_spikes(10, 0.25, count=4), GOLDEN_BOX):
+        for weight in (Uniform(0, 1), Triangular(0, 2)):
+            pair = pair_correlation_integral(model, weight, 20.0, method="quadrature")
+            assert pair.method == "quadrature"
+
+
+def test_other_correlations_are_sampled():
+    class Flat(CorrelationModel):
+        def value(self, t):
+            return np.full(np.shape(t), 0.5)
+
+    pair = pair_correlation_integral(Flat(), Uniform(0, 1), 3.0, n_samples=100)
+    assert pair.method == "sampling" and pair.value == 0.5
+    with pytest.raises(TypeError):
+        pair_correlation_integral(Flat(), Uniform(0, 1), 3.0, method="quadrature")
 
 
 def test_difference_density_is_a_probability_density():

@@ -176,6 +176,12 @@ def test_negative_operands_match_mpmath_oracle(surd, num):
     assert surd.lattice_distance(num) == surd.lattice_distance(-num)
 
 
+def test_lattice_distance_of_a_fraction_slope_is_exact():
+    # 5 / 3 lies 1 / 3 from the nearest integer
+    assert lattice_distance(periodic_winding(3), 5) == 1 / 3
+    assert lattice_distance(periodic_winding(3), 6) == 0.0
+
+
 def test_lattice_distance_huge_argument_consistency():
     # The fixed-point path must stay consistent with convergent theory:
     # dist(q_k slope) = 1 / (q_{k+1} + q_k * slope') decays geometrically.
