@@ -20,14 +20,18 @@ from fractions import Fraction
 from math import ceil, log
 
 import numpy as np
-from scipy.special import wofz
-from scipy.stats import truncnorm
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, wofz
 
 from .errors import AccuracyError, InvalidMeasureError
 from .rng import generator
 
 _CHAR_TOL = 1e-10
 _SAMPLE_RESOLUTION = 1e-12
+
+
+def _require_finite(what: str, *params) -> None:
+    if not np.all(np.isfinite(params)):
+        raise InvalidMeasureError(f"{what} needs finite parameters")
 
 
 def _sinc(u):
@@ -93,6 +97,7 @@ class Uniform(DensityMeasure):
     b: float = 1.0
 
     def __post_init__(self):
+        _require_finite("uniform", self.a, self.b)
         if not self.b > self.a:
             raise InvalidMeasureError("uniform needs a < b")
 
@@ -119,6 +124,7 @@ class Triangular(DensityMeasure):
     b: float
 
     def __post_init__(self):
+        _require_finite("triangular", self.a, self.b)
         if not self.b > self.a:
             raise InvalidMeasureError("triangular needs a < b")
 
@@ -151,8 +157,7 @@ class TruncatedGaussian(DensityMeasure):
     hi: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mu):
-            raise InvalidMeasureError("truncated gaussian needs a finite mu")
+        _require_finite("truncated gaussian", self.mu, self.sigma, self.lo, self.hi)
         if not (self.hi > self.lo and self.sigma > 0):
             raise InvalidMeasureError("truncated gaussian needs lo < hi, sigma > 0")
 
@@ -179,16 +184,90 @@ class TruncatedGaussian(DensityMeasure):
         out = np.exp(1j * mu * xi) * num / z
         return np.conj(out) if flip else out
 
+    # cdf and ppf port scipy's truncnorm (scipy 1.17.1) operation for
+    # operation on scipy.special alone, so draws and cell masses are
+    # bit-identical to it; only the log mass of the truncation is hoisted
+    # out of the per-point work.
     def cdf(self, x):
         al, be = self._bounds()
-        return truncnorm.cdf(x, al, be, loc=self.mu, scale=self.sigma)
+        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        out = np.zeros(z.shape)
+        out[np.isnan(z)] = np.nan
+        out[z >= be] = 1.0
+        inside = (al < z) & (z < be)
+        if inside.any():
+            log_mass = _log_gauss_mass(al, be)[0]
+            out[inside] = np.exp(_log_cdf(z[inside], al, be, log_mass))
+        return out[()] if out.ndim == 0 else out
 
     def ppf(self, u):
         al, be = self._bounds()
-        return truncnorm.ppf(u, al, be, loc=self.mu, scale=self.sigma)
+        q = np.asarray(u, dtype=float)
+        out = np.full(q.shape, np.nan)
+        out[q == 0] = al * self.sigma + self.mu
+        out[q == 1] = be * self.sigma + self.mu
+        inside = (0 < q) & (q < 1)
+        if inside.any():
+            q = q[inside]
+            log_mass = _log_gauss_mass(al, be)[0]
+            # Phi(x) = Phi(al) + q Z, or in the upper tail by symmetry.
+            if al < 0:
+                z = ndtri_exp(_log_sum(log_ndtr(al), np.log(q) + log_mass))
+            else:
+                z = -ndtri_exp(_log_sum(log_ndtr(-be), np.log1p(-q) + log_mass))
+            out[inside] = z * self.sigma + self.mu
+        return out[()] if out.ndim == 0 else out
 
     def support(self):
         return (self.lo, self.hi)
+
+
+def _log_sum(log_p, log_q):
+    """log(p + q) elementwise; ``log_p`` may be a scalar."""
+    log_p, log_q = np.broadcast_arrays(log_p, log_q)
+    return logsumexp([log_p, log_q], axis=0)
+
+
+def _log_diff(log_p, log_q):
+    """log(p - q) elementwise, through -q = q e^{i pi}."""
+    return logsumexp([log_p, log_q + np.pi * 1j], axis=0)
+
+
+def _log_gauss_mass(a, b):
+    """log(Phi(b) - Phi(a)) elementwise as a 1-d array, each interval taken in
+    the lower tail (reflected if it lies above 0) or, if it straddles 0, as
+    1 minus both tails."""
+    a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+    left = b <= 0
+    right = a > 0
+    central = ~(left | right)
+    out = np.full(a.shape, np.nan, dtype=complex)
+    if left.any():
+        out[left] = _log_diff(log_ndtr(b[left]), log_ndtr(a[left]))
+    if right.any():
+        out[right] = _log_diff(log_ndtr(-a[right]), log_ndtr(-b[right]))
+    if central.any():
+        out[central] = log1p(-ndtr(a[central]) - ndtr(-b[central]))
+    return out.real
+
+
+def _log_cdf(z, a, b, log_mass):
+    """log P(Z <= z) for the standard normal truncated to (a, b), a < z < b;
+    near 1 it is taken from the survival function to avoid cancellation."""
+    out = _log_gauss_mass(a, z) - log_mass
+    high = out > -0.1
+    if high.any():
+        out[high] = np.log1p(-np.exp(_log_sf(z[high], a, b, log_mass)))
+    return out
+
+
+def _log_sf(z, a, b, log_mass):
+    """log P(Z > z), the mirror of _log_cdf."""
+    out = _log_gauss_mass(z, b) - log_mass
+    high = out > -0.1
+    if high.any():
+        out[high] = np.log1p(-np.exp(_log_cdf(z[high], a, b, log_mass)))
+    return out
 
 
 def _gauss_term(b, s, shift):
@@ -212,6 +291,7 @@ class TableDensity(DensityMeasure):
 
     def __init__(self, lo: float, hi: float, masses):
         masses = np.asarray(masses, dtype=float)
+        _require_finite("table", lo, hi)
         if not hi > lo:
             raise InvalidMeasureError("table needs lo < hi")
         if masses.ndim != 1 or len(masses) == 0:
@@ -437,6 +517,9 @@ class PointMass(WeightMeasure):
     at: float = 0.0
     atomless = False
 
+    def __post_init__(self):
+        _require_finite("point mass", self.at)
+
     def _char(self, xi):
         return np.exp(1j * xi * self.at)
 
@@ -482,6 +565,7 @@ class Scaled(WeightMeasure):
     inner: WeightMeasure
 
     def __post_init__(self):
+        _require_finite("scaled", self.factor)
         if not self.factor > 0:
             raise InvalidMeasureError("scale factor must be positive")
 

@@ -332,3 +332,22 @@ def test_non_finite_atom_document_exit_2(tmp_path, capsys):
 def test_non_finite_preset_argument_exit_2(tmp_path, capsys):
     err = run_bad(tmp_path, capsys, dict(SCAN_CONFIG, measure="gauss-trunc[nan,0.2,0,1]"))
     assert err.startswith("config error at measure: ") and "finite" in err
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("measure", [
+    "uniform[0,inf]",
+    "triangular[-inf,0]",
+    "gauss-trunc[0.5,inf,0,1]",
+    "gauss-trunc[0,1,0,inf]",
+    pytest.param({"type": "scaled", "factor": INF,
+                  "inner": {"type": "uniform", "a": 0, "b": 1}}, id="scaled-factor"),
+    pytest.param({"type": "point-mass", "at": INF}, id="point-mass-at"),
+    pytest.param({"type": "table", "lo": 0.0, "hi": INF, "masses": [1.0, 2.0]},
+                 id="table-hi"),
+])
+def test_infinite_measure_parameter_exit_2(tmp_path, capsys, measure):
+    err = run_bad(tmp_path, capsys, dict(SCAN_CONFIG, measure=measure))
+    assert err.startswith("config error at measure: ") and "finite" in err

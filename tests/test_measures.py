@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import homavg
 from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
                     PointMass, Scaled, SelfSimilar, TableDensity, Triangular,
                     TruncatedGaussian, Uniform, convolution_power, convolve,
@@ -287,3 +292,49 @@ def test_self_similar_rejects_non_finite(shifts, weights):
 def test_truncated_gaussian_rejects_non_finite_mu(mu):
     with pytest.raises(InvalidMeasureError, match="finite"):
         TruncatedGaussian(mu, 0.2, 0.0, 1.0)
+
+
+# -- truncated gaussian cdf/ppf ------------------------------------------------
+
+@pytest.mark.parametrize("params", [
+    (0.5, 0.2, 0.0, 1.0), (0.0, 1.0, -2.5, 2.5), (0.0, 1.0, 0.0, 1.0),
+    (0.0, 1.0, -30.0, -29.0), (0.0, 1.0, 3.0, 6.0), (0.0, 1.0, -1.0, 8.0),
+    (2.0, 0.3, -1.0, 10.0),
+    (0.5, 0.2, 0.6, 0.9),  # lo > mu: ppf takes the upper-tail form
+])
+def test_truncated_gaussian_cdf_ppf_bit_identical_to_scipy(params):
+    """cdf/ppf are a port of scipy.stats.truncnorm; sampling and the
+    quantized cell masses depend on every bit of them."""
+    from scipy.stats import truncnorm
+
+    g = TruncatedGaussian(*params)
+    mu, sigma, lo, hi = params
+    frozen = truncnorm((lo - mu) / sigma, (hi - mu) / sigma, loc=mu, scale=sigma)
+    u = np.concatenate(([0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53],
+                        np.random.default_rng(11).random(200_000)))
+    np.testing.assert_array_equal(g.ppf(u), frozen.ppf(u))
+    w = hi - lo
+    x = np.concatenate(([lo, hi, -np.inf, np.inf, lo - w, hi + w],
+                        np.linspace(lo - 0.1 * w, hi + 0.1 * w, 200_001)))
+    np.testing.assert_array_equal(g.cdf(x), frozen.cdf(x))
+    for ours, ref in ((g.ppf(0.3), frozen.ppf(0.3)), (g.ppf(0.0), frozen.ppf(0.0)),
+                      (g.cdf(lo + 0.3 * w), frozen.cdf(lo + 0.3 * w)),
+                      (g.cdf(hi + w), frozen.cdf(hi + w))):
+        assert type(ours) is type(ref) is np.float64 and ours == ref
+    assert g.ppf(0.0) == lo and g.ppf(1.0) == hi
+    assert g.cdf(lo - 1.0) == 0.0 and g.cdf(hi + 1.0) == 1.0
+
+
+def test_package_never_imports_scipy_stats():
+    src = str(Path(homavg.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import homavg.cli\n"
+        "from homavg.presets import resolve_measure\n"
+        "g = resolve_measure('gauss-trunc')\n"
+        "g.sample(1000, 1); g.cdf([0.2, 0.5]); g.char_fn([1.0, 2.0])\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
