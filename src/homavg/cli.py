@@ -240,11 +240,14 @@ def main(argv=None) -> int:
         print(presets.list_presets(), end="")
         return 0
     try:
-        cfg = json.loads(open(args.config).read())
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"the top level must be an object, not {type(cfg).__name__}")
     except OSError as exc:
         print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # not UTF-8, not JSON, or not a JSON object
         print(f"config: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:

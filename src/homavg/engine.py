@@ -28,8 +28,7 @@ from scipy.special import sici
 
 from . import rng
 from .flows import TorusWinding, arc_overlap_integral
-from .measures import (Scaled, TableDensity, Triangular, TruncatedGaussian,
-                       Uniform, WeightMeasure, require_atomless)
+from .measures import WeightMeasure, require_atomless
 from .quadrature import GL_NODES, GL_WEIGHTS
 from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
                        Observable, SpectralModel, SpikeCorrelation)
@@ -151,13 +150,12 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
     """(Int |g(t r)|^(2 power) dsigma(r), quadrature difference of its band
     term), g = nu_hat for a weight measure, or a magnitude callable.
 
-    The band term takes the first of three paths that applies:
+    The band term takes the first path the weight's ``difference_law()`` allows:
 
-    * at ``power`` 1, when the difference density of the weight is exactly
-      piecewise linear, |nu_hat|^2 is its cosine transform, so a band cell
-      [c, c'] of density d contributes exactly d (F(t c') - F(t c)) / t with
-      F = ``si_transform``;
-    * when |nu_hat(xi)| = |sinc(q xi)|^m (see ``_sinc_form``),
+    * at ``power`` 1, when the law's difference density is exact, |nu_hat|^2
+      is its cosine transform, so a band cell [c, c'] of density d
+      contributes exactly d (F(t c') - F(t c)) / t with F = ``si_transform``;
+    * when the law has a sinc form |nu_hat(xi)| = |sinc(q xi)|^m,
       |g(t r)|^(2 power) = sinc^n(lam r) with lam = |t| q and
       n = 2 m power, and the cell contributes d I_n(lam c, lam c') / lam
       with I_n = ``_sinc_power_integral``;
@@ -169,16 +167,19 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
     with t.
     """
     power = operator.index(power)
+    law = None
     if isinstance(multiplier, WeightMeasure):
+        require_atomless(multiplier, "spectral channel")
         lo, hi = multiplier.support()
         mag = lambda r: np.abs(multiplier.char_fn(t * r))
         frequency = t * max(hi - lo, 1e-9)
+        law = multiplier.difference_law()
     else:
         mag = lambda r: np.abs(np.asarray(multiplier(t * r), dtype=float))
         frequency = t
     fn = lambda r: mag(r) ** (2 * power)
-    si_path = power == 1 and _exact_difference(multiplier)
-    form = None if si_path else _sinc_form(multiplier)
+    si_path = power == 1 and law is not None and law.exact
+    form = None if si_path or law is None else law.sinc
     if form is not None:
         lam, n = abs(t) * form[0], 2 * form[1] * power
         fn = lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
@@ -194,30 +195,6 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
         return total + float(dens @ np.diff(g.si_transform(t * edges))) / t, 0.0
     cells = _sinc_power_integral(n, lam * edges[:-1], lam * edges[1:])
     return total + float(dens @ cells) / lam, 0.0
-
-
-def _exact_difference(weight) -> bool:
-    """Whether ``difference_density`` is exact for ``weight``, decided from
-    its type before anything is built."""
-    while isinstance(weight, Scaled):
-        weight = weight.inner
-    return isinstance(weight, (Uniform, TableDensity))
-
-
-def _sinc_form(weight) -> tuple[float, int] | None:
-    """(q, m) with |nu_hat(xi)| = |sinc(q xi)|^m for a uniform or triangular
-    weight of width w, or a rescaling of one (q = w/2, m = 1 and q = w/4,
-    m = 2, times the scale factors); None for anything else.  Decided from
-    the type, as ``_exact_difference`` is."""
-    factor = 1.0
-    while isinstance(weight, Scaled):
-        factor *= weight.factor
-        weight = weight.inner
-    if isinstance(weight, Uniform):
-        return 0.5 * factor * (weight.b - weight.a), 1
-    if isinstance(weight, Triangular):
-        return 0.25 * factor * (weight.b - weight.a), 2
-    return None
 
 
 _SINC_NEAR = 40          # sinc^n is integrated by quadrature up to x = 2 n + _SINC_NEAR
@@ -389,37 +366,20 @@ class PiecewiseLinearDensity:
         return np.diff(si, axis=1) @ p - dcos_over_lam @ q
 
 
-def _cell_masses(measure) -> tuple[np.ndarray, float]:
-    """(masses, cell width) of a piecewise-constant view of a density
-    measure; exact only where ``_exact_difference`` says so."""
-    if isinstance(measure, Uniform):
-        return np.array([1.0]), measure.b - measure.a
-    if isinstance(measure, TableDensity):
-        delta = (measure.hi - measure.lo) / len(measure.masses)
-        return measure.masses.copy(), delta
-    if isinstance(measure, (Triangular, TruncatedGaussian)):
-        lo, hi = measure.support()
-        cells = 4096
-        edges = np.linspace(lo, hi, cells + 1)
-        masses = np.diff(measure.cdf(edges))
-        return masses, (hi - lo) / cells
-    raise TypeError(f"no density view for {type(measure).__name__}")
-
-
-def difference_density(measure: WeightMeasure) -> tuple[PiecewiseLinearDensity, bool]:
-    """Density of r - s for independent r, s ~ measure, as an exactly
-    piecewise-linear function (exact flag False when the measure had to be
-    quantized first).  Raises TypeError when no density view exists."""
-    if isinstance(measure, Scaled):
-        inner, exact = difference_density(measure.inner)
-        f = measure.factor
-        return PiecewiseLinearDensity(inner.knots * f, inner.values / f), exact
-    masses, delta = _cell_masses(measure)
+def difference_density(measure: WeightMeasure) -> tuple[PiecewiseLinearDensity, bool] | None:
+    """Density of r - s for independent r, s ~ measure, exactly piecewise
+    linear from the cells of its ``difference_law()``, with the law's exact
+    flag (False for a quantized measure); None when it has no law."""
+    law = measure.difference_law()
+    if law is None:
+        return None
+    masses, delta = law.cells()
     corr = np.correlate(masses, masses, mode="full")
-    n = len(masses)
-    knots = delta * np.arange(-n, n + 1)
+    knots = delta * np.arange(-len(masses), len(masses) + 1)
     vals = np.concatenate(([0.0], corr / delta, [0.0]))
-    return PiecewiseLinearDensity(knots, vals), _exact_difference(measure)
+    for f in law.factors:
+        knots, vals = knots * f, vals / f
+    return PiecewiseLinearDensity(knots, vals), law.exact
 
 
 def _tri_eval(u, t, hv, lv):
@@ -501,10 +461,10 @@ def pair_correlation_integral(correlation: CorrelationModel,
     ``sampling`` draws independent pairs and averages; ``quadrature``
     integrates a spike or box correlation rho(t u) exactly against the
     piecewise-linear density of the difference u = r - s (available when nu
-    has a density view).  For a ``BochnerCorrelation`` it is the Parseval
+    has a difference law).  For a ``BochnerCorrelation`` it is the Parseval
     twin of the spectral channel, Int |nu_hat(t r)|^2 dsigma(r), evaluated
     for any weight as ``l2_norm_spectral`` does.  Any other correlation, or
-    a weight without a density view, is sampled under ``auto`` and raises
+    a weight without a difference law, is sampled under ``auto`` and raises
     TypeError under ``quadrature``.  The two paths must agree within their
     combined errors.
     """
@@ -516,15 +476,13 @@ def pair_correlation_integral(correlation: CorrelationModel,
             value, error = _spectral_power(correlation.spectrum, weight,
                                            float(t), tol)
             return PairIntegral(value, error, "quadrature")
-        try:
-            if not isinstance(correlation, (SpikeCorrelation, BoxAutocorrelation)):
-                raise TypeError(f"no pair quadrature for {type(correlation).__name__}")
-            g, exact = difference_density(weight)
-        except TypeError:
-            if method == "quadrature":
-                raise
-        else:
-            return _pair_quadrature(correlation, g, exact, float(t))
+        kernel = isinstance(correlation, (SpikeCorrelation, BoxAutocorrelation))
+        density = difference_density(weight) if kernel else None
+        if density is not None:
+            return _pair_quadrature(correlation, *density, float(t))
+        if method == "quadrature":
+            raise TypeError(f"no pair quadrature for {type(correlation).__name__}"
+                            f" and {type(weight).__name__}")
     return _pair_sampling(correlation, t,
                           _pair_differences(weight, n_samples, seed))
 
@@ -647,17 +605,14 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     (nu x nu){ t (r - s) in [h_j - L_j, h_j + L_j] }, as a total and, for at
     most ``PROBE_META_SPIKES`` spikes, per spike.
 
-    With a density view, the difference density is built once per probe and
+    With a difference law, the difference density is built once per probe and
     gives the pair integral and every mass in closed form.  Otherwise each
     grid point draws one set of pair differences, and the masses are counts
     among the same draws that the sampled pair integral averages over.
     """
     require_atomless(weight, "almost-mixing probe")
     grid = tuple(float(t) for t in t_grid)
-    try:
-        g, exact = difference_density(weight)
-    except TypeError:
-        g = None
+    g, exact = difference_density(weight) or (None, False)
     h, L, _ = spike.arrays
     lo, hi = h - L, h + L
     band_masses: dict[float, float] = {}

@@ -1,9 +1,10 @@
 """Probability measures on the real line with exact characteristic functions.
 
-A weight measure answers two queries:
+A weight measure answers three queries:
 
 * ``char_fn(xi)``      -- the transform  nu_hat(xi) = Int e^{i xi x} dnu(x),
-* ``sample(n, seed)``  -- deterministic i.i.d. draws.
+* ``sample(n, seed)``  -- deterministic i.i.d. draws,
+* ``difference_law()`` -- the exact forms of the law of r - s, or None.
 
 Measures combine by convolution (characteristic functions multiply, samples
 add) and rescale by a positive factor t (char_fn at t*xi, samples times t).
@@ -15,9 +16,10 @@ averaging entry point downstream rejects measures that are not atomless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, log
+from typing import Callable
 
 import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, wofz
@@ -68,6 +70,26 @@ class WeightMeasure:
         """An interval certainly containing all the mass."""
         raise NotImplementedError
 
+    def difference_law(self) -> DifferenceLaw | None:
+        return None
+
+
+@dataclass(frozen=True)
+class DifferenceLaw:
+    """The law of r - s for independent r, s ~ nu, in the forms nu has:
+
+    * ``cells()``, called only when a caller needs the density: (masses,
+      width) of equal cells whose correlation is a piecewise-linear density
+      of r - s, nu's own when ``exact``, then rescaled by each of ``factors``
+      in turn (knots times it, values over it), innermost first;
+    * ``sinc``: (q, m) with |nu_hat(xi)| = |sinc(q xi)|^m, or None.
+    """
+
+    cells: Callable[[], tuple[np.ndarray, float]]
+    exact: bool
+    sinc: tuple[float, int] | None = None
+    factors: tuple[float, ...] = ()
+
 
 # ---------------------------------------------------------------------------
 # densities
@@ -89,6 +111,14 @@ class DensityMeasure(WeightMeasure):
     def _sample(self, count, master, path):
         u = generator(master, *path).random(count)
         return self.ppf(u)
+
+    def difference_law(self):
+        return DifferenceLaw(self.cells, exact=False)
+
+    def cells(self):
+        """Masses of 4096 equal cells of the support, by cdf, and their width."""
+        lo, hi = self.support()
+        return np.diff(self.cdf(np.linspace(lo, hi, 4097))), (hi - lo) / 4096
 
 
 @dataclass(frozen=True)
@@ -113,6 +143,12 @@ class Uniform(DensityMeasure):
 
     def support(self):
         return (self.a, self.b)
+
+    def difference_law(self):
+        return DifferenceLaw(self.cells, exact=True, sinc=(0.5 * (self.b - self.a), 1))
+
+    def cells(self):
+        return np.array([1.0]), self.b - self.a
 
 
 @dataclass(frozen=True)
@@ -147,6 +183,9 @@ class Triangular(DensityMeasure):
 
     def support(self):
         return (self.a, self.b)
+
+    def difference_law(self):
+        return DifferenceLaw(self.cells, exact=False, sinc=(0.25 * (self.b - self.a), 2))
 
 
 @dataclass(frozen=True)
@@ -327,6 +366,12 @@ class TableDensity(DensityMeasure):
 
     def support(self):
         return (self.lo, self.hi)
+
+    def difference_law(self):
+        return DifferenceLaw(self.cells, exact=True)
+
+    def cells(self):
+        return self.masses.copy(), (self.hi - self.lo) / len(self.masses)
 
     def __eq__(self, other):
         return (isinstance(other, TableDensity) and self.lo == other.lo
@@ -582,6 +627,13 @@ class Scaled(WeightMeasure):
     def support(self):
         lo, hi = self.inner.support()
         return (self.factor * lo, self.factor * hi)
+
+    def difference_law(self):
+        law = self.inner.difference_law()
+        if law is None:
+            return None
+        sinc = law.sinc and (law.sinc[0] * self.factor, law.sinc[1])
+        return replace(law, sinc=sinc, factors=(*law.factors, self.factor))
 
 
 def convolve(a: WeightMeasure, b: WeightMeasure) -> WeightMeasure:

@@ -257,6 +257,19 @@ def test_unreadable_config_exit_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"5",
+    b"null",
+    json.dumps(dict(SCAN_CONFIG, note="caf\u00e9"), ensure_ascii=False).encode("latin-1"),
+], ids=["number", "null", "latin-1"])
+def test_config_not_a_utf8_json_object_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config: invalid JSON: ")
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_output_io_failure_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, "avg.json", AVG_CONFIG)
     blocker = tmp_path / "blocker"
@@ -284,6 +297,18 @@ def test_profiled_band_scan_has_no_failed_points(tmp_path):
     assert len(values) == 2 and all(np.isfinite(values))
     meta = json.loads(out.with_suffix(".meta").read_text())
     assert "failed_points" not in meta["metadata"]
+
+
+@pytest.mark.parametrize("kind", ["spectral-scan", "convolution-root"])
+def test_point_mass_weight_fails_every_spectral_point(tmp_path, kind):
+    cfg = dict(SCAN_CONFIG, kind=kind, measure={"type": "point-mass", "at": 0.5})
+    path = write_config(tmp_path, "point.json", cfg)
+    out = tmp_path / "point"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert [r[1:] for r in read_rows(out.with_suffix(".csv"))] == [["nan", "nan"]] * 2
+    failed = json.loads(out.with_suffix(".meta").read_text())["metadata"]["failed_points"]
+    assert len(failed) == 2
+    assert all("InvalidMeasureError" in reason for reason in failed.values())
 
 
 ROOT_CONFIG = dict(SCAN_CONFIG, kind="convolution-root")

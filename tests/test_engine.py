@@ -15,7 +15,7 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     golden_winding, l1_deviation, l2_deviation_mc,
                     l2_norm_spectral, pair_correlation_integral, rescale,
                     spectrum_of_observable, weighted_average_pointwise)
-from homavg.measures import (SelfSimilar, TableDensity, Triangular,
+from homavg.measures import (Scaled, SelfSimilar, TableDensity, Triangular,
                              TruncatedGaussian)
 from homavg.spectral import BoxAutocorrelation, BoxIndicator, CorrelationModel
 from homavg.flows import BoxSet, TorusWinding
@@ -46,6 +46,22 @@ def test_point_mass_weight_rejected():
     with pytest.raises(InvalidMeasureError):
         weighted_average_pointwise(golden_winding(), ConstantOne(),
                                    PointMass(1.0), 5.0, np.array([0.0, 0.0]))
+
+
+def test_spectral_entry_points_reject_point_mass():
+    spec = spectral.lebesgue_band()
+    for call in (lambda t: l2_norm_spectral(spec, PointMass(0.5), t),
+                 lambda t: descent_check(spec, PointMass(0.5), t),
+                 lambda t: pair_correlation_integral(BochnerCorrelation(spec),
+                                                     PointMass(0.5), t)):
+        with pytest.raises(InvalidMeasureError):
+            call(10.0)
+        curve = convergence_scan(lambda t, _seed: (call(t), 0.0), (1.0, 10.0))
+        assert sorted(curve.metadata["failed_points"]) == [0, 1]
+    # an atom shifted by an atomless part is atomless: a shift keeps |nu_hat|
+    shifted = convolve(Uniform(0, 1), PointMass(0.3))
+    assert l2_norm_spectral(spec, shifted, 10.0) == pytest.approx(
+        l2_norm_spectral(spec, Uniform(0, 1), 10.0), rel=0, abs=1e-8)
 
 
 def test_classical_time_average_on_circle():
@@ -562,6 +578,53 @@ def test_difference_density_is_a_probability_density():
         assert g.mass(g.knots[0], g.knots[-1]) == pytest.approx(1.0, abs=1e-12)
         lo, hi = m.support()
         assert g.knots[0] == pytest.approx(-(hi - lo))
+
+
+@pytest.mark.parametrize("inner", [
+    Uniform(0.25, 1.75), TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]),
+    Triangular(0.0, 2.0), GAUSS])
+def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
+    g, exact = difference_density(inner)
+    for f in (0.3, 7.0):
+        scaled, scaled_exact = difference_density(rescale(inner, f))
+        assert scaled_exact == exact
+        assert np.array_equal(scaled.knots, g.knots * f)
+        assert np.array_equal(scaled.values, g.values / f)
+    # nested rescalings apply innermost first
+    nested, _ = difference_density(Scaled(7.0, Scaled(0.3, inner)))
+    assert np.array_equal(nested.knots, g.knots * 0.3 * 7.0)
+    assert np.array_equal(nested.values, g.values / 0.3 / 7.0)
+
+
+def test_no_difference_law_means_no_density_and_sampled_pairs():
+    spikes = geometric_spikes(10, 0.25, count=4)
+    for weight in (CANTOR, rescale(CANTOR, 2.0), convolve(Uniform(0, 1), Uniform(0, 1))):
+        assert difference_density(weight) is None
+        pair = pair_correlation_integral(spikes, weight, 20.0, n_samples=500)
+        assert pair.method == "sampling"
+        with pytest.raises(TypeError):
+            pair_correlation_integral(spikes, weight, 20.0, method="quadrature")
+
+
+def test_sinc_path_never_builds_the_density(monkeypatch):
+    calls = []
+    for name in ("cdf", "cells"):
+        def counted(self, *args, _name=name, _original=getattr(Triangular, name)):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(Triangular, name, counted)
+    for p in (1, 2, 3):
+        value, diff = engine._spectral_power(SINC_SPEC, Triangular(0, 2), 100.0, 1e-8, p)
+        assert diff == 0.0 and 0.0 < value < 1.0
+    assert calls == []
+    difference_density(Triangular(0, 2))       # the counters do see a build
+    assert calls == ["cells", "cdf"]
+
+
+def test_engine_binds_no_concrete_measure_class():
+    # the exact path is read off the weight's difference_law(), never its type
+    for name in ("Uniform", "Triangular", "TruncatedGaussian", "TableDensity", "Scaled"):
+        assert not hasattr(engine, name), name
 
 
 # -- scans -----------------------------------------------------------------------

@@ -206,6 +206,40 @@ def test_rescale_samples_elementwise():
     np.testing.assert_array_equal(scaled, 7.5 * base)
 
 
+NESTED = NestedIntervals([[("1/8", "2/8"), ("5/8", "7/8")]])
+
+
+@pytest.mark.parametrize("measure, exact, sinc, factors", [
+    (Uniform(0.5, 2.0), True, (0.75, 1), ()),
+    (TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), True, None, ()),
+    (Triangular(1.0, 3.0), False, (0.5, 2), ()),
+    (TruncatedGaussian(0.5, 0.2, 0.0, 1.0), False, None, ()),
+    (Scaled(2.0, Triangular(1.0, 3.0)), False, (1.0, 2), (2.0,)),
+    (Scaled(3.0, Scaled(0.5, Uniform(0.0, 1.0))), True, (0.75, 1), (0.5, 3.0)),
+    (Scaled(4.0, TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])), True, None, (4.0,)),
+    (CANTOR, None, None, None),
+    (Scaled(2.0, CANTOR), None, None, None),
+    (NESTED, None, None, None),
+    (convolve(Uniform(0, 1), Uniform(0, 1)), None, None, None),
+    (PointMass(0.5), None, None, None),
+], ids=["uniform", "table", "triangular", "gauss-trunc", "scaled-triangular",
+        "nested-scaled-uniform", "scaled-table", "self-similar", "scaled-self-similar",
+        "nested-intervals", "convolution", "point-mass"])
+def test_difference_law_per_class(measure, exact, sinc, factors):
+    law = measure.difference_law()
+    if exact is None:
+        assert law is None
+        return
+    assert (law.exact, law.sinc, law.factors) == (exact, sinc, factors)
+    inner = measure
+    while isinstance(inner, Scaled):
+        inner = inner.inner
+    masses, width = law.cells()       # the unscaled measure's cells
+    lo, hi = inner.support()
+    assert width * len(masses) == pytest.approx(hi - lo)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_rescale_rejects_nonpositive():
     with pytest.raises(InvalidMeasureError):
         rescale(CANTOR, 0.0)
