@@ -74,9 +74,16 @@ def _number(cfg: dict, field: str, kind: type, above, default=_REQUIRED):
 
 def _grid(cfg: dict) -> tuple[float, ...]:
     _require(cfg, "grid")
-    return geometric_grid(_number(cfg, "grid.start", float, 0),
-                          _number(cfg, "grid.factor", float, 1),
-                          _number(cfg, "grid.count", int, 1))
+    try:
+        grid = geometric_grid(_number(cfg, "grid.start", float, 0),
+                              _number(cfg, "grid.factor", float, 1),
+                              _number(cfg, "grid.count", int, 1))
+    except OverflowError:       # factor ** k beyond the float range
+        grid = (math.inf,)
+    if not (math.isfinite(grid[-1]) and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise PresetError("grid", "start * factor ** k must stay finite and "
+                                  "strictly increasing in float")
+    return grid
 
 
 def _observable_spectrum(flow, obs):

@@ -29,7 +29,7 @@ from scipy.special import sici
 from . import rng
 from .flows import TorusWinding, arc_overlap_integral
 from .measures import WeightMeasure, require_atomless
-from .quadrature import GL_NODES, GL_WEIGHTS
+from .quadrature import GL_NODES, GL_WEIGHTS, self_similar_rule
 from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
                        Observable, SpectralModel, SpikeCorrelation)
 
@@ -159,12 +159,15 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
       |g(t r)|^(2 power) = sinc^n(lam r) with lam = |t| q and
       n = 2 m power, and the cell contributes d I_n(lam c, lam c') / lam
       with I_n = ``_sinc_power_integral``;
+    * when the law is a self-similar digit law whose power-fold sum D has
+      M digits with M ratio <= 1, the band term is E_D[Re rho_band(t D)]
+      by ``_digit_band_term``;
     * everything else goes to ``spectrum.expect`` at ``tol``, with g(t r)
       oscillating at frequency t times the support width of nu (t for a
       callable).
 
-    The two closed forms report difference 0, and their cost does not grow
-    with t.
+    The three closed forms report difference 0.  The cost of the first two
+    does not grow with t, and that of the third grows at most linearly.
     """
     power = operator.index(power)
     law = None
@@ -183,18 +186,69 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
     if form is not None:
         lam, n = abs(t) * form[0], 2 * form[1] * power
         fn = lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
+    digits = law.digits.power(power) if law is not None and law.digits else None
+    if digits is not None and len(digits.values) * digits.ratio > 1:
+        digits = None           # M^k atoms would outgrow t
     band = spectrum.band
-    if band is None or (not si_path and form is None):
+    if band is None or (not si_path and form is None and digits is None):
         return spectrum.expect(fn, tol, frequency)
     total = spectrum.atom_sum(fn)
     if t == 0.0:
         return total + band.mass, 0.0
+    if digits is not None:
+        return total + _digit_band_term(digits, band, t), 0.0
     edges, dens = band.cells()
     if si_path:
         g, _ = difference_density(multiplier)
         return total + float(dens @ np.diff(g.si_transform(t * edges))) / t, 0.0
     cells = _sinc_power_integral(n, lam * edges[:-1], lam * edges[1:])
     return total + float(dens @ cells) / lam, 0.0
+
+
+_DIGIT_BLOCK = 1 << 16   # band-cell evaluations at once: bounds the digit rule's memory
+
+
+def _digit_band_term(law, band, t: float) -> float:
+    """Int |nu_hat(t r)|^(2 power) dsigma_band(r) = E_D[Re rho_band(t D)]
+    for the self-similar law D of ``law`` (the power-fold sum of r - s) and
+    the band's transform rho_band.
+
+    D = A_k + ratio^k D' with A_k the discrete law of the first k digits and
+    D' an independent copy of D; k is the least with
+    |t| ratio^k diam(D) max|band edge| <= 1, so around each atom of A_k the
+    kernel is entire on a scale of at most one radian, and the Gauss rule
+    of D, scaled by ratio^k, integrates it to rounding.  The M^k atoms times
+    the rule's nodes are visited in blocks of at most ``_DIGIT_BLOCK`` band
+    cell evaluations: the last digits join the nodes in one inner array,
+    and the first ones are enumerated a block of atoms at a time.
+    """
+    nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights)
+    values = np.array([float(v) for v in law.values])
+    probs = np.array([float(w) for w in law.weights])
+    ratio = float(law.ratio)
+    diam = (values[-1] - values[0]) / (1.0 - ratio)
+    reach = abs(t) * diam * max(abs(band.lo), abs(band.hi))
+    k = 0
+    while reach * ratio ** k > 1.0:
+        k += 1
+    points = max(len(nodes), _DIGIT_BLOCK // len(band.profile))
+    inner, inner_w = nodes * ratio ** k, node_weights
+    outer, outer_w = np.zeros(1), np.ones(1)
+    for level in reversed(range(k)):      # the deepest digits first
+        shift = values * ratio ** level
+        if len(outer) == 1 and len(inner) * len(values) <= points:
+            inner = (shift[:, None] + inner).ravel()
+            inner_w = (probs[:, None] * inner_w).ravel()
+        else:
+            outer = (shift[:, None] + outer).ravel()
+            outer_w = (probs[:, None] * outer_w).ravel()
+    total = 0.0
+    rows = max(1, points // len(inner))
+    for first in range(0, len(outer), rows):
+        block = outer[first:first + rows, None] + inner
+        vals = band.transform(t * block.ravel()).real.reshape(block.shape)
+        total += float(outer_w[first:first + rows] @ (vals @ inner_w))
+    return total
 
 
 _SINC_NEAR = 40          # sinc^n is integrated by quadrature up to x = 2 n + _SINC_NEAR
@@ -369,9 +423,10 @@ class PiecewiseLinearDensity:
 def difference_density(measure: WeightMeasure) -> tuple[PiecewiseLinearDensity, bool] | None:
     """Density of r - s for independent r, s ~ measure, exactly piecewise
     linear from the cells of its ``difference_law()``, with the law's exact
-    flag (False for a quantized measure); None when it has no law."""
+    flag (False for a quantized measure); None when it has no law or its
+    law has no cells (a singular measure)."""
     law = measure.difference_law()
-    if law is None:
+    if law is None or law.cells is None:
         return None
     masses, delta = law.cells()
     corr = np.correlate(masses, masses, mode="full")

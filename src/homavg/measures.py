@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, log
 from typing import Callable
 
@@ -81,14 +82,51 @@ class DifferenceLaw:
     * ``cells()``, called only when a caller needs the density: (masses,
       width) of equal cells whose correlation is a piecewise-linear density
       of r - s, nu's own when ``exact``, then rescaled by each of ``factors``
-      in turn (knots times it, values over it), innermost first;
-    * ``sinc``: (q, m) with |nu_hat(xi)| = |sinc(q xi)|^m, or None.
+      in turn (knots times it, values over it), innermost first; None when
+      r - s has no density form (a singular nu);
+    * ``sinc``: (q, m) with |nu_hat(xi)| = |sinc(q xi)|^m, or None;
+    * ``digits``: r - s itself as a self-similar ``DigitLaw``, or None.
     """
 
-    cells: Callable[[], tuple[np.ndarray, float]]
-    exact: bool
+    cells: Callable[[], tuple[np.ndarray, float]] | None = None
+    exact: bool = False
     sinc: tuple[float, int] | None = None
+    digits: DigitLaw | None = None
     factors: tuple[float, ...] = ()
+
+
+@dataclass(frozen=True)
+class DigitLaw:
+    """The law of sum_{j >= 0} ratio^j d_j for i.i.d. digits d_j taking
+    ``values`` (distinct, increasing) with probabilities ``weights``, all
+    exact Fractions of the float inputs, so equal digits merge exactly."""
+
+    ratio: Fraction
+    values: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...]
+
+    @staticmethod
+    def merged(ratio: Fraction, pairs) -> DigitLaw:
+        """The law with digits and probabilities ``pairs`` (value, weight),
+        equal values merged."""
+        acc: dict[Fraction, Fraction] = {}
+        for value, weight in pairs:
+            acc[value] = acc.get(value, 0) + weight
+        values = tuple(sorted(acc))
+        return DigitLaw(ratio, values, tuple(acc[v] for v in values))
+
+    def power(self, p: int) -> DigitLaw:
+        """The law of a sum of ``p`` independent copies: p-fold digit sums."""
+        law = self
+        for _ in range(p - 1):
+            law = DigitLaw.merged(self.ratio, (
+                (a + b, u * w) for a, u in zip(law.values, law.weights)
+                for b, w in zip(self.values, self.weights)))
+        return law
+
+    def scaled(self, factor: float) -> DigitLaw:
+        f = Fraction(factor)
+        return DigitLaw(self.ratio, tuple(v * f for v in self.values), self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +450,21 @@ class SelfSimilar(WeightMeasure):
             raise InvalidMeasureError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise InvalidMeasureError("weights must sum to 1 within 1e-12")
+        fixed = {Fraction(c) / (1 - Fraction(r)) for r, c in zip(self.ratios, self.shifts)}
+        if len(fixed) == 1:
+            raise InvalidMeasureError(
+                "self-similar maps with one common fixed point give a point mass")
 
     def support(self):
         fixed = [c / (1.0 - r) for r, c in zip(self.ratios, self.shifts)]
         return (min(fixed), max(fixed))
+
+    def difference_law(self):
+        """With one common ratio, r - s is self-similar with that ratio and
+        the digits c_a - c_b, of probability p_a p_b / (sum p)^2."""
+        if len(set(self.ratios)) > 1:
+            return None
+        return _self_similar_difference(self.ratios[0], self.shifts, self.weights)
 
     def _bound(self):
         lo, hi = self.support()
@@ -479,6 +528,18 @@ class SelfSimilar(WeightMeasure):
             idx = rng.choice(len(r), size=count, p=np.array(self.weights))
             x = c[idx] + r[idx] * x
         return x
+
+
+@lru_cache(maxsize=16)
+def _self_similar_difference(ratio: float, shifts: tuple[float, ...],
+                             weights: tuple[float, ...]) -> DifferenceLaw:
+    """The digit law of ``SelfSimilar.difference_law``, built once per
+    measure: its Fraction arithmetic costs more than the band term."""
+    c = [Fraction(x) for x in shifts]
+    p = [Fraction(x) for x in weights]
+    norm = sum(p) ** 2
+    return DifferenceLaw(digits=DigitLaw.merged(Fraction(ratio), (
+        (ca - cb, pa * pb / norm) for ca, pa in zip(c, p) for cb, pb in zip(c, p))))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +694,8 @@ class Scaled(WeightMeasure):
         if law is None:
             return None
         sinc = law.sinc and (law.sinc[0] * self.factor, law.sinc[1])
-        return replace(law, sinc=sinc, factors=(*law.factors, self.factor))
+        digits = law.digits and law.digits.scaled(self.factor)
+        return replace(law, sinc=sinc, digits=digits, factors=(*law.factors, self.factor))
 
 
 def convolve(a: WeightMeasure, b: WeightMeasure) -> WeightMeasure:

@@ -59,6 +59,16 @@ class FrequencyBand:
         edges = np.linspace(self.lo, self.hi, len(prof) + 1)
         return edges, prof * (self.mass / (prof.sum() * self.cell_width))
 
+    def transform(self, t: np.ndarray) -> np.ndarray:
+        """Int e^{i r t} density(r) dr at a 1-d array of t: each cell
+        [c, c + w] with density d contributes exactly
+        d w e^{i t (c + w/2)} sinc(t w / 2), which is d w at t = 0."""
+        edges, dens = self.cells()
+        width = self.cell_width
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return (np.exp(1j * np.outer(t, mids)) @ dens) * (
+            width * np.sinc(t * width / (2.0 * np.pi)))
+
     def density(self, r):
         """Density value at frequencies ``r`` (zero outside the band)."""
         r = np.asarray(r, dtype=float)
@@ -85,11 +95,8 @@ class SpectralModel:
             raise ValueError(f"spectral mass {total} differs from 1 beyond 1e-9")
 
     def correlation(self, t):
-        """rho(t) = sum_k m_k e^{i w_k t} + Int e^{i r t} density(r) dr.
-
-        Each band cell [c, c + w] with density d contributes exactly
-        d w e^{i t (c + w/2)} sinc(t w / 2), which is d w at t = 0.
-        """
+        """rho(t) = sum_k m_k e^{i w_k t} + Int e^{i r t} density(r) dr,
+        the band term by ``FrequencyBand.transform``."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
@@ -99,11 +106,7 @@ class SpectralModel:
             m = np.array([m for _, m in self.atoms])
             out += np.exp(1j * np.outer(tt, w)) @ m
         if self.band is not None:
-            edges, dens = self.band.cells()
-            width = self.band.cell_width
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            out += (np.exp(1j * np.outer(tt, mids)) @ dens) * (
-                width * np.sinc(tt * width / (2.0 * np.pi)))
+            out += self.band.transform(tt)
         return complex(out[0]) if scalar else out
 
     def atom_sum(self, fn) -> float:

@@ -31,10 +31,11 @@ def test_tracer_installs_and_undoes_cleanly():
         assert getattr(owner, attr) is original, attr
 
 
-def test_spectral_decay_quadrature_stays_on_gauss_and_cantor(tmp_path, monkeypatch):
+def test_spectral_decay_quadrature_stays_on_gauss(tmp_path, monkeypatch):
     """Uniform and triangular weights take closed-form band terms at every
-    power, so one round of the benchmark's spectral-decay workload calls
-    adaptive quadrature only for its truncated-gaussian and Cantor bands."""
+    power, and Cantor takes its self-similar digit rule on its band at power
+    1, so one round of the benchmark's spectral-decay workload calls adaptive
+    quadrature only for its truncated-gaussian band."""
     callers = set()
     template = None
     original = spectral.adaptive_gl
@@ -48,7 +49,7 @@ def test_spectral_decay_quadrature_stays_on_gauss_and_cantor(tmp_path, monkeypat
         path = tmp_path / f"{template}.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out", str(tmp_path / template)]) == 0
-    assert callers == {"band-gauss", "band-cantor"}
+    assert callers == {"band-gauss"}
 
 
 def test_tracer_reads_the_quadrature_signature(tmp_path):

@@ -311,6 +311,14 @@ def test_point_mass_weight_fails_every_spectral_point(tmp_path, kind):
     assert all("InvalidMeasureError" in reason for reason in failed.values())
 
 
+def test_self_similar_point_mass_exit_2(tmp_path, capsys):
+    """Maps sharing one fixed point make a point mass, not a singular weight."""
+    doc = {"type": "self-similar", "ratios": [0.5, 0.5], "shifts": [0.25, 0.25],
+           "weights": [0.5, 0.5]}
+    err = run_bad(tmp_path, capsys, dict(SCAN_CONFIG, measure=doc))
+    assert err.startswith("config error at measure: ") and "point mass" in err
+
+
 ROOT_CONFIG = dict(SCAN_CONFIG, kind="convolution-root")
 MC_CONFIG = dict(AVG_CONFIG, evaluator="l1-mc")
 PROBE_CONFIG = {"kind": "almost-mixing-probe", "measure": "uniform[0,1]",
@@ -342,6 +350,9 @@ ADVERSARY_CONFIG = {"kind": "adversary", "flow": "winding-golden",
     (PROBE_CONFIG, {"correlation": "spike(10,0.25,1,2.5)"}, "correlation"),
     (PROBE_CONFIG, {"correlation": "spike(10,0.25,1,400)"}, "correlation"),
     (ADVERSARY_CONFIG, {"flow": "winding-periodic[2.5]"}, "flow"),
+    # a grid that leaves the float range: inf, or OverflowError from factor ** k
+    (SCAN_CONFIG, {"grid": {"start": 1e300, "factor": 1e10, "count": 3}}, "grid"),
+    (SCAN_CONFIG, {"grid": {"start": 1, "factor": 1e10, "count": 40}}, "grid"),
 ])
 def test_bad_numeric_field_exit_2(tmp_path, capsys, base, change, field):
     err = run_bad(tmp_path, capsys, {**base, **change})

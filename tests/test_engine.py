@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +209,8 @@ def test_closed_form_paths_run_no_quadrature(monkeypatch):
     TruncatedGaussian(0.5, 0.2, 0.0, 1.0).char_fn(np.linspace(-300, 300, 101))
     # a triangular transform is a power of sinc
     l2_norm_spectral(spectral.lebesgue_band(), Triangular(0, 1), 10.0)
+    # a self-similar weight with sparse digits takes its digit rule
+    l2_norm_spectral(spectral.lebesgue_band(), CANTOR, 1e3)
     assert calls == []
     # weights with neither closed form keep adaptive quadrature
     l2_norm_spectral(spectral.lebesgue_band(), GAUSS, 10.0)
@@ -422,6 +427,125 @@ def test_profiled_band_quadrature_follows_band_cells(monkeypatch):
         assert all(cells % 3 == 0 for cells in passes)
         assert got == pytest.approx(profiled_power_oracle(GAUSS, t), rel=0, abs=1e-10)
     assert descent_check(PROFILED_SPEC, GAUSS, t=20.0).passed
+
+
+# -- self-similar digit rule ------------------------------------------------------
+
+DYADIC_ODD = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5))
+DYADIC_EVEN = SelfSimilar((0.25, 0.25), (0.0, 0.25), (0.5, 0.5))
+# weights summing to 1 only within 1e-12: the digit rule normalizes them
+# exactly, while the char fn's product drifts by about 1e-12 per factor
+NEAR_ONE = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13))
+NEAR_ONE_NORMALIZED = SelfSimilar((0.25, 0.25), (0.0, 0.5),
+                                  tuple(w / sum(NEAR_ONE.weights) for w in NEAR_ONE.weights))
+
+
+def adaptive_gl_raises(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive_gl called")
+    monkeypatch.setattr(spectral, "adaptive_gl", refuse)
+
+
+@pytest.mark.parametrize("spec", [spectral.lebesgue_band(), PROFILED_SPEC],
+                         ids=["flat", "profiled"])
+@pytest.mark.parametrize("weight, reference", [
+    (CANTOR, CANTOR), (DYADIC_ODD, DYADIC_ODD), (DYADIC_EVEN, DYADIC_EVEN),
+    (NEAR_ONE, NEAR_ONE_NORMALIZED), (rescale(CANTOR, 0.7), rescale(CANTOR, 0.7)),
+], ids=["cantor", "dyadic-odd", "dyadic-even", "near-one", "scaled-cantor"])
+def test_digit_rule_matches_expect(monkeypatch, spec, weight, reference):
+    lo, hi = reference.support()
+    fn = lambda m, t: lambda r: np.abs(m.char_fn(t * r)) ** 2
+    # the band against the reference, the atoms by the weight's own char fn
+    want = {t: (spec.expect(fn(reference, t), 1e-12, t * (hi - lo))[0]
+                - spec.atom_sum(fn(reference, t)) + spec.atom_sum(fn(weight, t)))
+            for t in (0.3, 1.0, 10.0, 14.5, 50.0)}
+    adaptive_gl_raises(monkeypatch)
+    for t, value in want.items():
+        got, diff = engine._spectral_power(spec, weight, t, 1e-12)
+        assert diff == 0.0
+        assert got == pytest.approx(value, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])
+def test_cantor_flat_band_matches_mpmath(t):
+    """Cantor's |nu_hat(t r)|^2 = prod_{j >= 1} cos^2(t r / 3^j), averaged over
+    the flat band [-1, 1], at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        depth = int(mp.log(t * 1e20, 3)) + 1
+        f = lambda r: mp.fprod(mp.cos(t * r / mp.mpf(3) ** j) ** 2
+                               for j in range(1, depth + 1))
+        want = float(mp.quad(f, mp.linspace(-1, 1, 9)) / 2)
+    got = l2_norm_spectral(spectral.lebesgue_band(), CANTOR, t) ** 2
+    assert got == pytest.approx(want, rel=0, abs=1e-13)
+
+
+def test_digit_rule_symmetries(monkeypatch):
+    adaptive_gl_raises(monkeypatch)
+    for t in (0.7, 13.0, 250.0):
+        value = engine._spectral_power(PROFILED_SPEC, CANTOR, t, 1e-8)[0]
+        assert engine._spectral_power(PROFILED_SPEC, CANTOR, -t, 1e-8)[0] == \
+            pytest.approx(value, rel=0, abs=1e-15)
+        assert engine._spectral_power(PROFILED_SPEC, rescale(CANTOR, 3.0), t, 1e-8)[0] == \
+            pytest.approx(engine._spectral_power(PROFILED_SPEC, CANTOR, 3.0 * t, 1e-8)[0],
+                          rel=0, abs=1e-14)
+    assert engine._spectral_power(spectral.lebesgue_band(), CANTOR, 0.0, 1e-8) == (1.0, 0.0)
+    assert engine._spectral_power(PROFILED_SPEC, CANTOR, 0.0, 1e-8) == (0.3 + 0.7, 0.0)
+
+
+def test_digit_rule_bochner_pair_against_sampling(monkeypatch):
+    model = BochnerCorrelation(PROFILED_SPEC)
+    adaptive_gl_raises(monkeypatch)
+    for t in (3.0, 40.0):
+        exact = pair_correlation_integral(model, CANTOR, t, method="quadrature")
+        sampled = pair_correlation_integral(model, CANTOR, t, method="sampling",
+                                            n_samples=40_000, seed=13)
+        assert exact.error == 0.0
+        assert abs(exact.value - sampled.value) <= 4.0 * sampled.error + exact.error
+
+
+def test_digit_rule_at_large_t_in_bounded_memory():
+    """Cantor at power 1, t = 1e5 on the flat band: 3^12 atoms times the
+    rule's nodes, visited in blocks, with adaptive quadrature refused."""
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from homavg import engine, spectral\n"
+        "from homavg.presets import cantor_thirds\n"
+        "def refuse(*a, **k): raise AssertionError('adaptive_gl called')\n"
+        "spectral.adaptive_gl = refuse\n"
+        "value, diff = engine._spectral_power(spectral.lebesgue_band(), cantor_thirds(), 1e5, 1e-8)\n"
+        "assert diff == 0.0 and 0.0 < value < 1e-3, value\n"
+        # VmHWM is this process's own peak; ru_maxrss would carry the
+        # parent's across fork and exec
+        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM'))\n"
+        "assert int(peak.split()[1]) < 100 * 1024, peak\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_digit_rule_needs_sparse_digits(monkeypatch):
+    """M digits of the power-p law of r - s with M ratio > 1 keep adaptive
+    quadrature: Cantor at p >= 2 (5 and 7 digits at ratio 1/3) and a
+    Bernoulli-type ratio 0.45 (3 digits)."""
+    calls = []
+    original = spectral.adaptive_gl
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "adaptive_gl", counting)
+    bernoulli = SelfSimilar((0.45, 0.45), (0.0, 0.55), (0.5, 0.5))
+    for weight, power in ((CANTOR, 2), (CANTOR, 3), (bernoulli, 1)):
+        calls.clear()
+        engine._spectral_power(spectral.lebesgue_band(), weight, 10.0, 1e-10, power)
+        assert len(calls) == 1
+    calls.clear()
+    descent_check(spectral.lebesgue_band(), CANTOR, t=10.0, order=2)
+    assert len(calls) == 1      # the power-2 side only
 
 
 # -- pair-correlation integrals -----------------------------------------------------

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
                     PointMass, Scaled, SelfSimilar, TableDensity, Triangular,
                     TruncatedGaussian, Uniform, convolution_power, convolve,
                     rescale)
-from homavg.measures import require_atomless
+from homavg.measures import DigitLaw, require_atomless
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
 DYADIC_ODD = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5))
@@ -209,28 +210,37 @@ def test_rescale_samples_elementwise():
 NESTED = NestedIntervals([[("1/8", "2/8"), ("5/8", "7/8")]])
 
 
-@pytest.mark.parametrize("measure, exact, sinc, factors", [
-    (Uniform(0.5, 2.0), True, (0.75, 1), ()),
-    (TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), True, None, ()),
-    (Triangular(1.0, 3.0), False, (0.5, 2), ()),
-    (TruncatedGaussian(0.5, 0.2, 0.0, 1.0), False, None, ()),
-    (Scaled(2.0, Triangular(1.0, 3.0)), False, (1.0, 2), (2.0,)),
-    (Scaled(3.0, Scaled(0.5, Uniform(0.0, 1.0))), True, (0.75, 1), (0.5, 3.0)),
-    (Scaled(4.0, TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])), True, None, (4.0,)),
-    (CANTOR, None, None, None),
-    (Scaled(2.0, CANTOR), None, None, None),
-    (NESTED, None, None, None),
-    (convolve(Uniform(0, 1), Uniform(0, 1)), None, None, None),
-    (PointMass(0.5), None, None, None),
+THIRD = Fraction(1 / 3)
+CANTOR_DIGITS = DigitLaw(THIRD, (-2 * THIRD, Fraction(0), 2 * THIRD),
+                         (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+
+
+@pytest.mark.parametrize("measure, exact, sinc, factors, digits", [
+    (Uniform(0.5, 2.0), True, (0.75, 1), (), None),
+    (TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), True, None, (), None),
+    (Triangular(1.0, 3.0), False, (0.5, 2), (), None),
+    (TruncatedGaussian(0.5, 0.2, 0.0, 1.0), False, None, (), None),
+    (Scaled(2.0, Triangular(1.0, 3.0)), False, (1.0, 2), (2.0,), None),
+    (Scaled(3.0, Scaled(0.5, Uniform(0.0, 1.0))), True, (0.75, 1), (0.5, 3.0), None),
+    (Scaled(4.0, TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])), True, None, (4.0,), None),
+    (CANTOR, False, None, (), CANTOR_DIGITS),
+    (Scaled(2.0, CANTOR), False, None, (2.0,), DigitLaw(
+        THIRD, tuple(2 * v for v in CANTOR_DIGITS.values), CANTOR_DIGITS.weights)),
+    (NESTED, None, None, None, None),
+    (convolve(Uniform(0, 1), Uniform(0, 1)), None, None, None, None),
+    (PointMass(0.5), None, None, None, None),
 ], ids=["uniform", "table", "triangular", "gauss-trunc", "scaled-triangular",
         "nested-scaled-uniform", "scaled-table", "self-similar", "scaled-self-similar",
         "nested-intervals", "convolution", "point-mass"])
-def test_difference_law_per_class(measure, exact, sinc, factors):
+def test_difference_law_per_class(measure, exact, sinc, factors, digits):
     law = measure.difference_law()
     if exact is None:
         assert law is None
         return
-    assert (law.exact, law.sinc, law.factors) == (exact, sinc, factors)
+    assert (law.exact, law.sinc, law.factors, law.digits) == (exact, sinc, factors, digits)
+    if digits is not None:          # a singular law has no density cells
+        assert law.cells is None
+        return
     inner = measure
     while isinstance(inner, Scaled):
         inner = inner.inner
@@ -238,6 +248,35 @@ def test_difference_law_per_class(measure, exact, sinc, factors):
     lo, hi = inner.support()
     assert width * len(masses) == pytest.approx(hi - lo)
     assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_digit_law_powers_merge_equal_sums_exactly():
+    sixteenth = Fraction(1, 16)
+    assert CANTOR_DIGITS.power(1) == CANTOR_DIGITS
+    assert CANTOR_DIGITS.power(2) == DigitLaw(
+        THIRD, tuple(k * 2 * THIRD for k in range(-2, 3)),
+        tuple(k * sixteenth for k in (1, 4, 6, 4, 1)))
+    assert len(CANTOR_DIGITS.power(3).values) == 7
+    # dyadic digits {0, 1/2} and {0, 1/4}: r - s has three digits either way
+    for m, step in ((DYADIC_ODD, Fraction(1, 2)), (DYADIC_EVEN, Fraction(1, 4))):
+        law = m.difference_law().digits
+        assert law.ratio == Fraction(1, 4) and law.values == (-step, 0, step)
+    # weights summing to 1 only within 1e-12 are normalized exactly
+    near = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)).difference_law()
+    assert sum(near.digits.weights) == 1
+    # unequal ratios: r - s is not self-similar with one ratio
+    assert SelfSimilar((0.5, 1 / 3), (0.0, 2 / 3), (0.5, 0.5)).difference_law() is None
+
+
+@pytest.mark.parametrize("ratios, shifts", [((0.5, 0.5), (0.25, 0.25)),
+                                            ((0.5, 0.75), (0.25, 0.125)),
+                                            ((1 / 3, 1 / 3), (0.0, 0.0))])
+def test_self_similar_with_one_fixed_point_is_rejected(ratios, shifts):
+    """Maps sharing their fixed point make a point mass, which no averaging
+    entry point accepts."""
+    with pytest.raises(InvalidMeasureError, match="point mass"):
+        SelfSimilar(ratios, shifts, (0.5, 0.5))
+    SelfSimilar(ratios, (shifts[0], shifts[1] + 0.125), (0.5, 0.5))    # distinct
 
 
 def test_rescale_rejects_nonpositive():
