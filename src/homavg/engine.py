@@ -19,17 +19,13 @@ from __future__ import annotations
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import comb
 from typing import Callable
 
 import numpy as np
-from scipy.special import sici
 
 from . import rng
 from .flows import TorusWinding, arc_overlap_integral
-from .measures import WeightMeasure, require_atomless
-from .quadrature import GL_NODES, GL_WEIGHTS, self_similar_rule
+from .measures import Cells, PiecewiseLinearDensity, WeightMeasure, require_atomless
 from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
                        Observable, SpectralModel, SpikeCorrelation)
 
@@ -150,183 +146,34 @@ def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
     """(Int |g(t r)|^(2 power) dsigma(r), quadrature difference of its band
     term), g = nu_hat for a weight measure, or a magnitude callable.
 
-    The band term takes the first path the weight's ``difference_law()`` allows:
-
-    * at ``power`` 1, when the law's difference density is exact, |nu_hat|^2
-      is its cosine transform, so a band cell [c, c'] of density d
-      contributes exactly d (F(t c') - F(t c)) / t with F = ``si_transform``;
-    * when the law has a sinc form |nu_hat(xi)| = |sinc(q xi)|^m,
-      |g(t r)|^(2 power) = sinc^n(lam r) with lam = |t| q and
-      n = 2 m power, and the cell contributes d I_n(lam c, lam c') / lam
-      with I_n = ``_sinc_power_integral``;
-    * when the law is a self-similar digit law whose power-fold sum D has
-      M digits with M ratio <= 1, the band term is E_D[Re rho_band(t D)]
-      by ``_digit_band_term``;
-    * everything else goes to ``spectrum.expect`` at ``tol``, with g(t r)
-      oscillating at frequency t times the support width of nu (t for a
-      callable).
-
-    The three closed forms report difference 0.  The cost of the first two
-    does not grow with t, and that of the third grows at most linearly.
+    The band term is that of the first form of the weight's
+    ``difference_law()`` that serves ``power`` (exact, difference 0); a form
+    with an ``integrand`` sums the atoms with it too.  Without such a form
+    or a band, all of it goes to ``spectrum.expect`` at ``tol``, g(t r)
+    oscillating at frequency t times the support width of nu (t for a callable).
     """
     power = operator.index(power)
-    law = None
+    forms = ()
     if isinstance(multiplier, WeightMeasure):
         require_atomless(multiplier, "spectral channel")
         lo, hi = multiplier.support()
         mag = lambda r: np.abs(multiplier.char_fn(t * r))
         frequency = t * max(hi - lo, 1e-9)
-        law = multiplier.difference_law()
+        forms = multiplier.difference_law()
     else:
         mag = lambda r: np.abs(np.asarray(multiplier(t * r), dtype=float))
         frequency = t
+    form = next((f for f in forms if f.serves(power)), None)
     fn = lambda r: mag(r) ** (2 * power)
-    si_path = power == 1 and law is not None and law.exact
-    form = None if si_path or law is None else law.sinc
-    if form is not None:
-        lam, n = abs(t) * form[0], 2 * form[1] * power
-        fn = lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
-    digits = law.digits.power(power) if law is not None and law.digits else None
-    if digits is not None and len(digits.values) * digits.ratio > 1:
-        digits = None           # M^k atoms would outgrow t
+    if form is not None and form.integrand is not None:
+        fn = form.integrand(t, power)
     band = spectrum.band
-    if band is None or (not si_path and form is None and digits is None):
+    if band is None or form is None:
         return spectrum.expect(fn, tol, frequency)
     total = spectrum.atom_sum(fn)
     if t == 0.0:
         return total + band.mass, 0.0
-    if digits is not None:
-        return total + _digit_band_term(digits, band, t), 0.0
-    edges, dens = band.cells()
-    if si_path:
-        g, _ = difference_density(multiplier)
-        return total + float(dens @ np.diff(g.si_transform(t * edges))) / t, 0.0
-    cells = _sinc_power_integral(n, lam * edges[:-1], lam * edges[1:])
-    return total + float(dens @ cells) / lam, 0.0
-
-
-_DIGIT_BLOCK = 1 << 16   # band-cell evaluations at once: bounds the digit rule's memory
-
-
-def _digit_band_term(law, band, t: float) -> float:
-    """Int |nu_hat(t r)|^(2 power) dsigma_band(r) = E_D[Re rho_band(t D)]
-    for the self-similar law D of ``law`` (the power-fold sum of r - s) and
-    the band's transform rho_band.
-
-    D = A_k + ratio^k D' with A_k the discrete law of the first k digits and
-    D' an independent copy of D; k is the least with
-    |t| ratio^k diam(D) max|band edge| <= 1, so around each atom of A_k the
-    kernel is entire on a scale of at most one radian, and the Gauss rule
-    of D, scaled by ratio^k, integrates it to rounding.  The M^k atoms times
-    the rule's nodes are visited in blocks of at most ``_DIGIT_BLOCK`` band
-    cell evaluations: the last digits join the nodes in one inner array,
-    and the first ones are enumerated a block of atoms at a time.
-    """
-    nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights)
-    values = np.array([float(v) for v in law.values])
-    probs = np.array([float(w) for w in law.weights])
-    ratio = float(law.ratio)
-    diam = (values[-1] - values[0]) / (1.0 - ratio)
-    reach = abs(t) * diam * max(abs(band.lo), abs(band.hi))
-    k = 0
-    while reach * ratio ** k > 1.0:
-        k += 1
-    points = max(len(nodes), _DIGIT_BLOCK // len(band.profile))
-    inner, inner_w = nodes * ratio ** k, node_weights
-    outer, outer_w = np.zeros(1), np.ones(1)
-    for level in reversed(range(k)):      # the deepest digits first
-        shift = values * ratio ** level
-        if len(outer) == 1 and len(inner) * len(values) <= points:
-            inner = (shift[:, None] + inner).ravel()
-            inner_w = (probs[:, None] * inner_w).ravel()
-        else:
-            outer = (shift[:, None] + outer).ravel()
-            outer_w = (probs[:, None] * outer_w).ravel()
-    total = 0.0
-    rows = max(1, points // len(inner))
-    for first in range(0, len(outer), rows):
-        block = outer[first:first + rows, None] + inner
-        vals = band.transform(t * block.ravel()).real.reshape(block.shape)
-        total += float(outer_w[first:first + rows] @ (vals @ inner_w))
-    return total
-
-
-_SINC_NEAR = 40          # sinc^n is integrated by quadrature up to x = 2 n + _SINC_NEAR
-_SINC_TERMS = 40         # terms of each asymptotic tail series
-_SINC_BLOCK = 1 << 20    # quadrature nodes evaluated at once
-
-
-@lru_cache(maxsize=16)
-def _sinc_power_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constants of ``_sinc_power_integral`` for one even n: composite
-    Gauss-Legendre nodes and weights on [0, 1] (n + 20 cells of 64 nodes),
-    and the a_k of sin^n x = sum_{k=0}^{n/2} a_k cos(2 k x)."""
-    cells = n + _SINC_NEAR // 2
-    nodes = ((np.arange(cells)[:, None] + 0.5 * (GL_NODES + 1.0)) / cells).ravel()
-    weights = np.tile(0.5 * GL_WEIGHTS / cells, cells)
-    m = n // 2
-    coef = np.array([comb(n, m) / 2 ** n]
-                    + [(-1) ** k * comb(n, m - k) / 2 ** (n - 1) for k in range(1, m + 1)])
-    for arr in (nodes, weights, coef):      # shared by every caller through the cache
-        arr.flags.writeable = False
-    return nodes, weights, coef
-
-
-def _sinc_power_integral(n: int, a, b) -> np.ndarray:
-    """Int_a^b sinc^n(x) dx, sinc(x) = sin(x) / x, for even n >= 2,
-    elementwise over arrays a <= b.  The cost is bounded in n and does not
-    depend on a or b.
-
-    The integrand is even and nonnegative, so [a, b] folds onto one or two
-    pieces [A, B] in [0, inf), and with X0 = 2 n + 40
-
-        Int_A^B = Q(min(A, X0), min(B, X0)) + T(max(A, X0)) - T(max(B, X0)).
-
-    Q is a fixed composite Gauss-Legendre rule on its own interval, no cell
-    wider than 2, so a piece far from 0 keeps its relative precision.  T is
-    the tail Int_X^inf for X >= X0: with w = 2k,
-    T(X) = a_0 X^(1-n) / (n-1) + sum_k a_k Re Int_X^inf e^(i w x) x^-n dx,
-    each integral its asymptotic series
-    i e^(i w X) X^-n / w sum_j (n)_j (-i / (w X))^j.  At w X >= 4 n + 80 the
-    terms fall geometrically, and 40 of them leave a remainder far below
-    rounding.  (Integrating by parts down to Si(2 k X) instead is exact, but
-    cancels catastrophically in floating point from about n = 12.)
-    """
-    nodes, weights, coef = _sinc_power_rule(n)
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape, a, b = a.shape, a.ravel(), b.ravel()
-    # the pieces [lo, hi]: [min |.|, max |.|] per cell, and a cell across 0
-    # is [0, |a|] + [0, b], its second piece appended after all the others
-    across = (a < 0.0) & (b > 0.0)
-    near, far = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
-    lo = np.concatenate((np.where(across, 0.0, near), np.zeros(np.count_nonzero(across))))
-    hi = np.concatenate((far, near[across]))
-    x0 = 2 * n + _SINC_NEAR
-    out = (_sinc_power_tail(n, coef, np.maximum(lo, x0))
-           - _sinc_power_tail(n, coef, np.maximum(hi, x0)))
-    qa, qb = np.minimum(lo, x0), np.minimum(hi, x0)
-    live = np.flatnonzero(qb > qa)
-    step = max(1, _SINC_BLOCK // len(nodes))
-    for first in range(0, len(live), step):
-        idx = live[first:first + step]
-        span = qb[idx] - qa[idx]
-        pts = qa[idx, None] + span[:, None] * nodes     # > 0: the nodes are interior
-        out[idx] += span * ((np.sin(pts) / pts) ** n @ weights)
-    out = np.maximum(out, 0.0)      # rounding must not make a piece negative
-    total = out[:a.size]
-    total[across] += out[a.size:]
-    return total.reshape(shape)
-
-
-def _sinc_power_tail(n: int, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Int_x^inf sinc^n(u) du for an array x >= 2 n + 40 (see
-    ``_sinc_power_integral``)."""
-    xs = x[:, None]
-    w = 2.0 * np.arange(1, n // 2 + 1)
-    ratios = (n + np.arange(_SINC_TERMS - 1)) * (-1j / (w * xs))[..., None]
-    series = 1.0 + np.cumprod(ratios, axis=-1).sum(axis=-1)
-    waves = (1j * np.exp(1j * w * xs) * xs ** -n / w * series).real
-    return coef[0] * x ** (1 - n) / (n - 1) + waves @ coef[1:]
+    return total + form.band_term(band, t, power), 0.0
 
 
 @dataclass(frozen=True)
@@ -359,82 +206,12 @@ def descent_check(spectrum: SpectralModel, weight, t: float = 1.0,
 # difference distributions (piecewise-linear densities of r - s)
 # ---------------------------------------------------------------------------
 
-class PiecewiseLinearDensity:
-    """Continuous piecewise-linear density, zero outside its knot range.
-
-    ``knots`` and ``values`` are read-only float64 arrays fixed at
-    construction, and ``cumulative`` holds the integral G from the first
-    knot up to each knot, so G is piecewise quadratic in between.
-    """
-
-    def __init__(self, knots, values):
-        self.knots = np.array(knots, dtype=float)
-        self.values = np.array(values, dtype=float)
-        self.cumulative = np.concatenate(([0.0], np.cumsum(
-            0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.knots))))
-        for a in (self.knots, self.values, self.cumulative):
-            a.flags.writeable = False
-
-    def __call__(self, u):
-        return np.interp(u, self.knots, self.values, left=0.0, right=0.0)
-
-    def mass(self, a, b):
-        """Integral over [a, b], elementwise over array arguments and 0
-        where b <= a; a float for scalar arguments.
-
-        This is G(b) - G(a), exact for the piecewise-linear shape.  The
-        knots strictly between a and b come in as one difference of
-        ``cumulative``, the partial segments at either end as trapezoids, so
-        an interval inside one knot segment keeps its relative precision.
-        """
-        k, v = self.knots, self.values
-        a, b = np.broadcast_arrays(np.clip(a, k[0], k[-1]), np.clip(b, k[0], k[-1]))
-        out = np.zeros(a.shape)
-        live = b > a
-        a, b = a[live], b[live]
-        ia = np.minimum(np.searchsorted(k, a, side="right") - 1, len(k) - 2)
-        ib = np.minimum(np.searchsorted(k, b, side="right") - 1, len(k) - 2)
-        ga, gb = self(a), self(b)
-        inside = 0.5 * (ga + gb) * (b - a)
-        across = (0.5 * (ga + v[ia + 1]) * (k[ia + 1] - a)
-                  + (self.cumulative[ib] - self.cumulative[ia + 1])
-                  + 0.5 * (v[ib] + gb) * (b - k[ib]))
-        out[live] = np.where(ia == ib, inside, across)
-        return float(out) if out.ndim == 0 else out
-
-    def si_transform(self, lam) -> np.ndarray:
-        """F(lam) = Int g(u) sin(lam u) / u du for an array of ``lam``.
-
-        Exact per knot segment: with g = p + q u there, the segment gives
-        p [Si(lam u)] - q [cos(lam u)] / lam, the cosine difference taken as
-        -2 sin(lam m) sin(lam h) with m, h the segment's midpoint and half
-        width, so small lam loses nothing and F(0) = 0.
-        """
-        k, v = self.knots, self.values
-        q = np.diff(v) / np.diff(k)
-        p = v[:-1] - q * k[:-1]
-        mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
-        lam = np.asarray(lam, dtype=float)[:, None]
-        si, _ = sici(lam * k)
-        dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
-        return np.diff(si, axis=1) @ p - dcos_over_lam @ q
-
-
-def difference_density(measure: WeightMeasure) -> tuple[PiecewiseLinearDensity, bool] | None:
-    """Density of r - s for independent r, s ~ measure, exactly piecewise
-    linear from the cells of its ``difference_law()``, with the law's exact
-    flag (False for a quantized measure); None when it has no law or its
-    law has no cells (a singular measure)."""
-    law = measure.difference_law()
-    if law is None or law.cells is None:
-        return None
-    masses, delta = law.cells()
-    corr = np.correlate(masses, masses, mode="full")
-    knots = delta * np.arange(-len(masses), len(masses) + 1)
-    vals = np.concatenate(([0.0], corr / delta, [0.0]))
-    for f in law.factors:
-        knots, vals = knots * f, vals / f
-    return PiecewiseLinearDensity(knots, vals), law.exact
+def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | None:
+    """The piecewise-linear density of r - s for independent r, s ~ measure,
+    from the cell form of its ``difference_law()`` and carrying that form's
+    error; None when the law has no cell form."""
+    cells = next((f for f in measure.difference_law() if isinstance(f, Cells)), None)
+    return None if cells is None else cells.density()
 
 
 def _tri_eval(u, t, hv, lv):
@@ -515,11 +292,11 @@ def pair_correlation_integral(correlation: CorrelationModel,
 
     ``sampling`` draws independent pairs and averages; ``quadrature``
     integrates a spike or box correlation rho(t u) exactly against the
-    piecewise-linear density of the difference u = r - s (available when nu
-    has a difference law).  For a ``BochnerCorrelation`` it is the Parseval
+    piecewise-linear density of the difference u = r - s (available when its
+    law has a cell form).  For a ``BochnerCorrelation`` it is the Parseval
     twin of the spectral channel, Int |nu_hat(t r)|^2 dsigma(r), evaluated
     for any weight as ``l2_norm_spectral`` does.  Any other correlation, or
-    a weight without a difference law, is sampled under ``auto`` and raises
+    a weight whose law has no cell form, is sampled under ``auto`` and raises
     TypeError under ``quadrature``.  The two paths must agree within their
     combined errors.
     """
@@ -534,7 +311,7 @@ def pair_correlation_integral(correlation: CorrelationModel,
         kernel = isinstance(correlation, (SpikeCorrelation, BoxAutocorrelation))
         density = difference_density(weight) if kernel else None
         if density is not None:
-            return _pair_quadrature(correlation, *density, float(t))
+            return _pair_quadrature(correlation, density, float(t))
         if method == "quadrature":
             raise TypeError(f"no pair quadrature for {type(correlation).__name__}"
                             f" and {type(weight).__name__}")
@@ -556,11 +333,10 @@ def _pair_sampling(correlation: CorrelationModel, t: float,
                         float(vals.std() / np.sqrt(len(u))), "sampling")
 
 
-def _pair_quadrature(correlation, g: PiecewiseLinearDensity, exact: bool,
-                     t: float) -> PairIntegral:
+def _pair_quadrature(correlation, g: PiecewiseLinearDensity, t: float) -> PairIntegral:
     """Exact pair integral of a spike or box correlation against the
-    difference density g; a quantized g reports its 1e-4 quantization
-    slack.  Both correlations are even in t, so they are integrated at |t|."""
+    difference density g, reporting g's error.  Both correlations are even
+    in t, so they are integrated at |t|."""
     if isinstance(correlation, SpikeCorrelation):
         h, L, heights = correlation.arrays
         bands = _spike_band_integrals(g, h, L, abs(t))
@@ -569,7 +345,7 @@ def _pair_quadrature(correlation, g: PiecewiseLinearDensity, exact: bool,
         slope = abs(t) * np.asarray(correlation.flow.alpha)
         value = arc_overlap_integral(correlation.box.sides, 0.0 * slope, slope,
                                      g.knots, g.values)
-    return PairIntegral(value, 0.0 if exact else 1e-4, "quadrature")
+    return PairIntegral(value, g.error, "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +436,14 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     (nu x nu){ t (r - s) in [h_j - L_j, h_j + L_j] }, as a total and, for at
     most ``PROBE_META_SPIKES`` spikes, per spike.
 
-    With a difference law, the difference density is built once per probe and
-    gives the pair integral and every mass in closed form.  Otherwise each
-    grid point draws one set of pair differences, and the masses are counts
-    among the same draws that the sampled pair integral averages over.
+    With a cell form in its law, the difference density is built once per
+    probe and gives the pair integral and every mass in closed form.  Otherwise
+    each grid point draws one set of pair differences, and the masses are
+    counts among the same draws that the sampled pair integral averages over.
     """
     require_atomless(weight, "almost-mixing probe")
     grid = tuple(float(t) for t in t_grid)
-    g, exact = difference_density(weight) or (None, False)
+    g = difference_density(weight)
     h, L, _ = spike.arrays
     lo, hi = h - L, h + L
     band_masses: dict[float, float] = {}
@@ -677,7 +453,7 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
         # g is even, so the masses are taken at |t|; at t = 0 every t (r - s)
         # is 0, which the sampling branch counts without dividing by t
         if g is not None and t != 0.0:
-            result = _pair_quadrature(spike, g, exact, t)
+            result = _pair_quadrature(spike, g, t)
             band = g.mass(-band_halfwidth / abs(t), band_halfwidth / abs(t))
             per = g.mass(lo / abs(t), hi / abs(t))
         else:

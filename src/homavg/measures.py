@@ -4,7 +4,7 @@ A weight measure answers three queries:
 
 * ``char_fn(xi)``      -- the transform  nu_hat(xi) = Int e^{i xi x} dnu(x),
 * ``sample(n, seed)``  -- deterministic i.i.d. draws,
-* ``difference_law()`` -- the exact forms of the law of r - s, or None.
+* ``difference_law()`` -- the exact forms of the law of r - s in order, or ().
 
 Measures combine by convolution (characteristic functions multiply, samples
 add) and rescale by a positive factor t (char_fn at t*xi, samples times t).
@@ -23,9 +23,10 @@ from math import ceil, log
 from typing import Callable
 
 import numpy as np
-from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, wofz
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wofz
 
 from .errors import AccuracyError, InvalidMeasureError
+from .quadrature import digit_band_term, sinc_power_integral
 from .rng import generator
 
 _CHAR_TOL = 1e-10
@@ -71,28 +72,149 @@ class WeightMeasure:
         """An interval certainly containing all the mass."""
         raise NotImplementedError
 
-    def difference_law(self) -> DifferenceLaw | None:
-        return None
+    def difference_law(self) -> tuple:
+        return ()
+
+
+class PiecewiseLinearDensity:
+    """Continuous piecewise-linear density, zero outside its knot range.
+
+    ``knots`` and ``values`` are read-only float64 arrays fixed at
+    construction, and ``cumulative`` holds the integral G from the first
+    knot up to each knot, so G is piecewise quadratic in between.
+    ``error`` bounds what its pair integrals may be off by.
+    """
+
+    def __init__(self, knots, values, error: float = 0.0):
+        self.knots = np.array(knots, dtype=float)
+        self.values = np.array(values, dtype=float)
+        self.error = error
+        self.cumulative = np.concatenate(([0.0], np.cumsum(
+            0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.knots))))
+        for a in (self.knots, self.values, self.cumulative):
+            a.flags.writeable = False
+
+    def __call__(self, u):
+        return np.interp(u, self.knots, self.values, left=0.0, right=0.0)
+
+    def mass(self, a, b):
+        """Integral over [a, b], elementwise over array arguments and 0
+        where b <= a; a float for scalar arguments.
+
+        This is G(b) - G(a), exact for the piecewise-linear shape.  The
+        knots strictly between a and b come in as one difference of
+        ``cumulative``, the partial segments at either end as trapezoids, so
+        an interval inside one knot segment keeps its relative precision.
+        """
+        k, v = self.knots, self.values
+        a, b = np.broadcast_arrays(np.clip(a, k[0], k[-1]), np.clip(b, k[0], k[-1]))
+        out = np.zeros(a.shape)
+        live = b > a
+        a, b = a[live], b[live]
+        ia = np.minimum(np.searchsorted(k, a, side="right") - 1, len(k) - 2)
+        ib = np.minimum(np.searchsorted(k, b, side="right") - 1, len(k) - 2)
+        ga, gb = self(a), self(b)
+        inside = 0.5 * (ga + gb) * (b - a)
+        across = (0.5 * (ga + v[ia + 1]) * (k[ia + 1] - a)
+                  + (self.cumulative[ib] - self.cumulative[ia + 1])
+                  + 0.5 * (v[ib] + gb) * (b - k[ib]))
+        out[live] = np.where(ia == ib, inside, across)
+        return float(out) if out.ndim == 0 else out
+
+    def si_transform(self, lam) -> np.ndarray:
+        """F(lam) = Int g(u) sin(lam u) / u du for an array of ``lam``.
+
+        Exact per knot segment: with g = p + q u there, the segment gives
+        p [Si(lam u)] - q [cos(lam u)] / lam, the cosine difference taken as
+        -2 sin(lam m) sin(lam h) with m, h the segment's midpoint and half
+        width, so small lam loses nothing and F(0) = 0.
+        """
+        k, v = self.knots, self.values
+        q = np.diff(v) / np.diff(k)
+        p = v[:-1] - q * k[:-1]
+        mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
+        lam = np.asarray(lam, dtype=float)[:, None]
+        si, _ = sici(lam * k)
+        dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
+        return np.diff(si, axis=1) @ p - dcos_over_lam @ q
 
 
 @dataclass(frozen=True)
-class DifferenceLaw:
-    """The law of r - s for independent r, s ~ nu, in the forms nu has:
+class Cells:
+    """r - s as the correlated ``cells()`` (masses, width), nu's own when
+    ``exact``, rescaled by each of ``factors`` innermost first.  At power 1
+    an exact density has |nu_hat|^2 as its cosine transform: a band cell
+    [c, c'] of density d gives d (F(t c') - F(t c)) / t, F = ``si_transform``."""
 
-    * ``cells()``, called only when a caller needs the density: (masses,
-      width) of equal cells whose correlation is a piecewise-linear density
-      of r - s, nu's own when ``exact``, then rescaled by each of ``factors``
-      in turn (knots times it, values over it), innermost first; None when
-      r - s has no density form (a singular nu);
-    * ``sinc``: (q, m) with |nu_hat(xi)| = |sinc(q xi)|^m, or None;
-    * ``digits``: r - s itself as a self-similar ``DigitLaw``, or None.
-    """
-
-    cells: Callable[[], tuple[np.ndarray, float]] | None = None
-    exact: bool = False
-    sinc: tuple[float, int] | None = None
-    digits: DigitLaw | None = None
+    cells: Callable[[], tuple[np.ndarray, float]]
+    exact: bool
     factors: tuple[float, ...] = ()
+    integrand = None
+
+    def scaled(self, f: float) -> Cells:
+        return replace(self, factors=(*self.factors, f))
+
+    def serves(self, power: int) -> bool:
+        return power == 1 and self.exact
+
+    def density(self) -> PiecewiseLinearDensity:
+        """The density of r - s, with the quantizer's error 1e-4 unless exact."""
+        masses, delta = self.cells()
+        corr = np.correlate(masses, masses, mode="full")
+        knots = delta * np.arange(-len(masses), len(masses) + 1)
+        vals = np.concatenate(([0.0], corr / delta, [0.0]))
+        for f in self.factors:
+            knots, vals = knots * f, vals / f
+        return PiecewiseLinearDensity(knots, vals, 0.0 if self.exact else 1e-4)
+
+    def band_term(self, band, t: float, power: int) -> float:
+        edges, dens = band.cells()
+        return float(dens @ np.diff(self.density().si_transform(t * edges))) / t
+
+
+@dataclass(frozen=True)
+class Sinc:
+    """|nu_hat(xi)| = |sinc(q xi)|^m: |nu_hat(t r)|^(2 power) = sinc^n(lam r),
+    lam = |t| q, n = 2 m power, and a band cell [c, c'] of density d gives
+    d I_n(lam c, lam c') / lam with I_n = ``sinc_power_integral``."""
+
+    q: float
+    m: int
+
+    def scaled(self, f: float) -> Sinc:
+        return Sinc(self.q * f, self.m)
+
+    def serves(self, power: int) -> bool:
+        return True
+
+    def integrand(self, t: float, power: int):
+        lam, n = abs(t) * self.q, 2 * self.m * power
+        return lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
+
+    def band_term(self, band, t: float, power: int) -> float:
+        edges, dens = band.cells()
+        lam, n = abs(t) * self.q, 2 * self.m * power
+        cells = sinc_power_integral(n, lam * edges[:-1], lam * edges[1:])
+        return float(dens @ cells) / lam
+
+
+@dataclass(frozen=True)
+class Digits:
+    """r - s as a self-similar ``DigitLaw``, serving a power whose M merged
+    digits have M ratio <= 1: ``digit_band_term``'s atoms then grow <= t."""
+
+    law: DigitLaw
+    integrand = None
+
+    def scaled(self, f: float) -> Digits:
+        return Digits(self.law.scaled(f))
+
+    def serves(self, power: int) -> bool:
+        law = self.law.power(power)
+        return len(law.values) * law.ratio <= 1
+
+    def band_term(self, band, t: float, power: int) -> float:
+        return digit_band_term(self.law.power(power), band, t)
 
 
 @dataclass(frozen=True)
@@ -151,7 +273,7 @@ class DensityMeasure(WeightMeasure):
         return self.ppf(u)
 
     def difference_law(self):
-        return DifferenceLaw(self.cells, exact=False)
+        return (Cells(self.cells, exact=False),)
 
     def cells(self):
         """Masses of 4096 equal cells of the support, by cdf, and their width."""
@@ -183,7 +305,7 @@ class Uniform(DensityMeasure):
         return (self.a, self.b)
 
     def difference_law(self):
-        return DifferenceLaw(self.cells, exact=True, sinc=(0.5 * (self.b - self.a), 1))
+        return (Cells(self.cells, exact=True), Sinc(0.5 * (self.b - self.a), 1))
 
     def cells(self):
         return np.array([1.0]), self.b - self.a
@@ -223,7 +345,7 @@ class Triangular(DensityMeasure):
         return (self.a, self.b)
 
     def difference_law(self):
-        return DifferenceLaw(self.cells, exact=False, sinc=(0.25 * (self.b - self.a), 2))
+        return (Sinc(0.25 * (self.b - self.a), 2), Cells(self.cells, exact=False))
 
 
 @dataclass(frozen=True)
@@ -406,7 +528,7 @@ class TableDensity(DensityMeasure):
         return (self.lo, self.hi)
 
     def difference_law(self):
-        return DifferenceLaw(self.cells, exact=True)
+        return (Cells(self.cells, exact=True),)
 
     def cells(self):
         return self.masses.copy(), (self.hi - self.lo) / len(self.masses)
@@ -463,7 +585,7 @@ class SelfSimilar(WeightMeasure):
         """With one common ratio, r - s is self-similar with that ratio and
         the digits c_a - c_b, of probability p_a p_b / (sum p)^2."""
         if len(set(self.ratios)) > 1:
-            return None
+            return ()
         return _self_similar_difference(self.ratios[0], self.shifts, self.weights)
 
     def _bound(self):
@@ -477,7 +599,7 @@ class SelfSimilar(WeightMeasure):
         bound = self._bound()
         r = np.array(self.ratios)
         c = np.array(self.shifts)
-        p = np.array(self.weights)
+        p = np.array(self.weights) / sum(self.weights)     # so that |nu_hat| <= 1
         if np.all(r == r[0]):
             ratio = float(r[0])
             depth = max(0, ceil(log(_CHAR_TOL / (top * bound)) / log(ratio)))
@@ -494,6 +616,7 @@ class SelfSimilar(WeightMeasure):
         # recursion is polynomial when memoized on the accumulated scale.
         memo: dict[float, complex] = {}
         budget = [500_000]
+        norm = sum(self.weights)
 
         def rec(scale: float) -> complex:
             key = float(np.format_float_scientific(scale, precision=12))
@@ -508,7 +631,7 @@ class SelfSimilar(WeightMeasure):
                     "self-similar char fn recursion budget exhausted",
                     achieved=abs(scale * xi) * bound)
             val = complex(sum(
-                p * np.exp(1j * scale * xi * c) * rec(scale * r)
+                p / norm * np.exp(1j * scale * xi * c) * rec(scale * r)
                 for r, c, p in zip(self.ratios, self.shifts, self.weights)))
             memo[key] = val
             return val
@@ -532,14 +655,14 @@ class SelfSimilar(WeightMeasure):
 
 @lru_cache(maxsize=16)
 def _self_similar_difference(ratio: float, shifts: tuple[float, ...],
-                             weights: tuple[float, ...]) -> DifferenceLaw:
-    """The digit law of ``SelfSimilar.difference_law``, built once per
+                             weights: tuple[float, ...]) -> tuple[Digits]:
+    """The digit form of ``SelfSimilar.difference_law``, built once per
     measure: its Fraction arithmetic costs more than the band term."""
     c = [Fraction(x) for x in shifts]
     p = [Fraction(x) for x in weights]
     norm = sum(p) ** 2
-    return DifferenceLaw(digits=DigitLaw.merged(Fraction(ratio), (
-        (ca - cb, pa * pb / norm) for ca, pa in zip(c, p) for cb, pb in zip(c, p))))
+    return (Digits(DigitLaw.merged(Fraction(ratio), (
+        (ca - cb, pa * pb / norm) for ca, pa in zip(c, p) for cb, pb in zip(c, p)))),)
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +813,7 @@ class Scaled(WeightMeasure):
         return (self.factor * lo, self.factor * hi)
 
     def difference_law(self):
-        law = self.inner.difference_law()
-        if law is None:
-            return None
-        sinc = law.sinc and (law.sinc[0] * self.factor, law.sinc[1])
-        digits = law.digits and law.digits.scaled(self.factor)
-        return replace(law, sinc=sinc, digits=digits, factors=(*law.factors, self.factor))
+        return tuple(f.scaled(self.factor) for f in self.inner.difference_law())
 
 
 def convolve(a: WeightMeasure, b: WeightMeasure) -> WeightMeasure:

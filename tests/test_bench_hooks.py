@@ -88,3 +88,26 @@ def test_tracer_reaches_the_adversary_level_quadrature(tmp_path):
     assert len(levels) == 4
     assert any(span[1] == "flows.arc_overlap" and span[4] in levels
                for span in trace.spans)
+
+
+def test_tracer_sees_the_probe_density_hooks(tmp_path):
+    """The probe builds its difference density through
+    ``engine.difference_density`` and takes masses from
+    ``engine.PiecewiseLinearDensity``, both patched by name: a traced round
+    records them for a quantized weight, and no mass for sampled Cantor."""
+    spans = {}
+    for template, cfg in workloads.ConfigStream("spike-probe", 1).round(0):
+        if template not in ("dense-quantized", "sparse-cantor"):
+            continue
+        path = tmp_path / f"{template}.json"
+        path.write_text(json.dumps(cfg))
+        trace = tracer.Tracer()
+        patches = tracer.install(trace)
+        try:
+            assert cli.main(["run", str(path), "--out", str(tmp_path / template)]) == 0
+        finally:
+            patches.undo()
+        spans[template] = [span[1] for span in trace.spans]
+    assert spans["dense-quantized"].count("engine.difference_density") >= 1
+    assert "engine.density_mass" in spans["dense-quantized"]
+    assert "engine.density_mass" not in spans["sparse-cantor"]

@@ -18,8 +18,8 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     golden_winding, l1_deviation, l2_deviation_mc,
                     l2_norm_spectral, pair_correlation_integral, rescale,
                     spectrum_of_observable, weighted_average_pointwise)
-from homavg.measures import (Scaled, SelfSimilar, TableDensity, Triangular,
-                             TruncatedGaussian)
+from homavg.measures import (Cells, Digits, Scaled, SelfSimilar, Sinc,
+                             TableDensity, Triangular, TruncatedGaussian)
 from homavg.spectral import BoxAutocorrelation, BoxIndicator, CorrelationModel
 from homavg.flows import BoxSet, TorusWinding
 
@@ -333,22 +333,22 @@ def sinc_power_oracle(n, x, dps=40):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
 def test_sinc_power_integral_matches_mpmath(n):
-    switch = 2 * n + engine._SINC_NEAR     # quadrature below, tail series above
+    switch = 2 * n + quadrature._SINC_NEAR     # quadrature below, tail series above
     xs = np.array([0.3, 1.0, 7.5, switch - 0.5, switch, switch + 0.5, 300.0, 2000.0])
     want = np.array([float(sinc_power_oracle(n, x)) for x in xs])
-    got = engine._sinc_power_integral(n, 0.0, xs)
+    got = quadrature.sinc_power_integral(n, 0.0, xs)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    assert np.array_equal(engine._sinc_power_integral(n, -xs, 0.0), got)
+    assert np.array_equal(quadrature.sinc_power_integral(n, -xs, 0.0), got)
     # a cell away from 0 keeps its relative precision, on either side of the switch
     for a, b in ((40.1, 41.8), (switch - 3.0, switch + 2.0), (1e3, 1e3 + 1.5)):
         want = float(sinc_power_oracle(n, b, 120) - sinc_power_oracle(n, a, 120))
-        assert engine._sinc_power_integral(n, a, b) == pytest.approx(want, rel=1e-13)
+        assert quadrature.sinc_power_integral(n, a, b) == pytest.approx(want, rel=1e-13)
 
 
 def test_sinc_square_integral_is_si_form():
     xs = np.array([0.01, 0.5, 3.0, 43.5, 44.5, 1e3, 1e5])
     want = sici(2.0 * xs)[0] - np.sin(xs) ** 2 / xs
-    np.testing.assert_allclose(engine._sinc_power_integral(2, 0.0, xs), want,
+    np.testing.assert_allclose(quadrature.sinc_power_integral(2, 0.0, xs), want,
                                rtol=0, atol=1e-14)
 
 
@@ -433,11 +433,9 @@ def test_profiled_band_quadrature_follows_band_cells(monkeypatch):
 
 DYADIC_ODD = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5))
 DYADIC_EVEN = SelfSimilar((0.25, 0.25), (0.0, 0.25), (0.5, 0.5))
-# weights summing to 1 only within 1e-12: the digit rule normalizes them
-# exactly, while the char fn's product drifts by about 1e-12 per factor
+# weights summing to 1 only within 1e-12: the digit rule and the char fn
+# both normalize them
 NEAR_ONE = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13))
-NEAR_ONE_NORMALIZED = SelfSimilar((0.25, 0.25), (0.0, 0.5),
-                                  tuple(w / sum(NEAR_ONE.weights) for w in NEAR_ONE.weights))
 
 
 def adaptive_gl_raises(monkeypatch):
@@ -450,7 +448,7 @@ def adaptive_gl_raises(monkeypatch):
                          ids=["flat", "profiled"])
 @pytest.mark.parametrize("weight, reference", [
     (CANTOR, CANTOR), (DYADIC_ODD, DYADIC_ODD), (DYADIC_EVEN, DYADIC_EVEN),
-    (NEAR_ONE, NEAR_ONE_NORMALIZED), (rescale(CANTOR, 0.7), rescale(CANTOR, 0.7)),
+    (NEAR_ONE, NEAR_ONE), (rescale(CANTOR, 0.7), rescale(CANTOR, 0.7)),
 ], ids=["cantor", "dyadic-odd", "dyadic-even", "near-one", "scaled-cantor"])
 def test_digit_rule_matches_expect(monkeypatch, spec, weight, reference):
     lo, hi = reference.support()
@@ -638,7 +636,7 @@ def test_spike_pair_quadrature_is_even_in_t():
 def fine_pair_reference(model, weight, t, cells=65536, parts=16):
     """65,536-cell composite Gauss-Legendre value of Int rho(t u) g(u) du,
     taken in 16 runs of equal cells to keep the node arrays small."""
-    g, _ = difference_density(weight)
+    g = difference_density(weight)
     edges = np.linspace(g.knots[0], g.knots[-1], parts + 1)
     return sum(quadrature.fixed_gl(lambda u: model.value(t * u) * g(u), a, b,
                                    cells // parts).real
@@ -697,8 +695,8 @@ def test_other_correlations_are_sampled():
 
 def test_difference_density_is_a_probability_density():
     for m in (Uniform(0, 1), TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])):
-        g, exact = difference_density(m)
-        assert exact
+        g = difference_density(m)
+        assert g.error == 0.0
         assert g.mass(g.knots[0], g.knots[-1]) == pytest.approx(1.0, abs=1e-12)
         lo, hi = m.support()
         assert g.knots[0] == pytest.approx(-(hi - lo))
@@ -708,14 +706,14 @@ def test_difference_density_is_a_probability_density():
     Uniform(0.25, 1.75), TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]),
     Triangular(0.0, 2.0), GAUSS])
 def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
-    g, exact = difference_density(inner)
+    g = difference_density(inner)
     for f in (0.3, 7.0):
-        scaled, scaled_exact = difference_density(rescale(inner, f))
-        assert scaled_exact == exact
+        scaled = difference_density(rescale(inner, f))
+        assert scaled.error == g.error
         assert np.array_equal(scaled.knots, g.knots * f)
         assert np.array_equal(scaled.values, g.values / f)
     # nested rescalings apply innermost first
-    nested, _ = difference_density(Scaled(7.0, Scaled(0.3, inner)))
+    nested = difference_density(Scaled(7.0, Scaled(0.3, inner)))
     assert np.array_equal(nested.knots, g.knots * 0.3 * 7.0)
     assert np.array_equal(nested.values, g.values / 0.3 / 7.0)
 
@@ -746,9 +744,29 @@ def test_sinc_path_never_builds_the_density(monkeypatch):
 
 
 def test_engine_binds_no_concrete_measure_class():
-    # the exact path is read off the weight's difference_law(), never its type
-    for name in ("Uniform", "Triangular", "TruncatedGaussian", "TableDensity", "Scaled"):
+    # the exact path is read off the weight's difference_law(), never its type,
+    # and each form evaluates its own band term
+    for name in ("Uniform", "Triangular", "TruncatedGaussian", "TableDensity", "Scaled",
+                 "sici", "self_similar_rule", "sinc_power_integral", "_sinc_power_integral",
+                 "digit_band_term", "_digit_band_term"):
         assert not hasattr(engine, name), name
+
+
+@pytest.mark.parametrize("weight, power, served", [
+    (Uniform(0, 1), 1, Cells), (Uniform(0, 1), 2, Sinc), (Triangular(0, 2), 1, Sinc),
+    (CANTOR, 1, Digits), (CANTOR, 2, None),
+    (TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), 2, None), (GAUSS, 1, None),
+], ids=["uniform-1", "uniform-2", "triangular-1", "cantor-1", "cantor-2", "table-2",
+        "gauss-1"])
+def test_band_term_comes_from_the_first_form_that_serves(monkeypatch, weight, power, served):
+    taken = []
+    for cls in (Cells, Sinc, Digits):
+        def recording(self, *args, _original=cls.band_term):
+            taken.append(type(self))
+            return _original(self, *args)
+        monkeypatch.setattr(cls, "band_term", recording)
+    engine._spectral_power(PROFILED_SPEC, weight, 5.0, 1e-8, power)
+    assert taken == ([served] if served else [])
 
 
 # -- scans -----------------------------------------------------------------------
@@ -860,7 +878,7 @@ def test_probe_reports_band_and_spike_masses():
     assert len(per) == 4
     # spike 1 at h=1, t=10: the one-sided band [0.075, 0.125] carries the
     # triangular-density mass of that interval
-    g, _ = difference_density(Uniform(0, 1))
+    g = difference_density(Uniform(0, 1))
     assert per[0] == pytest.approx(g.mass(0.075, 0.125), abs=1e-12)
 
 
@@ -975,8 +993,8 @@ def spike_band_reference(g, h, L, t):
 @pytest.mark.parametrize("block", [engine.SPIKE_BLOCK, 7])
 def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
     monkeypatch.setattr(engine, "SPIKE_BLOCK", block)
-    g, exact = difference_density(Triangular(0.0, 1.0))
-    assert len(g.knots) == 8193 and not exact
+    g = difference_density(Triangular(0.0, 1.0))
+    assert len(g.knots) == 8193 and g.error == 1e-4
     cases = [
         # bands 0.5/t wide: about 20 knots each at t = 100; at t = 4096 the
         # apexes j / 4096 sit exactly on knots and bands cross one or two
@@ -1032,7 +1050,7 @@ def test_probe_spike_mass_shape_on_both_paths(count):
                                   band_halfwidth=bw)
     exact = almost_mixing_probe(spikes, Uniform(0, 1), grid)
     h, L, _ = spikes.arrays
-    g, _ = difference_density(Uniform(0, 1))
+    g = difference_density(Uniform(0, 1))
     for k, t in enumerate(grid):
         # sampling path: counts among the pair integral's own draws equal the
         # fractions of the draws that fall in each window

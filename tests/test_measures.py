@@ -11,7 +11,7 @@ from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
                     PointMass, Scaled, SelfSimilar, TableDensity, Triangular,
                     TruncatedGaussian, Uniform, convolution_power, convolve,
                     rescale)
-from homavg.measures import DigitLaw, require_atomless
+from homavg.measures import Cells, DigitLaw, Digits, Sinc, require_atomless
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
 DYADIC_ODD = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5))
@@ -215,39 +215,41 @@ CANTOR_DIGITS = DigitLaw(THIRD, (-2 * THIRD, Fraction(0), 2 * THIRD),
                          (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
 
 
-@pytest.mark.parametrize("measure, exact, sinc, factors, digits", [
-    (Uniform(0.5, 2.0), True, (0.75, 1), (), None),
-    (TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), True, None, (), None),
-    (Triangular(1.0, 3.0), False, (0.5, 2), (), None),
-    (TruncatedGaussian(0.5, 0.2, 0.0, 1.0), False, None, (), None),
-    (Scaled(2.0, Triangular(1.0, 3.0)), False, (1.0, 2), (2.0,), None),
-    (Scaled(3.0, Scaled(0.5, Uniform(0.0, 1.0))), True, (0.75, 1), (0.5, 3.0), None),
-    (Scaled(4.0, TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])), True, None, (4.0,), None),
-    (CANTOR, False, None, (), CANTOR_DIGITS),
-    (Scaled(2.0, CANTOR), False, None, (2.0,), DigitLaw(
-        THIRD, tuple(2 * v for v in CANTOR_DIGITS.values), CANTOR_DIGITS.weights)),
-    (NESTED, None, None, None, None),
-    (convolve(Uniform(0, 1), Uniform(0, 1)), None, None, None, None),
-    (PointMass(0.5), None, None, None, None),
+UNIFORM = Uniform(0.5, 2.0)
+UNIT = Uniform(0.0, 1.0)
+TABLE = TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])
+TRIANGULAR = Triangular(1.0, 3.0)
+GAUSS = TruncatedGaussian(0.5, 0.2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("measure, forms", [
+    (UNIFORM, (Cells(UNIFORM.cells, True), Sinc(0.75, 1))),
+    (TABLE, (Cells(TABLE.cells, True),)),
+    (TRIANGULAR, (Sinc(0.5, 2), Cells(TRIANGULAR.cells, False))),
+    (GAUSS, (Cells(GAUSS.cells, False),)),
+    (Scaled(2.0, TRIANGULAR), (Sinc(1.0, 2), Cells(TRIANGULAR.cells, False, (2.0,)))),
+    (Scaled(3.0, Scaled(0.5, UNIT)), (Cells(UNIT.cells, True, (0.5, 3.0)), Sinc(0.75, 1))),
+    (Scaled(4.0, TABLE), (Cells(TABLE.cells, True, (4.0,)),)),
+    (CANTOR, (Digits(CANTOR_DIGITS),)),
+    (Scaled(2.0, CANTOR), (Digits(DigitLaw(
+        THIRD, tuple(2 * v for v in CANTOR_DIGITS.values), CANTOR_DIGITS.weights)),)),
+    (NESTED, ()),
+    (convolve(Uniform(0, 1), Uniform(0, 1)), ()),
+    (PointMass(0.5), ()),
+    (SelfSimilar((0.5, 1 / 3), (0.0, 2 / 3), (0.5, 0.5)), ()),
 ], ids=["uniform", "table", "triangular", "gauss-trunc", "scaled-triangular",
         "nested-scaled-uniform", "scaled-table", "self-similar", "scaled-self-similar",
-        "nested-intervals", "convolution", "point-mass"])
-def test_difference_law_per_class(measure, exact, sinc, factors, digits):
-    law = measure.difference_law()
-    if exact is None:
-        assert law is None
-        return
-    assert (law.exact, law.sinc, law.factors, law.digits) == (exact, sinc, factors, digits)
-    if digits is not None:          # a singular law has no density cells
-        assert law.cells is None
-        return
-    inner = measure
-    while isinstance(inner, Scaled):
-        inner = inner.inner
-    masses, width = law.cells()       # the unscaled measure's cells
-    lo, hi = inner.support()
-    assert width * len(masses) == pytest.approx(hi - lo)
-    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+        "nested-intervals", "convolution", "point-mass", "unequal-ratios"])
+def test_difference_law_per_class(measure, forms):
+    """The forms of each class's law of r - s, in the order they are tried."""
+    assert measure.difference_law() == forms
+    for form in forms:
+        if isinstance(form, Cells):     # the unscaled measure's cells
+            inner = form.cells.__self__
+            masses, width = form.cells()
+            lo, hi = inner.support()
+            assert width * len(masses) == pytest.approx(hi - lo)
+            assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_digit_law_powers_merge_equal_sums_exactly():
@@ -259,13 +261,23 @@ def test_digit_law_powers_merge_equal_sums_exactly():
     assert len(CANTOR_DIGITS.power(3).values) == 7
     # dyadic digits {0, 1/2} and {0, 1/4}: r - s has three digits either way
     for m, step in ((DYADIC_ODD, Fraction(1, 2)), (DYADIC_EVEN, Fraction(1, 4))):
-        law = m.difference_law().digits
+        (form,) = m.difference_law()
+        law = form.law
         assert law.ratio == Fraction(1, 4) and law.values == (-step, 0, step)
     # weights summing to 1 only within 1e-12 are normalized exactly
-    near = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)).difference_law()
-    assert sum(near.digits.weights) == 1
-    # unequal ratios: r - s is not self-similar with one ratio
-    assert SelfSimilar((0.5, 1 / 3), (0.0, 2 / 3), (0.5, 0.5)).difference_law() is None
+    (near,) = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)).difference_law()
+    assert sum(near.law.weights) == 1
+
+
+@pytest.mark.parametrize("ratios, xi", [
+    ((0.25, 0.25), np.linspace(0.0, 1e4, 100_001)),
+    ((0.5, 1 / 3), np.geomspace(1e-8, 50.0, 201)),
+], ids=["product", "recursion"])
+def test_self_similar_transform_of_near_one_weights_stays_in_the_unit_disc(ratios, xi):
+    """Weights summing to 1 only within 1e-12 are normalized in the transform,
+    so |nu_hat| never exceeds 1 (unnormalized, it reached 1 + 1.15e-11)."""
+    m = SelfSimilar(ratios, (0.0, 0.5), (0.5, 0.5 + 5e-13))
+    assert np.max(np.abs(m.char_fn(xi))) <= 1.0
 
 
 @pytest.mark.parametrize("ratios, shifts", [((0.5, 0.5), (0.25, 0.25)),

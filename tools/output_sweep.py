@@ -1,0 +1,79 @@
+"""python3 tools/output_sweep.py <outdir>: the outputs of every benchmark
+template and of a law matrix, through ``homavg.cli.main`` at ``--threads 1``
+and ``2``, for ``diff -r`` between two trees.  Templates run at seeds 1 and
+2001, rounds 0-2 and the top round (round 0 and the top round for
+rigidity-adversary).  The law matrix runs ten weights, covering every form
+of the law of r - s, on three spectra as ``spectral-scan`` and
+``convolution-root`` at powers 2 and 3, plus one probe per weight.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+from homavg import cli  # noqa: E402
+import workloads  # noqa: E402
+
+CANTOR = {"type": "self-similar", "ratios": [1 / 3, 1 / 3], "shifts": [0.0, 2 / 3],
+          "weights": [0.5, 0.5]}
+WEIGHTS = {
+    "uniform": "uniform[0.25,1.25]", "triangular": "triangular[0.5,2.5]",
+    "gauss-trunc": "gauss-trunc[0.5,0.2,0,1]", "cantor": "cantor-thirds",
+    "dyadic-odd": "dyadic-odd", "dyadic-even": "dyadic-even",
+    "table": {"type": "table", "lo": 0.0, "hi": 1.5, "masses": [1.0, 3.0, 2.0]},
+    "nested-scaled-uniform": {"type": "scaled", "factor": 3.0, "inner": {
+        "type": "scaled", "factor": 0.5, "inner": {"type": "uniform", "a": 0.0, "b": 1.0}}},
+    "scaled-triangular": {"type": "scaled", "factor": 2.0,
+                          "inner": {"type": "triangular", "a": 1.0, "b": 3.0}},
+    "scaled-cantor": {"type": "scaled", "factor": 0.7, "inner": CANTOR},
+}
+SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
+           "golden-atoms": {"flow": "winding-golden", "observable": "cos-x2"},
+           "atom-profiled": {"spectral": {"type": "spectral", "atoms": [[2.0, 0.3]], "band": {
+               "lo": -1.5, "hi": 1.0, "mass": 0.7, "profile": [1.0, 3.0, 2.0]}}}}
+GRID = {"start": 2.0, "factor": 5.0, "count": 3}
+
+
+def configs():
+    for workload in workloads.WORKLOADS:
+        rounds = (0,) if workload == "rigidity-adversary" else (0, 1, 2)
+        for seed in (1, 2001):
+            stream = workloads.ConfigStream(workload, seed)
+            batches = [(f"r{k}", stream.round(k)) for k in rounds]
+            for tag, batch in batches + [("top", stream.top_round())]:
+                for template, cfg in batch:
+                    yield f"{workload}/s{seed}-{tag}-{template}", cfg
+    for name, weight in WEIGHTS.items():
+        for label, spectrum in SPECTRA.items():
+            base = {"measure": weight, "grid": GRID, "seed": 5, **spectrum}
+            yield f"laws/{name}-{label}-scan", {"kind": "spectral-scan", **base}
+            for power in (2, 3):
+                yield (f"laws/{name}-{label}-root{power}",
+                       {"kind": "convolution-root", "power": power, **base})
+        yield f"laws/{name}-probe", {"kind": "almost-mixing-probe", "measure": weight,
+                                     "correlation": "spike(10,0.25,1)", "grid": GRID,
+                                     "samples": {"n_pairs": 2000}, "seed": 5}
+
+
+def main(outdir: str) -> None:
+    out = Path(outdir)
+    for name, cfg in configs():
+        path = out / f"{name}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(cfg))
+        for threads in ("1", "2"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", str(path), "--out", f"{out / name}-t{threads}",
+                                 "--threads", threads])
+            if code != 0:
+                raise SystemExit(f"{name} at --threads {threads}: exit {code}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python3 tools/output_sweep.py <outdir>")
+    main(sys.argv[1])
