@@ -8,7 +8,8 @@ estimates how far A_t f sits from the space mean, three ways:
 * the exact spectral channel  ||A_t f||_2 = (Int |nu_hat(t r)|^2 dsigma)^(1/2)
   on the cyclic subspace of f,
 * pair-correlation integrals  Int Int rho(t (r - s)) dnu(r) dnu(s),
-  by difference-distribution sampling and by exact piecewise quadrature.
+  by difference-distribution sampling and exactly against a pair view of
+  r - s: its piecewise-linear density, or the kink walk over its digit law.
 
 Scans across a t-grid derive one seed per grid point, so results are
 bitwise independent of the number of worker threads.
@@ -24,14 +25,13 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .flows import TorusWinding, arc_overlap_integral
-from .measures import Cells, PiecewiseLinearDensity, WeightMeasure, require_atomless
+from .flows import TorusWinding
+from .measures import DigitPairs, PiecewiseLinearDensity, WeightMeasure, require_atomless
 from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
                        Observable, SpectralModel, SpikeCorrelation)
 
 DESCENT_SLACK = 1e-9
 PROBE_META_SPIKES = 64   # per-spike probe masses go into metadata up to this count
-SPIKE_BLOCK = 4096       # spikes per breakpoint array: bounds the pair kernel's memory
 
 
 def _point_seed(master: int, index: int) -> int:
@@ -203,74 +203,21 @@ def descent_check(spectrum: SpectralModel, weight, t: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# difference distributions (piecewise-linear densities of r - s)
+# difference distributions: pair views of the law of r - s
 # ---------------------------------------------------------------------------
 
-def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | None:
-    """The piecewise-linear density of r - s for independent r, s ~ measure,
-    from the cell form of its ``difference_law()`` and carrying that form's
-    error; None when the law has no cell form."""
-    cells = next((f for f in measure.difference_law() if isinstance(f, Cells)), None)
-    return None if cells is None else cells.density()
+def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | DigitPairs | None:
+    """The pair view of r - s for independent r, s ~ measure, from the first
+    form of its ``difference_law()`` that has one; None when none does.
 
-
-def _tri_eval(u, t, hv, lv):
-    """Triangular bump 1 - ||t u| - h| / L, clipped at zero; vectorized."""
-    return np.maximum(0.0, 1.0 - np.abs(np.abs(t * np.asarray(u)) - hv) / lv)
-
-
-def _spike_band_integrals(g: PiecewiseLinearDensity, h: np.ndarray,
-                          L: np.ndarray, t: float) -> np.ndarray:
-    """Int bump_j(|t u|) g(u) du for every spike (centers ``h``, halfwidths
-    ``L``), both signs of u, exact.
-
-    A spike band [a_j, b_j] on one side of u = 0 (h - L > 0), clipped to the
-    support of g, splits at its apex and at the g-knots inside it into
-    segments on which both factors are linear.  The breakpoints of a block
-    of J spikes go band after band into one array, at most 3J + K long and
-    laid out without a sort; Simpson is exact on each of its segments, and
-    ``np.bincount`` adds the segments up per spike.
-    """
-    knots = g.knots
-    out = np.zeros(len(h))
-    for first_spike in range(0, len(h), SPIKE_BLOCK):
-        block = slice(first_spike, first_spike + SPIKE_BLOCK)
-        hb, lb = h[block], L[block]
-        for sign in (1.0, -1.0):
-            if sign > 0:
-                lo, hi = (hb - lb) / t, (hb + lb) / t
-            else:
-                lo, hi = -(hb + lb) / t, -(hb - lb) / t
-            lo = np.maximum(lo, knots[0])
-            hi = np.minimum(hi, knots[-1])
-            idx = np.nonzero(hi > lo)[0]
-            if len(idx) == 0:
-                continue
-            a, b = lo[idx], hi[idx]
-            ap = np.clip(sign * hb[idx] / t, a, b)
-            k0 = np.searchsorted(knots, a, side="right")    # first knot inside
-            inner = np.searchsorted(knots, b, side="left") - k0
-            below = np.clip(np.searchsorted(knots, ap, side="left") - k0, 0, inner)
-            count = inner + 3
-            start = np.cumsum(count) - count
-            pts = np.empty(int(count.sum()))
-            pts[start] = a
-            pts[start + 1 + below] = ap
-            pts[start + count - 1] = b
-            owner = np.repeat(np.arange(len(idx)), inner)
-            rank = np.arange(len(owner)) - (np.cumsum(inner) - inner)[owner]
-            pts[start[owner] + 1 + rank + (rank >= below[owner])] = knots[k0[owner] + rank]
-            band = np.repeat(np.arange(len(idx)), count)
-            hv, lv = hb[idx][band], lb[idx][band]
-            f = g(pts) * _tri_eval(pts, t, hv, lv)
-            x0, x1 = pts[:-1], pts[1:]
-            mid = 0.5 * (x0 + x1)
-            simpson = (x1 - x0) / 6.0 * (f[:-1] + 4.0 * g(mid) * _tri_eval(
-                mid, t, hv[:-1], lv[:-1]) + f[1:])
-            simpson[start[1:] - 1] = 0.0    # the gaps from one band to the next
-            out[first_spike + idx] += np.bincount(band[:-1], weights=simpson,
-                                                  minlength=len(idx))
-    return out
+    A cell form gives the piecewise-linear density, carrying the form's
+    error; a digit form serving p = 1 gives the kink walk over the digit
+    law (``DigitPairs``).  Either view answers ``mass(a, b)``, the spike
+    and box pair integrals as (value, error) and the probe's spike integral
+    with its masses, the walk declining (None) where it would compute more
+    than sampling."""
+    views = (form.pair_view() for form in measure.difference_law())
+    return next((v for v in views if v is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +238,16 @@ def pair_correlation_integral(correlation: CorrelationModel,
     """Int Int rho(t (r - s)) dnu(r) dnu(s).
 
     ``sampling`` draws independent pairs and averages; ``quadrature``
-    integrates a spike or box correlation rho(t u) exactly against the
-    piecewise-linear density of the difference u = r - s (available when its
-    law has a cell form).  For a ``BochnerCorrelation`` it is the Parseval
-    twin of the spectral channel, Int |nu_hat(t r)|^2 dsigma(r), evaluated
-    for any weight as ``l2_norm_spectral`` does.  Any other correlation, or
-    a weight whose law has no cell form, is sampled under ``auto`` and raises
+    integrates a spike or box correlation rho(t u) exactly against the pair
+    view of the difference u = r - s (``difference_density``): the
+    piecewise-linear density when its law has a cell form, the kink walk
+    over the digit law of a self-similar weight with M ratio <= 1.  Under
+    ``auto`` the walk takes a t only when it computes no more than the
+    sampler does for ``n_samples`` pairs.  For a ``BochnerCorrelation`` it
+    is the Parseval twin of the spectral channel,
+    Int |nu_hat(t r)|^2 dsigma(r), evaluated for any weight as
+    ``l2_norm_spectral`` does.  Any other correlation, or
+    a weight without a pair view, is sampled under ``auto`` and raises
     TypeError under ``quadrature``.  The two paths must agree within their
     combined errors.
     """
@@ -309,9 +260,11 @@ def pair_correlation_integral(correlation: CorrelationModel,
                                            float(t), tol)
             return PairIntegral(value, error, "quadrature")
         kernel = isinstance(correlation, (SpikeCorrelation, BoxAutocorrelation))
-        density = difference_density(weight) if kernel else None
-        if density is not None:
-            return _pair_quadrature(correlation, density, float(t))
+        view = difference_density(weight) if kernel else None
+        draws = None if method == "quadrature" else n_samples
+        exact = None if view is None else _pair_quadrature(correlation, view, float(t), draws)
+        if exact is not None:
+            return exact
         if method == "quadrature":
             raise TypeError(f"no pair quadrature for {type(correlation).__name__}"
                             f" and {type(weight).__name__}")
@@ -333,19 +286,22 @@ def _pair_sampling(correlation: CorrelationModel, t: float,
                         float(vals.std() / np.sqrt(len(u))), "sampling")
 
 
-def _pair_quadrature(correlation, g: PiecewiseLinearDensity, t: float) -> PairIntegral:
-    """Exact pair integral of a spike or box correlation against the
-    difference density g, reporting g's error.  Both correlations are even
-    in t, so they are integrated at |t|."""
+def _pair_quadrature(correlation, view, t: float, draws=None) -> PairIntegral | None:
+    """Exact pair integral of a spike or box correlation against the pair
+    view of r - s, with the view's error; None when the view declines at
+    ``draws`` sampled pairs.  Both correlations are even in t, so they are
+    integrated at |t|."""
     if isinstance(correlation, SpikeCorrelation):
         h, L, heights = correlation.arrays
-        bands = _spike_band_integrals(g, h, L, abs(t))
-        value = correlation.baseline + float(heights @ bands)
+        got = view.spike_integral(h, L, heights, abs(t), draws)
+        baseline = correlation.baseline
     else:
-        slope = abs(t) * np.asarray(correlation.flow.alpha)
-        value = arc_overlap_integral(correlation.box.sides, 0.0 * slope, slope,
-                                     g.knots, g.values)
-    return PairIntegral(value, g.error, "quadrature")
+        got = view.box_integral(correlation.box.sides,
+                                abs(t) * np.asarray(correlation.flow.alpha), draws)
+        baseline = 0.0
+    if got is None:
+        return None
+    return PairIntegral(baseline + got[0], got[1], "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -436,34 +392,42 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     (nu x nu){ t (r - s) in [h_j - L_j, h_j + L_j] }, as a total and, for at
     most ``PROBE_META_SPIKES`` spikes, per spike.
 
-    With a cell form in its law, the difference density is built once per
-    probe and gives the pair integral and every mass in closed form.  Otherwise
-    each grid point draws one set of pair differences, and the masses are
-    counts among the same draws that the sampled pair integral averages over.
+    The pair view of r - s (``difference_density``) is built once per
+    probe.  The piecewise-linear density of a cell form gives the pair
+    integral and every mass in closed form; the kink walk over a digit law
+    gives them exactly, with the masses as differences of one cumulative
+    walk over all interval ends, at every t where the two walks compute no
+    more than the sampler does for ``n_samples`` pairs.  Otherwise each
+    grid point draws one set of pair differences, and the masses are counts
+    among the same draws that the sampled pair integral averages over.
     """
     require_atomless(weight, "almost-mixing probe")
     grid = tuple(float(t) for t in t_grid)
-    g = difference_density(weight)
-    h, L, _ = spike.arrays
-    lo, hi = h - L, h + L
+    view = difference_density(weight)
+    h, L, heights = spike.arrays
+    lo = np.append(h - L, -band_halfwidth)     # the spike windows, then the band
+    hi = np.append(h + L, band_halfwidth)
     band_masses: dict[float, float] = {}
     spike_masses: dict[float, dict] = {}
 
     def evaluator(t, point_seed):
-        # g is even, so the masses are taken at |t|; at t = 0 every t (r - s)
-        # is 0, which the sampling branch counts without dividing by t
-        if g is not None and t != 0.0:
-            result = _pair_quadrature(spike, g, t)
-            band = g.mass(-band_halfwidth / abs(t), band_halfwidth / abs(t))
-            per = g.mass(lo / abs(t), hi / abs(t))
+        # the view is even, so the masses are taken at |t|; at t = 0 every
+        # t (r - s) is 0, which the sampling branch counts without dividing by t
+        exact = None
+        if view is not None and t != 0.0:
+            exact = view.spike_probe(h, L, heights, abs(t), lo, hi, n_samples)
+        if exact is not None:
+            value, error, masses = exact
+            result = PairIntegral(spike.baseline + value, error, "quadrature")
+            per, band = masses[:-1], masses[-1]
         else:
             u = _pair_differences(weight, n_samples, point_seed)
             result = _pair_sampling(spike, t, u)
             tu = np.sort(t * u)
             band = (np.searchsorted(tu, band_halfwidth, side="left")
                     - np.searchsorted(tu, -band_halfwidth, side="right")) / len(tu)
-            per = (np.searchsorted(tu, hi, side="right")
-                   - np.searchsorted(tu, lo, side="left")) / len(tu)
+            per = (np.searchsorted(tu, hi[:-1], side="right")
+                   - np.searchsorted(tu, lo[:-1], side="left")) / len(tu)
         band_masses[t] = float(band)
         spike_masses[t] = {"total": float(per.sum())}
         if len(per) <= PROBE_META_SPIKES:

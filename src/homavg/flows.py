@@ -205,29 +205,38 @@ def arc_overlap(a: float, b: float, shift) -> np.ndarray:
 _legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
 
 
-def arc_overlap_integral(sides, base, slope, knots, values) -> float:
-    """Int prod_k arc_overlap(a_k, a_k, base_k + x * slope_k) w(x) dx over
-    [knots[0], knots[-1]], where w is piecewise linear through (knots,
-    values); exact up to rounding.
-
-    Factor k bends where its shift crosses Z, Z + a_k or Z - a_k.  Those
-    places come from the integers the shift sweeps over, so no gap is ever
-    divided by a slope far smaller than itself.  Between the bends and the
-    knots the integrand is a polynomial of degree d + 1, which
-    Gauss-Legendre with (d + 3) // 2 nodes integrates exactly.
-    """
-    knots = np.asarray(knots, dtype=float)
-    x0, x1 = knots[0], knots[-1]
-    coords = list(zip(sides, base, slope, strict=True))
-    cuts = [knots]
-    for a, b, s in coords:
+def overlap_kinks(sides, base, slope, x0: float, x1: float) -> np.ndarray:
+    """The x in [x0, x1], unsorted, where some factor
+    arc_overlap(a_k, a_k, base_k + x * slope_k) bends: its shift crosses Z,
+    Z + a_k or Z - a_k.  Those places come from the integers the shift
+    sweeps over, so no gap is ever divided by a slope far smaller than
+    itself."""
+    cuts = [np.empty(0)]
+    for a, b, s in zip(sides, base, slope, strict=True):
         if s == 0.0:
             continue
         lo, hi = sorted((b + x0 * s, b + x1 * s))
         for c in (0.0, a, -a):
             n = np.arange(np.ceil(lo - c), np.floor(hi - c) + 1.0)
             cuts.append((n + c - b) / s)
-    pts = np.unique(np.clip(np.concatenate(cuts), x0, x1))
+    return np.concatenate(cuts)
+
+
+def arc_overlap_integral(sides, base, slope, knots, values) -> float:
+    """Int prod_k arc_overlap(a_k, a_k, base_k + x * slope_k) w(x) dx over
+    [knots[0], knots[-1]], where w is piecewise linear through (knots,
+    values); exact up to rounding.
+
+    Factor k bends where its shift crosses Z, Z + a_k or Z - a_k
+    (``overlap_kinks``).  Between the bends and the knots the integrand is
+    a polynomial of degree d + 1, which Gauss-Legendre with (d + 3) // 2
+    nodes integrates exactly.
+    """
+    knots = np.asarray(knots, dtype=float)
+    x0, x1 = knots[0], knots[-1]
+    coords = list(zip(sides, base, slope, strict=True))
+    cuts = overlap_kinks(sides, base, slope, x0, x1)
+    pts = np.unique(np.clip(np.concatenate((knots, cuts)), x0, x1))
     nodes, weights = _legendre((len(coords) + 3) // 2)
     half = 0.5 * np.diff(pts)[:, None]
     x = 0.5 * (pts[1:] + pts[:-1])[:, None] + half * nodes

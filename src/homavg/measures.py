@@ -26,11 +26,14 @@ import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wofz
 
 from .errors import AccuracyError, InvalidMeasureError
-from .quadrature import digit_band_term, sinc_power_integral
+from .flows import arc_overlap, arc_overlap_integral, overlap_kinks
+from .quadrature import (SELF_SIMILAR_NODES, digit_band_term, digit_walk,
+                         digit_walk_work, sinc_power_integral)
 from .rng import generator
 
 _CHAR_TOL = 1e-10
 _SAMPLE_RESOLUTION = 1e-12
+SPIKE_BLOCK = 4096       # spikes per breakpoint array: bounds the pair kernel's memory
 
 
 def _require_finite(what: str, *params) -> None:
@@ -121,6 +124,77 @@ class PiecewiseLinearDensity:
         out[live] = np.where(ia == ib, inside, across)
         return float(out) if out.ndim == 0 else out
 
+    def spike_integral(self, h, L, heights, t: float, draws=None) -> tuple[float, float]:
+        """(sum_j heights_j Int bump_j(|t u|) g(u) du, ``error``) for the
+        spikes of centers ``h`` and halfwidths ``L``, at t > 0.  Exact at
+        any cost: ``draws`` is not consulted."""
+        return float(heights @ self.spike_bands(h, L, t)), self.error
+
+    def spike_probe(self, h, L, heights, t: float, lo, hi, draws=None):
+        """``spike_integral`` and the masses of the intervals [lo_j, hi_j] of
+        t (r - s) at t > 0, as (value, error, masses).  Exact at any cost:
+        ``draws`` is not consulted."""
+        return (*self.spike_integral(h, L, heights, t), self.mass(lo / t, hi / t))
+
+    def spike_bands(self, h: np.ndarray, L: np.ndarray, t: float) -> np.ndarray:
+        """Int bump_j(|t u|) g(u) du for every spike (centers ``h``,
+        halfwidths ``L``), both signs of u, exact.
+
+        A spike band [a_j, b_j] on one side of u = 0 (h - L > 0), clipped to
+        the support of g, splits at its apex and at the g-knots inside it
+        into segments on which both factors are linear.  The breakpoints of
+        a block of J spikes go band after band into one array, at most
+        3J + K long and laid out without a sort; Simpson is exact on each of
+        its segments, and ``np.bincount`` adds the segments up per spike.
+        """
+        knots = self.knots
+        out = np.zeros(len(h))
+        for first_spike in range(0, len(h), SPIKE_BLOCK):
+            block = slice(first_spike, first_spike + SPIKE_BLOCK)
+            hb, lb = h[block], L[block]
+            for sign in (1.0, -1.0):
+                if sign > 0:
+                    lo, hi = (hb - lb) / t, (hb + lb) / t
+                else:
+                    lo, hi = -(hb + lb) / t, -(hb - lb) / t
+                lo = np.maximum(lo, knots[0])
+                hi = np.minimum(hi, knots[-1])
+                idx = np.nonzero(hi > lo)[0]
+                if len(idx) == 0:
+                    continue
+                a, b = lo[idx], hi[idx]
+                ap = np.clip(sign * hb[idx] / t, a, b)
+                k0 = np.searchsorted(knots, a, side="right")    # first knot inside
+                inner = np.searchsorted(knots, b, side="left") - k0
+                below = np.clip(np.searchsorted(knots, ap, side="left") - k0, 0, inner)
+                count = inner + 3
+                start = np.cumsum(count) - count
+                pts = np.empty(int(count.sum()))
+                pts[start] = a
+                pts[start + 1 + below] = ap
+                pts[start + count - 1] = b
+                owner = np.repeat(np.arange(len(idx)), inner)
+                rank = np.arange(len(owner)) - (np.cumsum(inner) - inner)[owner]
+                pts[start[owner] + 1 + rank + (rank >= below[owner])] = knots[k0[owner] + rank]
+                band = np.repeat(np.arange(len(idx)), count)
+                hv, lv = hb[idx][band], lb[idx][band]
+                f = self(pts) * _tri_eval(pts, t, hv, lv)
+                x0, x1 = pts[:-1], pts[1:]
+                mid = 0.5 * (x0 + x1)
+                simpson = (x1 - x0) / 6.0 * (f[:-1] + 4.0 * self(mid) * _tri_eval(
+                    mid, t, hv[:-1], lv[:-1]) + f[1:])
+                simpson[start[1:] - 1] = 0.0    # the gaps from one band to the next
+                out[first_spike + idx] += np.bincount(band[:-1], weights=simpson,
+                                                      minlength=len(idx))
+        return out
+
+    def box_integral(self, sides, slope: np.ndarray, draws=None) -> tuple[float, float]:
+        """(Int prod_k arc_overlap(a_k, a_k, u slope_k) g(u) du, ``error``),
+        by ``arc_overlap_integral``.  Exact at any cost: ``draws`` is not
+        consulted."""
+        return (arc_overlap_integral(sides, 0.0 * slope, slope, self.knots, self.values),
+                self.error)
+
     def si_transform(self, lam) -> np.ndarray:
         """F(lam) = Int g(u) sin(lam u) / u du for an array of ``lam``.
 
@@ -137,6 +211,11 @@ class PiecewiseLinearDensity:
         si, _ = sici(lam * k)
         dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
         return np.diff(si, axis=1) @ p - dcos_over_lam @ q
+
+
+def _tri_eval(u, t, hv, lv):
+    """Triangular bump 1 - ||t u| - h| / L, clipped at zero; vectorized."""
+    return np.maximum(0.0, 1.0 - np.abs(np.abs(t * np.asarray(u)) - hv) / lv)
 
 
 @dataclass(frozen=True)
@@ -156,6 +235,9 @@ class Cells:
 
     def serves(self, power: int) -> bool:
         return power == 1 and self.exact
+
+    def pair_view(self) -> PiecewiseLinearDensity:
+        return self.density()
 
     def density(self) -> PiecewiseLinearDensity:
         """The density of r - s, with the quantizer's error 1e-4 unless exact."""
@@ -187,6 +269,9 @@ class Sinc:
     def serves(self, power: int) -> bool:
         return True
 
+    def pair_view(self) -> None:
+        return None
+
     def integrand(self, t: float, power: int):
         lam, n = abs(t) * self.q, 2 * self.m * power
         return lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
@@ -213,6 +298,10 @@ class Digits:
         law = self.law.power(power)
         return len(law.values) * law.ratio <= 1
 
+    def pair_view(self) -> DigitPairs | None:
+        """The kink walk's view of r - s where the digit rule serves p = 1."""
+        return DigitPairs(self.law) if self.serves(1) else None
+
     def band_term(self, band, t: float, power: int) -> float:
         return digit_band_term(self.law.power(power), band, t)
 
@@ -238,17 +327,143 @@ class DigitLaw:
         return DigitLaw(ratio, values, tuple(acc[v] for v in values))
 
     def power(self, p: int) -> DigitLaw:
-        """The law of a sum of ``p`` independent copies: p-fold digit sums."""
-        law = self
-        for _ in range(p - 1):
-            law = DigitLaw.merged(self.ratio, (
-                (a + b, u * w) for a, u in zip(law.values, law.weights)
-                for b, w in zip(self.values, self.weights)))
-        return law
+        """The law of a sum of ``p`` independent copies: p-fold digit sums,
+        built once per (law, p)."""
+        return _digit_power(self, p)
 
     def scaled(self, factor: float) -> DigitLaw:
         f = Fraction(factor)
         return DigitLaw(self.ratio, tuple(v * f for v in self.values), self.weights)
+
+
+@lru_cache(maxsize=64)
+def _digit_power(law: DigitLaw, p: int) -> DigitLaw:
+    out = law
+    for _ in range(p - 1):
+        out = DigitLaw.merged(law.ratio, (
+            (a + b, u * w) for a, u in zip(out.values, out.weights)
+            for b, w in zip(law.values, law.weights)))
+    return out
+
+
+class DigitPairs:
+    """The law of r - s as a self-similar digit law D with M ratio <= 1,
+    seen by ``digit_walk``: spike and box pair integrals, interval masses
+    and the probe's both, exact up to the walk's reported bound.
+
+    A walk's cost grows with the kinks of its kernel inside supp(D), while
+    sampling costs the same at every t.  Given ``draws``, a pair integral
+    or a probe point declines (returns None) when its walks' work
+    (``digit_walk_work``: copies placed and kernel evaluations) exceeds the
+    sampler's: 2 draws per pair, each a chaos game of ``_sample_depth``
+    map choices.
+    """
+
+    def __init__(self, law: DigitLaw):
+        self.law = law
+        self.lo = float(law.values[0] / (1 - law.ratio))
+        self.hi = float(law.values[-1] / (1 - law.ratio))
+        self.pair_work = 2 * _sample_depth(float(law.ratio), 0.5 * (self.hi - self.lo))
+
+    def _work(self, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
+              spread: float) -> int:
+        """``digit_walk_work`` of a walk given by its arguments after the law."""
+        reach = np.count_nonzero((kinks > self.lo) & (kinks < self.hi))
+        return digit_walk_work(self.law, int(reach), degree, lipschitz, spread)
+
+    def _declines(self, work: int, draws) -> bool:
+        return draws is not None and work > draws * self.pair_work
+
+    def _mass_walk(self, ends: np.ndarray) -> tuple:
+        """``digit_walk``'s arguments after the law for the cumulative at the
+        sorted ``ends``: the indicators of every end, a jump kernel."""
+        return ends, lambda u, w: np.bincount(
+            np.searchsorted(ends, u, side="right"), w, minlength=len(ends) + 1), 0, np.inf, 1.0
+
+    def _ends(self, a, b) -> np.ndarray:
+        """The sorted distinct interval ends inside supp(D): the kinks of
+        the cumulative walk."""
+        ends = np.concatenate((np.ravel(a), np.ravel(b)))
+        return np.unique(ends[(ends > self.lo) & (ends < self.hi)])
+
+    def mass(self, a, b):
+        """Mass of [a, b], elementwise over array arguments and 0 where
+        b <= a; a float for scalar arguments.  One walk of the indicator
+        kernels of every end inside supp(D) gives the cumulative F there,
+        F is 0 below the support and the walk's total above it, and each
+        mass is F(b) - F(a)."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        ends = self._ends(a, b)
+        bins, _ = digit_walk(self.law, *self._mass_walk(ends))
+        points = np.concatenate(([self.lo], ends, [self.hi]))
+        cdf = np.concatenate(([0.0], np.cumsum(bins)))
+        at = lambda x: cdf[np.searchsorted(points, np.clip(x, self.lo, self.hi))]
+        out = np.where(b > a, at(b) - at(a), 0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def _spike_walk(self, h, L, heights, t: float) -> tuple | None:
+        """``digit_walk``'s arguments after the law for sum_j heights_j
+        bump_j(|t u|) at t > 0, piecewise linear; None when no spike
+        reaches supp(D)."""
+        seen = np.searchsorted(h - L, t * max(-self.lo, self.hi))   # the rest is 0 on supp(D)
+        if seen == 0:
+            return None
+        h, L, heights = h[:seen], L[:seen], heights[:seen]
+        window = h - L
+        kinks = np.concatenate([window, h, h + L]) / t
+        kinks = np.sort(np.concatenate((-kinks, kinks)))
+        lipschitz = t * float(np.max(np.abs(heights) / L))
+        spread = float(max(heights.max(), 0.0) - min(heights.min(), 0.0))
+
+        def kernel(u, w):
+            j = np.maximum(np.searchsorted(window, np.abs(t * u), side="right") - 1, 0)
+            return float(w @ (heights[j] * _tri_eval(u, t, h[j], L[j])))
+
+        return kinks, kernel, 1, lipschitz, spread
+
+    def spike_integral(self, h, L, heights, t: float, draws=None):
+        """(sum_j heights_j E[bump_j(|t D|)], the walk's bound) at t > 0, or
+        None when the walk would cost more than ``draws`` sampled pairs."""
+        walk = self._spike_walk(h, L, heights, t)
+        if walk is None:
+            return 0.0, 0.0
+        if self._declines(self._work(*walk), draws):
+            return None
+        return digit_walk(self.law, *walk)
+
+    def spike_probe(self, h, L, heights, t: float, lo, hi, draws=None):
+        """``spike_integral`` and the masses of the intervals [lo_j, hi_j] of
+        t (r - s) at t > 0, as (value, error, masses), or None when the two
+        walks together would cost more than ``draws`` sampled pairs."""
+        walk = self._spike_walk(h, L, heights, t)
+        work = self._work(*self._mass_walk(self._ends(lo / t, hi / t)))
+        work += 0 if walk is None else self._work(*walk)
+        if self._declines(work, draws):
+            return None
+        value, error = (0.0, 0.0) if walk is None else digit_walk(self.law, *walk)
+        return value, error, self.mass(lo / t, hi / t)
+
+    def box_integral(self, sides, slope: np.ndarray, draws=None):
+        """(E[prod_k arc_overlap(a_k, a_k, D slope_k)], the walk's bound), or
+        None when the product's degree exceeds the Gauss rule's or the walk
+        would cost more than ``draws`` sampled pairs."""
+        if len(sides) >= 2 * SELF_SIMILAR_NODES:
+            return None
+        kinks = np.sort(overlap_kinks(sides, 0.0 * slope, slope, self.lo, self.hi))
+        a = np.array(sides, dtype=float)
+        spread = float(np.prod(a))
+        lipschitz = float(sum(abs(s) * np.prod(np.delete(a, k)) for k, s in enumerate(slope)))
+
+        def kernel(u, w):
+            f = np.ones(len(u))
+            for side, s in zip(sides, slope):
+                f = f * arc_overlap(side, side, u * s)
+            return float(w @ f)
+
+        walk = (kinks, kernel, len(sides), lipschitz, spread)
+        if self._declines(self._work(*walk), draws):
+            return None
+        return digit_walk(self.law, *walk)
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +854,32 @@ class SelfSimilar(WeightMeasure):
         return rec(1.0)
 
     def _sample(self, count, master, path):
+        """The chaos game from the support's midpoint, ``_sample_depth``
+        maps deep.  Each level draws its map index as ``Generator.choice``
+        with probabilities would, byte for byte (checked against numpy
+        2.4): the cdf of the weights divided by its last entry, and the
+        count of its edges below one uniform draw."""
         lo, hi = self.support()
-        diam = max(hi - lo, 1e-300)
-        rmax = max(self.ratios)
-        depth = max(1, ceil(log(_SAMPLE_RESOLUTION / diam) / log(rmax)))
+        depth = _sample_depth(max(self.ratios), max(hi - lo, 1e-300))
         rng = generator(master, *path)
         r = np.array(self.ratios)
         c = np.array(self.shifts)
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
         x = np.full(count, 0.5 * (lo + hi))
         for _ in range(depth):
-            idx = rng.choice(len(r), size=count, p=np.array(self.weights))
+            u = rng.random(count)
+            idx = np.zeros(count, dtype=np.intp)
+            for edge in cdf[:-1]:
+                idx += u >= edge
             x = c[idx] + r[idx] * x
         return x
+
+
+def _sample_depth(ratio: float, diam: float) -> int:
+    """Levels of a chaos game with contraction ``ratio`` that resolve a
+    support of width ``diam`` to _SAMPLE_RESOLUTION."""
+    return max(1, ceil(log(_SAMPLE_RESOLUTION / diam) / log(ratio)))
 
 
 @lru_cache(maxsize=16)

@@ -1,12 +1,14 @@
 """Composite Gauss-Legendre quadrature with cell-doubling refinement, Gauss
-rules of self-similar laws built from their exact moments, and exact band
-rules: sinc-power integrals and band expectations over a digit law."""
+rules of self-similar laws built from their exact moments, exact band
+rules (sinc-power integrals and band expectations over a digit law), and
+the kink walk that integrates a piecewise-polynomial kernel over a digit
+law."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import ceil, comb, log
 from typing import Callable
 
 import numpy as np
@@ -66,10 +68,13 @@ def adaptive_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 @lru_cache(maxsize=16)
 def self_similar_rule(ratio: Fraction, values: tuple[Fraction, ...],
-                      weights: tuple[Fraction, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the SELF_SIMILAR_NODES-point Gauss rule of the
-    law of D = sum_{j >= 0} ratio^j d_j, i.i.d. digits d_j taking ``values``
-    with probabilities ``weights`` (exact Fractions summing to 1).
+                      weights: tuple[Fraction, ...],
+                      size: int = SELF_SIMILAR_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``size``-point Gauss rule (at most
+    SELF_SIMILAR_NODES) of the law of D = sum_{j >= 0} ratio^j d_j, i.i.d.
+    digits d_j taking ``values`` with probabilities ``weights`` (exact
+    Fractions summing to 1).  It integrates polynomials of degree
+    < 2 ``size`` exactly; the 1-point rule is the mean of D.
 
     The moments are exact rationals from D = d + ratio D':
     (1 - ratio^m) E[D^m] = sum_{j=1}^m C(m, j) E[d^j] ratio^(m-j) E[D^(m-j)].
@@ -80,7 +85,7 @@ def self_similar_rule(ratio: Fraction, values: tuple[Fraction, ...],
     matrix in float64, the weights the squared first components of its
     eigenvectors, normalized.
     """
-    n = 2 * SELF_SIMILAR_NODES
+    n = 2 * size
     digit = [sum(w * v ** j for v, w in zip(values, weights)) for j in range(n)]
     moments = [Fraction(1)]
     for m in range(1, n):
@@ -89,7 +94,7 @@ def self_similar_rule(ratio: Fraction, values: tuple[Fraction, ...],
     # sigma_k(l) = E[pi_k(D) D^l] for the monic orthogonal polynomials pi_k
     alpha, beta = [moments[1]], [Fraction(1)]
     prev, cur = [Fraction(0)] * n, moments
-    for k in range(1, SELF_SIMILAR_NODES):
+    for k in range(1, size):
         nxt = [Fraction(0)] * n
         for l in range(k, n - k):
             nxt[l] = cur[l + 1] - alpha[-1] * cur[l] - beta[-1] * prev[l]
@@ -150,6 +155,103 @@ def digit_band_term(law, band, t: float) -> float:
         vals = band.transform(t * block.ravel()).real.reshape(block.shape)
         total += float(outer_w[first:first + rows] @ (vals @ inner_w))
     return total
+
+
+ROUNDING = np.finfo(float).eps / 2   # unit roundoff of float64: where a digit walk stops
+
+
+def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
+               spread: float) -> tuple:
+    """(E[K(D)], error bound) for the self-similar ``law`` D (``ratio``,
+    ``values`` and ``weights`` as in ``self_similar_rule``) and a kernel K
+    that is a polynomial of degree <= ``degree`` < 2 SELF_SIMILAR_NODES
+    between the sorted ``kinks``, with Lipschitz bound ``lipschitz`` there
+    (inf for a kernel that jumps at its kinks) and max K - min K <=
+    ``spread``.  ``kernel(u, w)`` returns sum_i w_i K(u_i), a float or an
+    array.
+
+    The walk splits D = A_k + ratio^k D' level by level.  A copy
+    a + ratio^k supp(D) with no kink inside contributes its weight times
+    the smallest Gauss rule of D exact to ``degree``, scaled by ratio^k:
+    exact.  A copy that straddles a kink splits into its M children.  The
+    rule misses a straddling copy by at most its mass times
+    min(lipschitz ratio^k diam(D), spread).  A straddling copy whose
+    children would no longer shrink in float is taken by the rule at once,
+    and its bound kept.  The walk stops once the straddling copies' bound
+    is below the rounding of ``spread``, takes them by the rule as well,
+    and returns that bound plus the kept ones.
+    """
+    size = degree // 2 + 1
+    nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights, size)
+    values = np.array([float(v) for v in law.values])
+    probs = np.array([float(w) for w in law.weights])
+    ratio = float(law.ratio)
+    lo, hi = float(values[0]) / (1.0 - ratio), float(values[-1]) / (1.0 - ratio)
+    rows = max(1, _DIGIT_BLOCK // size)   # copies per kernel call: bounds the walk's memory
+    atoms, weights, scale = np.zeros(1), np.ones(1), 1.0
+    total, pending, waiting = 0.0, [], 0   # the copies the rule takes, not yet evaluated
+    stuck = 0.0     # the bound of straddling copies whose children would not shrink
+    # every atom lies within max(-lo, hi) of 0, so children wider than this
+    # still shrink in float
+    narrow = 4.0 * np.finfo(float).eps * max(-lo, hi)
+    while True:
+        inside = (kinks.searchsorted(atoms + scale * hi, side="left")
+                  > kinks.searchsorted(atoms + scale * lo, side="right"))
+        miss = spread if lipschitz == np.inf else min(lipschitz * scale * (hi - lo), spread)
+        if ratio * scale * (hi - lo) <= narrow:
+            children = atoms[:, None] + scale * values
+            stops = inside & np.any(children + ratio * scale * hi
+                                    == children + ratio * scale * lo, axis=1)
+            stuck += float(weights @ stops) * miss
+            inside &= ~stops
+        error = float(weights @ inside) * miss
+        last = error <= ROUNDING * spread
+        settle = slice(None) if last else ~inside
+        pending.append((atoms[settle], weights[settle], scale))
+        waiting += len(pending[-1][0])
+        if last or waiting >= rows:
+            total = total + _rule_sum(kernel, nodes, node_weights, pending, rows)
+            pending, waiting = [], 0
+        if last:
+            return total, error + stuck
+        atoms = (atoms[inside, None] + scale * values).ravel()
+        weights = (weights[inside, None] * probs).ravel()
+        scale *= ratio
+
+
+def _rule_sum(kernel, nodes, node_weights, copies, rows: int):
+    """The kernel summed over the scaled Gauss rule of every copy in
+    ``copies`` (atoms, weights, scale), ``rows`` copies per call."""
+    atoms = np.concatenate([a for a, _, _ in copies])
+    weights = np.concatenate([w for _, w, _ in copies])
+    scales = np.repeat([s for _, _, s in copies], [len(a) for a, _, _ in copies])
+    total = 0.0
+    for first in range(0, len(atoms), rows):
+        part = slice(first, first + rows)
+        total = total + kernel((atoms[part, None] + scales[part, None] * nodes).ravel(),
+                               (weights[part, None] * node_weights).ravel())
+    return total
+
+
+def digit_walk_work(law, reach: int, degree: int, lipschitz: float, spread: float) -> int:
+    """What ``digit_walk`` computes over ``reach`` kinks inside supp(D):
+    per level, each kink splits a copy, of mass at most w_max^k, into its M
+    children, and each child is placed against the kinks once and, once
+    settled, evaluated at the rule's degree // 2 + 1 nodes.  The levels run
+    to the first k at which reach w_max^k min(lipschitz ratio^k diam(D),
+    spread) is below the rounding of ``spread``.  A kink straddles one
+    copy per level when the copies do not overlap; the count is an
+    estimate where they do."""
+    if reach == 0 or spread == 0.0:
+        return 0
+    heaviest = float(max(law.weights))
+    levels = log(ROUNDING / reach) / log(heaviest)          # mass times spread
+    if lipschitz < np.inf:
+        diam = float((law.values[-1] - law.values[0]) / (1 - law.ratio))
+        bound = reach * lipschitz * diam
+        shrink = log(heaviest * float(law.ratio))
+        levels = min(levels, log(ROUNDING * spread / bound) / shrink) if bound > 0 else 0
+    return reach * (1 + max(0, ceil(levels))) * len(law.values) * (2 + degree // 2)
 
 
 _SINC_NEAR = 40          # sinc^n is integrated by quadrature up to x = 2 n + _SINC_NEAR

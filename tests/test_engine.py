@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import sici
 
-from homavg import engine, quadrature, spectral
+from homavg import engine, measures, quadrature, spectral
 from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     InvalidMeasureError, Observable, PointMass,
                     SpectralModel, SpikeCorrelation, Uniform,
@@ -18,12 +19,13 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     golden_winding, l1_deviation, l2_deviation_mc,
                     l2_norm_spectral, pair_correlation_integral, rescale,
                     spectrum_of_observable, weighted_average_pointwise)
-from homavg.measures import (Cells, Digits, Scaled, SelfSimilar, Sinc,
+from homavg.measures import (Cells, DigitLaw, Digits, Scaled, SelfSimilar, Sinc,
                              TableDensity, Triangular, TruncatedGaussian)
 from homavg.spectral import BoxAutocorrelation, BoxIndicator, CorrelationModel
 from homavg.flows import BoxSet, TorusWinding
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
+BERNOULLI = SelfSimilar((0.45, 0.45), (0.0, 0.55), (0.5, 0.5))   # M ratio = 1.35: sampled
 GAUSS = TruncatedGaussian(0.5, 0.2, 0.0, 1.0)
 
 
@@ -720,7 +722,7 @@ def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
 
 def test_no_difference_law_means_no_density_and_sampled_pairs():
     spikes = geometric_spikes(10, 0.25, count=4)
-    for weight in (CANTOR, rescale(CANTOR, 2.0), convolve(Uniform(0, 1), Uniform(0, 1))):
+    for weight in (BERNOULLI, rescale(BERNOULLI, 2.0), convolve(Uniform(0, 1), Uniform(0, 1))):
         assert difference_density(weight) is None
         pair = pair_correlation_integral(spikes, weight, 20.0, n_samples=500)
         assert pair.method == "sampling"
@@ -885,7 +887,7 @@ def test_probe_reports_band_and_spike_masses():
 def test_probe_supports_singular_weights_by_sampling():
     spikes = geometric_spikes(growth=10.0, halfwidth=0.25, height=1.0,
                               count=4, baseline=0.25)
-    curve = almost_mixing_probe(spikes, CANTOR, geometric_grid(10.0, 10.0, 3),
+    curve = almost_mixing_probe(spikes, BERNOULLI, geometric_grid(10.0, 10.0, 3),
                                 n_samples=20_000, seed=16)
     assert all(v >= 0 for v in curve.values)
     assert curve.metadata["band_mass"][0] is not None
@@ -990,9 +992,9 @@ def spike_band_reference(g, h, L, t):
     return out
 
 
-@pytest.mark.parametrize("block", [engine.SPIKE_BLOCK, 7])
+@pytest.mark.parametrize("block", [measures.SPIKE_BLOCK, 7])
 def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
-    monkeypatch.setattr(engine, "SPIKE_BLOCK", block)
+    monkeypatch.setattr(measures, "SPIKE_BLOCK", block)
     g = difference_density(Triangular(0.0, 1.0))
     assert len(g.knots) == 8193 and g.error == 1e-4
     cases = [
@@ -1009,7 +1011,7 @@ def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
     ]
     for spike, t in cases:
         h, L, _ = spike.arrays
-        got = engine._spike_band_integrals(g, h, L, t)
+        got = g.spike_bands(h, L, t)
         np.testing.assert_allclose(got, spike_band_reference(g, h, L, t),
                                    rtol=0, atol=1e-13)
         assert np.count_nonzero(got) > 0
@@ -1037,8 +1039,12 @@ def test_probe_builds_once_and_counts_calls(monkeypatch):
         assert counts["density"] == 1
         assert counts["mass"] <= 2 * len(grid)
     counts.update(density=0, mass=0, sample=0)
-    almost_mixing_probe(spikes, CANTOR, grid, n_samples=2000, seed=3)
+    almost_mixing_probe(spikes, BERNOULLI, grid, n_samples=2000, seed=3)
     assert counts == {"density": 1, "mass": 0, "sample": 2 * len(grid)}
+    # at the default 10k pairs the walk is the cheaper path at t = 10 and 100
+    counts.update(density=0, mass=0, sample=0)
+    almost_mixing_probe(spikes, CANTOR, grid[:2], seed=3)
+    assert counts == {"density": 1, "mass": 0, "sample": 0}
 
 
 @pytest.mark.parametrize("count", [64, 65])
@@ -1046,7 +1052,7 @@ def test_probe_spike_mass_shape_on_both_paths(count):
     spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, count=count)
     grid = geometric_grid(10.0, 10.0, 3)
     n, seed, bw = 3000, 17, 1.0
-    sampled = almost_mixing_probe(spikes, CANTOR, grid, n_samples=n, seed=seed,
+    sampled = almost_mixing_probe(spikes, BERNOULLI, grid, n_samples=n, seed=seed,
                                   band_halfwidth=bw)
     exact = almost_mixing_probe(spikes, Uniform(0, 1), grid)
     h, L, _ = spikes.arrays
@@ -1054,7 +1060,7 @@ def test_probe_spike_mass_shape_on_both_paths(count):
     for k, t in enumerate(grid):
         # sampling path: counts among the pair integral's own draws equal the
         # fractions of the draws that fall in each window
-        u = engine._pair_differences(CANTOR, n, engine._point_seed(seed, k))
+        u = engine._pair_differences(BERNOULLI, n, engine._point_seed(seed, k))
         per = [float(np.mean((t * u >= hj - lj) & (t * u <= hj + lj)))
                for hj, lj in zip(h, L)]
         entry = sampled.metadata["spike_mass"][k]
@@ -1081,3 +1087,174 @@ def test_probe_dense_progression_on_quantized_triangular_weight():
     elapsed = time.perf_counter() - start
     assert curve.values[-1] > 0.5 * curve.values[0]     # criterion 5's dense check
     assert elapsed < 15.0
+
+
+# -- kink walk over digit laws ------------------------------------------------------
+
+WALKED = [CANTOR, DYADIC_ODD, rescale(CANTOR, 0.7)]
+WALKED_IDS = ["cantor", "dyadic-odd", "scaled-cantor"]
+
+
+@pytest.mark.parametrize("weight", WALKED, ids=WALKED_IDS)
+def test_walk_pairs_against_sampling(weight):
+    spikes = geometric_spikes(10, 0.25, count=4)
+    for model in (spikes, GOLDEN_BOX):
+        for t in (7.0, 60.0):
+            exact = pair_correlation_integral(model, weight, t)
+            assert exact.method == "quadrature" and exact.error < 1e-15
+            assert pair_correlation_integral(model, weight, -t) == exact
+            sampled = pair_correlation_integral(model, weight, t, method="sampling",
+                                                n_samples=200_000, seed=21)
+            assert abs(exact.value - sampled.value) <= 4.0 * (sampled.error + exact.error)
+
+
+@pytest.mark.parametrize("weight", WALKED, ids=WALKED_IDS)
+def test_walk_probe_against_sampling(weight):
+    spikes = geometric_spikes(10, 0.25, count=4)
+    h, L, _ = spikes.arrays
+    grid, n = (-50.0, 10.0, 50.0), 200_000
+    curve = almost_mixing_probe(spikes, weight, grid)
+    assert "failed_points" not in curve.metadata
+    band, spike = curve.metadata["band_mass"], curve.metadata["spike_mass"]
+    assert (curve.values[0], band[0], spike[0]) == (curve.values[2], band[2], spike[2])
+    for k, t in enumerate(grid):
+        assert curve.errors[k] < 1e-15
+        u = t * engine._pair_differences(weight, n, 30 + k)
+        vals = spikes.value(u)
+        assert abs(curve.values[k] - abs(vals.mean() - spikes.baseline)) <= \
+            4.0 * vals.std() / np.sqrt(n) + curve.errors[k]
+        counted = [np.mean(np.abs(u) < 1.0)] + [np.mean((u >= hj - lj) & (u <= hj + lj))
+                                                for hj, lj in zip(h, L)]
+        for got, want in zip([band[k], *spike[k]["per_spike"]], counted):
+            assert abs(got - want) <= 4.0 * np.sqrt(got * (1 - got) / n) + 1e-12
+
+
+def test_walk_rescaled_weight_at_t_is_the_weight_at_scaled_t():
+    spikes = geometric_spikes(10, 0.25, count=4)
+    for t in (5.0, 40.0):
+        for model in (spikes, GOLDEN_BOX):
+            scaled = pair_correlation_integral(model, rescale(CANTOR, 3.0), t)
+            assert scaled.value == pytest.approx(
+                pair_correlation_integral(model, CANTOR, 3.0 * t).value, rel=0, abs=1e-14)
+    scaled = almost_mixing_probe(spikes, rescale(CANTOR, 3.0), (5.0, 40.0))
+    plain = almost_mixing_probe(spikes, CANTOR, (15.0, 120.0))
+    np.testing.assert_allclose(scaled.values, plain.values, rtol=0, atol=1e-14)
+    # the cumulative of a digit law is only Hoelder continuous (exponent
+    # log 2 / log 3 for Cantor), so the rounding of 3 * (2/3) in the scaled
+    # digits moves a mass by more than rounding: 1.4e-14 at t = 40
+    np.testing.assert_allclose(scaled.metadata["band_mass"], plain.metadata["band_mass"],
+                               rtol=0, atol=1e-12)
+
+
+def digit_cdf(law, x):
+    """P(D < x) in Fractions for a digit law D = d + ratio D': the
+    self-similarity F(y) = sum_i w_i F((y - v_i) / ratio), with F = 0 at or
+    below the support and 1 at or above it, solved by elimination over the
+    points reached from x.  Needs an x whose orbit is finite."""
+    lo, hi = law.values[0] / (1 - law.ratio), law.values[-1] / (1 - law.ratio)
+    points, rows = [x], []
+    while len(rows) < len(points):
+        row = [Fraction(0)] * len(points) + [Fraction(0)]    # coefficients, then the constant
+        for v, w in zip(law.values, law.weights):
+            z = (points[len(rows)] - v) / law.ratio
+            if z >= hi:
+                row[-1] += w
+            elif z > lo:
+                if z not in points:
+                    points.append(z)
+                    row.insert(-1, Fraction(0))
+                row[points.index(z)] -= w
+        row[len(rows)] += 1
+        rows.append(row)
+    n = len(points)
+    system = [row[:-1] + [Fraction(0)] * (n + 1 - len(row)) + row[-1:] for row in rows]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if system[r][c] != 0)
+        system[c], system[pivot] = system[pivot], system[c]
+        system[c] = [v / system[c][c] for v in system[c]]
+        for r in range(n):
+            if r != c:
+                system[r] = [a - system[r][c] * b for a, b in zip(system[r], system[c])]
+    return system[0][n]
+
+
+def test_walk_cantor_band_mass_is_five_twenty_firsts():
+    third = Fraction(1, 3)
+    law = DigitLaw(third, (-2 * third, Fraction(0), 2 * third),
+                   (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+    tenth = Fraction(1, 10)
+    exact = digit_cdf(law, tenth) - digit_cdf(law, -tenth)
+    assert exact == Fraction(5, 21)
+    spikes = geometric_spikes(10, 0.25, count=4)
+    curve = almost_mixing_probe(spikes, CANTOR, (10.0, 20.0))
+    assert curve.metadata["band_mass"][0] == pytest.approx(float(exact), rel=0, abs=1e-15)
+    assert difference_density(CANTOR).mass(-0.1, 0.1) == pytest.approx(
+        float(exact), rel=0, abs=1e-15)
+
+
+def test_walk_error_is_its_bound():
+    """A ramp with its kink at 0.1, walked to rounding and, with a looser
+    spread, stopped near 1e-10: each reported bound is positive and covers
+    the gap between the two."""
+    (form,) = CANTOR.difference_law()
+    kinks = np.array([0.1])
+    ramp = lambda u, w: float(w @ np.maximum(u - 0.1, 0.0))
+    fine, fine_error = quadrature.digit_walk(form.law, kinks, ramp, 1, 1.0, 2.0)
+    coarse, coarse_error = quadrature.digit_walk(form.law, kinks, ramp, 1, 1.0, 2e6)
+    assert 0.0 < fine_error <= 2.0 * quadrature.ROUNDING
+    assert 1e-13 < coarse_error <= 2e6 * quadrature.ROUNDING
+    assert abs(coarse - fine) <= coarse_error + fine_error
+
+
+def test_walk_mass_at_a_heavy_kink_stops_with_its_bound():
+    """A kink at 0 sits inside the heavy all-middle-digit copy of r - s at
+    every level; the walk stops once that copy no longer shrinks in float,
+    and the mass it reports as its error covers the exact P(0 <= D < 1/2)."""
+    p = Fraction(99, 10_000)      # r - s of weights (0.99, 0.01): digit 2/3 with 0.01 * 0.99
+    law = DigitLaw(Fraction(1, 3), (Fraction(-2, 3), Fraction(0), Fraction(2, 3)),
+                   (p, 1 - 2 * p, p))
+    exact = float(digit_cdf(law, Fraction(1, 2)) - digit_cdf(law, Fraction(0)))
+    view = measures.DigitPairs(law)
+    start = time.perf_counter()
+    bins, error = quadrature.digit_walk(law, *view._mass_walk(np.array([0.0, 0.5])))
+    assert time.perf_counter() - start < 5.0
+    assert 1e-7 < error < 1e-5
+    assert abs(bins[1] - exact) <= error
+    weight = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.99, 0.01))
+    assert difference_density(weight).mass(0.0, 0.5) == pytest.approx(exact, rel=0, abs=1e-5)
+
+
+@pytest.mark.parametrize("weight", [CANTOR, DYADIC_ODD], ids=["cantor", "dyadic-odd"])
+def test_walk_work_covers_its_kernel_evaluations(weight):
+    """``digit_walk_work`` counts copies placed plus kernel evaluations; the
+    evaluations alone, over its Gauss rule's nodes, stay within it."""
+    view = difference_density(weight)
+    spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, height=1.0, count=500, baseline=0.25)
+    h, L, heights = spikes.arrays
+    for t in (10.0, 100.0, 1000.0):
+        ends = view._ends(np.append(h - L, -1.0) / t, np.append(h + L, 1.0) / t)
+        for kinks, kernel, degree, lipschitz, spread in (
+                view._spike_walk(h, L, heights, t), view._mass_walk(ends)):
+            seen = []
+            counted = lambda u, w: seen.append(len(u)) or kernel(u, w)
+            quadrature.digit_walk(view.law, kinks, counted, degree, lipschitz, spread)
+            size = degree // 2 + 1
+            work = view._work(kinks, kernel, degree, lipschitz, spread)
+            assert 0 < sum(seen) <= work * size / (1 + size)
+
+
+def test_walk_budget_on_dense_spikes():
+    """100,001 arithmetic spikes on Cantor: the walk takes a t while its
+    kinks in reach keep it cheaper than sampling, and sampling the rest."""
+    spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, height=1.0,
+                               count=100_001, baseline=0.25)
+    start = time.perf_counter()
+    curve = almost_mixing_probe(spikes, CANTOR, geometric_grid(10.0, 10.0, 5))
+    assert time.perf_counter() - start < 15.0
+    assert curve.errors[0] <= 1e-12        # t = 10 walks
+    assert curve.errors[-1] > 1e-4         # t = 1e5 samples
+    assert pair_correlation_integral(spikes, CANTOR, 1e5).method == "sampling"
+    assert pair_correlation_integral(spikes, CANTOR, 100.0, n_samples=10).method == "sampling"
+    forced = pair_correlation_integral(spikes, CANTOR, 100.0, n_samples=10, method="quadrature")
+    assert forced.method == "quadrature"
+    assert forced.value == pair_correlation_integral(spikes, CANTOR, 100.0).value

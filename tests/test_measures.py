@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import ceil, log
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
                     TruncatedGaussian, Uniform, convolution_power, convolve,
                     rescale)
 from homavg.measures import Cells, DigitLaw, Digits, Sinc, require_atomless
+from homavg.rng import generator
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
 DYADIC_ODD = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5))
@@ -259,6 +261,7 @@ def test_digit_law_powers_merge_equal_sums_exactly():
         THIRD, tuple(k * 2 * THIRD for k in range(-2, 3)),
         tuple(k * sixteenth for k in (1, 4, 6, 4, 1)))
     assert len(CANTOR_DIGITS.power(3).values) == 7
+    assert CANTOR_DIGITS.power(3) is CANTOR_DIGITS.power(3)      # built once per (law, p)
     # dyadic digits {0, 1/2} and {0, 1/4}: r - s has three digits either way
     for m, step in ((DYADIC_ODD, Fraction(1, 2)), (DYADIC_EVEN, Fraction(1, 4))):
         (form,) = m.difference_law()
@@ -303,6 +306,35 @@ def test_sample_determinism_bitwise():
               TruncatedGaussian(0.5, 0.3, 0.0, 1.0)):
         np.testing.assert_array_equal(m.sample(2000, 77), m.sample(2000, 77))
     assert not np.array_equal(CANTOR.sample(2000, 77), CANTOR.sample(2000, 78))
+
+
+def choice_chaos_game(measure, count, master, path):
+    """The self-similar sampler as one ``Generator.choice`` per level draws
+    its map indices: the reference for the sampler's bytes.  The sampler
+    re-implements ``choice`` with probabilities as numpy 2.4 has it, so a
+    numpy that changes that algorithm fails this comparison first."""
+    lo, hi = measure.support()
+    depth = max(1, ceil(log(1e-12 / max(hi - lo, 1e-300)) / log(max(measure.ratios))))
+    rng = generator(master, *path)
+    r, c = np.array(measure.ratios), np.array(measure.shifts)
+    x = np.full(count, 0.5 * (lo + hi))
+    for _ in range(depth):
+        idx = rng.choice(len(r), size=count, p=np.array(measure.weights))
+        x = c[idx] + r[idx] * x
+    return x
+
+
+@pytest.mark.parametrize("measure", [
+    CANTOR, DYADIC_ODD, DYADIC_EVEN,
+    SelfSimilar((0.3, 0.3, 0.3), (0.0, 0.35, 0.7), (0.2, 0.5, 0.3)),
+    SelfSimilar((0.5, 1 / 3), (0.0, 2 / 3), (0.3, 0.7)),
+    SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)),
+], ids=["cantor", "dyadic-odd", "dyadic-even", "three-maps", "mixed-ratios", "near-one"])
+def test_self_similar_sampler_bytes_match_per_level_choice(measure):
+    for count in (1, 7, 20_000):
+        for seed in (3, 4):
+            got = measure._sample(count, seed, (5,))
+            assert got.tobytes() == choice_chaos_game(measure, count, seed, (5,)).tobytes()
 
 
 def test_uniform_sample_mean_clt():

@@ -2,9 +2,12 @@
 template and of a law matrix, through ``homavg.cli.main`` at ``--threads 1``
 and ``2``, for ``diff -r`` between two trees.  Templates run at seeds 1 and
 2001, rounds 0-2 and the top round (round 0 and the top round for
-rigidity-adversary).  The law matrix runs ten weights, covering every form
-of the law of r - s, on three spectra as ``spectral-scan`` and
-``convolution-root`` at powers 2 and 3, plus one probe per weight.
+rigidity-adversary).  The law matrix runs eleven weights, covering every
+form of the law of r - s and a self-similar weight too dense for the digit
+forms (``bernoulli``, M ratio > 1), on three spectra as ``spectral-scan``
+and ``convolution-root`` at powers 2 and 3, plus one probe per weight and
+a 500-spike arithmetic probe on ``cantor-thirds`` at t = 2 ... 50, where
+the kink walk meets many kinks.
 """
 
 import contextlib
@@ -30,6 +33,8 @@ WEIGHTS = {
     "scaled-triangular": {"type": "scaled", "factor": 2.0,
                           "inner": {"type": "triangular", "a": 1.0, "b": 3.0}},
     "scaled-cantor": {"type": "scaled", "factor": 0.7, "inner": CANTOR},
+    "bernoulli": {"type": "self-similar", "ratios": [0.45, 0.45], "shifts": [0.0, 0.55],
+                  "weights": [0.5, 0.5]},
 }
 SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
            "golden-atoms": {"flow": "winding-golden", "observable": "cos-x2"},
@@ -57,6 +62,9 @@ def configs():
         yield f"laws/{name}-probe", {"kind": "almost-mixing-probe", "measure": weight,
                                      "correlation": "spike(10,0.25,1)", "grid": GRID,
                                      "samples": {"n_pairs": 2000}, "seed": 5}
+    yield "laws/cantor-dense-probe", {"kind": "almost-mixing-probe", "measure": "cantor-thirds",
+                                      "correlation": workloads._arithmetic_spikes(500),
+                                      "grid": GRID, "samples": {"n_pairs": 2000}, "seed": 5}
 
 
 def main(outdir: str) -> None:
