@@ -212,10 +212,10 @@ def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | Digit
 
     A cell form gives the piecewise-linear density, carrying the form's
     error; a digit form serving p = 1 gives the kink walk over the digit
-    law (``DigitPairs``).  Either view answers ``mass(a, b)``, the spike
-    and box pair integrals as (value, error) and the probe's spike integral
-    with its masses, the walk declining (None) where it would compute more
-    than sampling."""
+    law (``DigitPairs``).  Either view answers ``mass(a, b)``, the box pair
+    integral as (value, error) and the spike pair integral with the masses
+    of any intervals (``spike_probe``), the walk declining (None) where it
+    would compute more than sampling."""
     views = (form.pair_view() for form in measure.difference_law())
     return next((v for v in views if v is not None), None)
 
@@ -293,7 +293,8 @@ def _pair_quadrature(correlation, view, t: float, draws=None) -> PairIntegral | 
     integrated at |t|."""
     if isinstance(correlation, SpikeCorrelation):
         h, L, heights = correlation.arrays
-        got = view.spike_integral(h, L, heights, abs(t), draws)
+        no_intervals = np.empty(0)
+        got = view.spike_probe(h, L, heights, abs(t), no_intervals, no_intervals, draws)
         baseline = correlation.baseline
     else:
         got = view.box_integral(correlation.box.sides,

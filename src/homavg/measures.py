@@ -27,8 +27,7 @@ from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wof
 
 from .errors import AccuracyError, InvalidMeasureError
 from .flows import arc_overlap, arc_overlap_integral, overlap_kinks
-from .quadrature import (SELF_SIMILAR_NODES, digit_band_term, digit_walk,
-                         digit_walk_work, sinc_power_integral)
+from .quadrature import SELF_SIMILAR_NODES, digit_walk, digit_walk_work, sinc_power_integral
 from .rng import generator
 
 _CHAR_TOL = 1e-10
@@ -124,17 +123,14 @@ class PiecewiseLinearDensity:
         out[live] = np.where(ia == ib, inside, across)
         return float(out) if out.ndim == 0 else out
 
-    def spike_integral(self, h, L, heights, t: float, draws=None) -> tuple[float, float]:
-        """(sum_j heights_j Int bump_j(|t u|) g(u) du, ``error``) for the
-        spikes of centers ``h`` and halfwidths ``L``, at t > 0.  Exact at
-        any cost: ``draws`` is not consulted."""
-        return float(heights @ self.spike_bands(h, L, t)), self.error
-
     def spike_probe(self, h, L, heights, t: float, lo, hi, draws=None):
-        """``spike_integral`` and the masses of the intervals [lo_j, hi_j] of
-        t (r - s) at t > 0, as (value, error, masses).  Exact at any cost:
-        ``draws`` is not consulted."""
-        return (*self.spike_integral(h, L, heights, t), self.mass(lo / t, hi / t))
+        """(sum_j heights_j Int bump_j(|t u|) g(u) du, ``error``, masses) for
+        the spikes of centers ``h`` and halfwidths ``L`` at t >= 0, the
+        masses those of the intervals [lo_j, hi_j] of t (r - s) (t > 0
+        unless there are none).  Exact at any cost: ``draws`` is not
+        consulted."""
+        return (float(heights @ self.spike_bands(h, L, t)), self.error,
+                self.mass(lo / t, hi / t))
 
     def spike_bands(self, h: np.ndarray, L: np.ndarray, t: float) -> np.ndarray:
         """Int bump_j(|t u|) g(u) du for every spike (centers ``h``,
@@ -149,8 +145,10 @@ class PiecewiseLinearDensity:
         """
         knots = self.knots
         out = np.zeros(len(h))
-        for first_spike in range(0, len(h), SPIKE_BLOCK):
-            block = slice(first_spike, first_spike + SPIKE_BLOCK)
+        # the bands from h - L >= t max|knot| on see g = 0: at t = 0, all of them
+        seen = int(np.searchsorted(h - L, t * max(-knots[0], knots[-1])))
+        for first_spike in range(0, seen, SPIKE_BLOCK):
+            block = slice(first_spike, min(first_spike + SPIKE_BLOCK, seen))
             hb, lb = h[block], L[block]
             for sign in (1.0, -1.0):
                 if sign > 0:
@@ -286,7 +284,9 @@ class Sinc:
 @dataclass(frozen=True)
 class Digits:
     """r - s as a self-similar ``DigitLaw``, serving a power whose M merged
-    digits have M ratio <= 1: ``digit_band_term``'s atoms then grow <= t."""
+    digits have M ratio <= 1: the digit walk's copies then grow <= t.  The
+    band term E[Re rho_band(t D)] is one walk of the band's entire kernel,
+    turning at |t| max|band edge|."""
 
     law: DigitLaw
     integrand = None
@@ -303,7 +303,11 @@ class Digits:
         return DigitPairs(self.law) if self.serves(1) else None
 
     def band_term(self, band, t: float, power: int) -> float:
-        return digit_band_term(self.law.power(power), band, t)
+        kernel = lambda u, w: band.real_transform_sum(t * u, w)
+        value, _ = digit_walk(self.law.power(power), np.empty(0), kernel,
+                              2 * SELF_SIMILAR_NODES - 1, 0.0, 0.0,
+                              abs(t) * max(abs(band.lo), abs(band.hi)))
+        return value
 
 
 @dataclass(frozen=True)
@@ -328,8 +332,8 @@ class DigitLaw:
 
     def power(self, p: int) -> DigitLaw:
         """The law of a sum of ``p`` independent copies: p-fold digit sums,
-        built once per (law, p)."""
-        return _digit_power(self, p)
+        built once per (law, p > 1)."""
+        return self if p == 1 else _digit_power(self, p)
 
     def scaled(self, factor: float) -> DigitLaw:
         f = Fraction(factor)
@@ -348,8 +352,9 @@ def _digit_power(law: DigitLaw, p: int) -> DigitLaw:
 
 class DigitPairs:
     """The law of r - s as a self-similar digit law D with M ratio <= 1,
-    seen by ``digit_walk``: spike and box pair integrals, interval masses
-    and the probe's both, exact up to the walk's reported bound.
+    seen by ``digit_walk``: interval masses, the box pair integral and the
+    spike pair integral with the masses of any intervals, exact up to the
+    walk's reported bound.
 
     A walk's cost grows with the kinks of its kernel inside supp(D), while
     sampling costs the same at every t.  Given ``draws``, a pair integral
@@ -391,8 +396,10 @@ class DigitPairs:
         b <= a; a float for scalar arguments.  One walk of the indicator
         kernels of every end inside supp(D) gives the cumulative F there,
         F is 0 below the support and the walk's total above it, and each
-        mass is F(b) - F(a)."""
+        mass is F(b) - F(a); no interval takes no walk."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if a.size == 0:
+            return np.zeros(a.shape)
         ends = self._ends(a, b)
         bins, _ = digit_walk(self.law, *self._mass_walk(ends))
         points = np.concatenate(([self.lo], ends, [self.hi]))
@@ -403,7 +410,7 @@ class DigitPairs:
 
     def _spike_walk(self, h, L, heights, t: float) -> tuple | None:
         """``digit_walk``'s arguments after the law for sum_j heights_j
-        bump_j(|t u|) at t > 0, piecewise linear; None when no spike
+        bump_j(|t u|) at t >= 0, piecewise linear; None when no spike
         reaches supp(D)."""
         seen = np.searchsorted(h - L, t * max(-self.lo, self.hi))   # the rest is 0 on supp(D)
         if seen == 0:
@@ -421,20 +428,12 @@ class DigitPairs:
 
         return kinks, kernel, 1, lipschitz, spread
 
-    def spike_integral(self, h, L, heights, t: float, draws=None):
-        """(sum_j heights_j E[bump_j(|t D|)], the walk's bound) at t > 0, or
-        None when the walk would cost more than ``draws`` sampled pairs."""
-        walk = self._spike_walk(h, L, heights, t)
-        if walk is None:
-            return 0.0, 0.0
-        if self._declines(self._work(*walk), draws):
-            return None
-        return digit_walk(self.law, *walk)
-
     def spike_probe(self, h, L, heights, t: float, lo, hi, draws=None):
-        """``spike_integral`` and the masses of the intervals [lo_j, hi_j] of
-        t (r - s) at t > 0, as (value, error, masses), or None when the two
-        walks together would cost more than ``draws`` sampled pairs."""
+        """(sum_j heights_j E[bump_j(|t D|)], the walk's bound, masses) at
+        t >= 0, the masses those of the intervals [lo_j, hi_j] of t (r - s)
+        (t > 0 unless there are none), or None when the two walks together
+        would cost more than ``draws`` sampled pairs; with no intervals the
+        mass walk costs nothing."""
         walk = self._spike_walk(h, L, heights, t)
         work = self._work(*self._mass_walk(self._ends(lo / t, hi / t)))
         work += 0 if walk is None else self._work(*walk)

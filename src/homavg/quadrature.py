@@ -1,8 +1,8 @@
 """Composite Gauss-Legendre quadrature with cell-doubling refinement, Gauss
-rules of self-similar laws built from their exact moments, exact band
-rules (sinc-power integrals and band expectations over a digit law), and
-the kink walk that integrates a piecewise-polynomial kernel over a digit
-law."""
+rules of self-similar laws built from their exact moments, the exact
+sinc-power band integral, and the digit walk that integrates a kernel over
+a digit law: a piecewise-polynomial kernel split at its kinks, or an
+entire one (a band term) split by how far it turns across a copy."""
 
 from __future__ import annotations
 
@@ -111,75 +111,37 @@ def self_similar_rule(ratio: Fraction, values: tuple[Fraction, ...],
     return rule
 
 
-_DIGIT_BLOCK = 1 << 16   # band-cell evaluations at once: bounds the digit rule's memory
-
-
-def digit_band_term(law, band, t: float) -> float:
-    """Int |nu_hat(t r)|^(2 power) dsigma_band(r) = E_D[Re rho_band(t D)]
-    for the self-similar ``law`` D (``ratio``, ``values`` and ``weights`` as
-    in ``self_similar_rule``) of the power-fold sum of r - s.
-
-    D = A_k + ratio^k D' with A_k the discrete law of the first k digits and
-    D' an independent copy of D; k is the least with
-    |t| ratio^k diam(D) max|band edge| <= 1, so around each atom of A_k the
-    kernel is entire on a scale of at most one radian, and the Gauss rule
-    of D, scaled by ratio^k, integrates it to rounding.  The M^k atoms times
-    the rule's nodes are visited in blocks of at most ``_DIGIT_BLOCK`` band
-    cell evaluations: the last digits join the nodes in one inner array,
-    and the first ones are enumerated a block of atoms at a time.
-    """
-    nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights)
-    values = np.array([float(v) for v in law.values])
-    probs = np.array([float(w) for w in law.weights])
-    ratio = float(law.ratio)
-    diam = (values[-1] - values[0]) / (1.0 - ratio)
-    reach = abs(t) * diam * max(abs(band.lo), abs(band.hi))
-    k = 0
-    while reach * ratio ** k > 1.0:
-        k += 1
-    points = max(len(nodes), _DIGIT_BLOCK // len(band.profile))
-    inner, inner_w = nodes * ratio ** k, node_weights
-    outer, outer_w = np.zeros(1), np.ones(1)
-    for level in reversed(range(k)):      # the deepest digits first
-        shift = values * ratio ** level
-        if len(outer) == 1 and len(inner) * len(values) <= points:
-            inner = (shift[:, None] + inner).ravel()
-            inner_w = (probs[:, None] * inner_w).ravel()
-        else:
-            outer = (shift[:, None] + outer).ravel()
-            outer_w = (probs[:, None] * outer_w).ravel()
-    total = 0.0
-    rows = max(1, points // len(inner))
-    for first in range(0, len(outer), rows):
-        block = outer[first:first + rows, None] + inner
-        vals = band.transform(t * block.ravel()).real.reshape(block.shape)
-        total += float(outer_w[first:first + rows] @ (vals @ inner_w))
-    return total
-
-
+DIGIT_BLOCK = 1 << 16   # kernel evaluations at once: bounds a digit walk's memory
 ROUNDING = np.finfo(float).eps / 2   # unit roundoff of float64: where a digit walk stops
 
 
 def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
-               spread: float) -> tuple:
+               spread: float, frequency: float = 0.0) -> tuple:
     """(E[K(D)], error bound) for the self-similar ``law`` D (``ratio``,
     ``values`` and ``weights`` as in ``self_similar_rule``) and a kernel K
     that is a polynomial of degree <= ``degree`` < 2 SELF_SIMILAR_NODES
     between the sorted ``kinks``, with Lipschitz bound ``lipschitz`` there
     (inf for a kernel that jumps at its kinks) and max K - min K <=
-    ``spread``.  ``kernel(u, w)`` returns sum_i w_i K(u_i), a float or an
-    array.
+    ``spread``, or an entire kernel turning at most ``frequency`` radians
+    per unit of u.  ``kernel(u, w)`` returns sum_i w_i K(u_i), a float or
+    an array.
 
-    The walk splits D = A_k + ratio^k D' level by level.  A copy
+    The walk splits D = A_k + ratio^k D' level by level.  While the kernel
+    turns more than one radian across a copy, |frequency| ratio^k diam(D)
+    > 1, every copy splits into its M children; once that would hold more
+    than one block of kernel evaluations, the next levels join the rule's
+    nodes instead (D = d + ratio D'), as long as the nodes fit in a block,
+    and the copies are evaluated a block at a time.  After that, a copy
     a + ratio^k supp(D) with no kink inside contributes its weight times
     the smallest Gauss rule of D exact to ``degree``, scaled by ratio^k:
-    exact.  A copy that straddles a kink splits into its M children.  The
-    rule misses a straddling copy by at most its mass times
-    min(lipschitz ratio^k diam(D), spread).  A straddling copy whose
-    children would no longer shrink in float is taken by the rule at once,
-    and its bound kept.  The walk stops once the straddling copies' bound
-    is below the rounding of ``spread``, takes them by the rule as well,
-    and returns that bound plus the kept ones.
+    exact for a piecewise polynomial, and to rounding for an entire kernel
+    that turns at most one radian across it.  A copy that straddles a kink
+    splits into its M children.  The rule misses a straddling copy by at
+    most its mass times min(lipschitz ratio^k diam(D), spread).  A
+    straddling copy whose children would no longer shrink in float is taken
+    by the rule at once, and its bound kept.  The walk stops once the
+    straddling copies' bound is below the rounding of ``spread``, takes
+    them by the rule as well, and returns that bound plus the kept ones.
     """
     size = degree // 2 + 1
     nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights, size)
@@ -187,14 +149,26 @@ def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
     probs = np.array([float(w) for w in law.weights])
     ratio = float(law.ratio)
     lo, hi = float(values[0]) / (1.0 - ratio), float(values[-1]) / (1.0 - ratio)
-    rows = max(1, _DIGIT_BLOCK // size)   # copies per kernel call: bounds the walk's memory
+    rows = max(1, DIGIT_BLOCK // size)   # copies per kernel call: bounds the walk's memory
     atoms, weights, scale = np.zeros(1), np.ones(1), 1.0
     total, pending, waiting = 0.0, [], 0   # the copies the rule takes, not yet evaluated
     stuck = 0.0     # the bound of straddling copies whose children would not shrink
     # every atom lies within max(-lo, hi) of 0, so children wider than this
     # still shrink in float
-    narrow = 4.0 * np.finfo(float).eps * max(-lo, hi)
+    narrow = 8.0 * ROUNDING * max(-lo, hi)
+    turn, fine = abs(frequency) * (hi - lo), 1.0   # the rule resolves D into copies of scale fine
     while True:
+        if turn * scale * fine > 1.0:     # no copy settles yet: all split, or the rule joins a level
+            if len(atoms) * len(values) > rows and len(nodes) * len(values) <= DIGIT_BLOCK:
+                nodes = (values[:, None] + ratio * nodes).ravel()
+                node_weights = (probs[:, None] * node_weights).ravel()
+                fine *= ratio
+                rows = max(1, DIGIT_BLOCK // len(nodes))
+            else:
+                atoms = (atoms[:, None] + scale * values).ravel()
+                weights = (weights[:, None] * probs).ravel()
+                scale *= ratio
+            continue
         inside = (kinks.searchsorted(atoms + scale * hi, side="left")
                   > kinks.searchsorted(atoms + scale * lo, side="right"))
         miss = spread if lipschitz == np.inf else min(lipschitz * scale * (hi - lo), spread)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .flows import BoxSet, TorusWinding, arc_correlation
-from .quadrature import adaptive_gl
+from .quadrature import DIGIT_BLOCK, adaptive_gl
 
 _MASS_TOL = 1e-9
 
@@ -68,6 +68,21 @@ class FrequencyBand:
         mids = 0.5 * (edges[:-1] + edges[1:])
         return (np.exp(1j * np.outer(t, mids)) @ dens) * (
             width * np.sinc(t * width / (2.0 * np.pi)))
+
+    def real_transform_sum(self, t: np.ndarray, weights: np.ndarray) -> float:
+        """sum_i weights_i Re transform(t_i) for 1-d arrays: each cell gives
+        d w cos(t (c + w/2)) sinc(t w / 2), taken for at most DIGIT_BLOCK
+        (point, cell) pairs at a time."""
+        edges, dens = self.cells()
+        width = self.cell_width
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        step = max(1, DIGIT_BLOCK // len(mids))
+        total = 0.0
+        for first in range(0, len(t), step):
+            part = t[first:first + step]
+            envelope = weights[first:first + step] * np.sinc(part * width / (2.0 * np.pi))
+            total += float(envelope @ (np.cos(np.outer(part, mids)) @ dens))
+        return width * total
 
     def density(self, r):
         """Density value at frequencies ``r`` (zero outside the band)."""

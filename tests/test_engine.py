@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -458,7 +459,7 @@ def test_digit_rule_matches_expect(monkeypatch, spec, weight, reference):
     # the band against the reference, the atoms by the weight's own char fn
     want = {t: (spec.expect(fn(reference, t), 1e-12, t * (hi - lo))[0]
                 - spec.atom_sum(fn(reference, t)) + spec.atom_sum(fn(weight, t)))
-            for t in (0.3, 1.0, 10.0, 14.5, 50.0)}
+            for t in (0.3, 1.0, 10.0, 14.5, 50.0, 362.5)}
     adaptive_gl_raises(monkeypatch)
     for t, value in want.items():
         got, diff = engine._spectral_power(spec, weight, t, 1e-12)
@@ -505,25 +506,38 @@ def test_digit_rule_bochner_pair_against_sampling(monkeypatch):
 
 
 def test_digit_rule_at_large_t_in_bounded_memory():
-    """Cantor at power 1, t = 1e5 on the flat band: 3^12 atoms times the
-    rule's nodes, visited in blocks, with adaptive quadrature refused."""
+    """Cantor at power 1 on the flat band, t = 1e5 and 1e6: 3^12 and 3^14
+    atoms times the rule's nodes, visited in blocks, with adaptive
+    quadrature refused."""
     src = str(Path(engine.__file__).resolve().parent.parent)
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "from homavg import engine, spectral\n"
-        "from homavg.presets import cantor_thirds\n"
-        "def refuse(*a, **k): raise AssertionError('adaptive_gl called')\n"
-        "spectral.adaptive_gl = refuse\n"
-        "value, diff = engine._spectral_power(spectral.lebesgue_band(), cantor_thirds(), 1e5, 1e-8)\n"
-        "assert diff == 0.0 and 0.0 < value < 1e-3, value\n"
-        # VmHWM is this process's own peak; ru_maxrss would carry the
-        # parent's across fork and exec
-        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM'))\n"
-        "assert int(peak.split()[1]) < 100 * 1024, peak\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for t in (1e5, 1e6):
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from homavg import engine, spectral\n"
+            "from homavg.presets import cantor_thirds\n"
+            "def refuse(*a, **k): raise AssertionError('adaptive_gl called')\n"
+            "spectral.adaptive_gl = refuse\n"
+            f"value, diff = engine._spectral_power(spectral.lebesgue_band(), cantor_thirds(), {t!r}, 1e-8)\n"
+            "assert diff == 0.0 and 0.0 < value < 1e-3, value\n"
+            # VmHWM is this process's own peak; ru_maxrss would carry the
+            # parent's across fork and exec
+            "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM'))\n"
+            "assert int(peak.split()[1]) < 100 * 1024, peak\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (t, proc.stderr)
+
+
+def test_digit_band_term_does_not_depend_on_the_block(monkeypatch):
+    """Blocks of 64 evaluations make the walk join levels into the rule's
+    nodes and evaluate its copies over many kernel calls."""
+    form = CANTOR.difference_law()[0]
+    want = {t: form.band_term(PROFILED_SPEC.band, t, 1) for t in (14.5, 362.5, 1e4)}
+    monkeypatch.setattr(quadrature, "DIGIT_BLOCK", 64)
+    monkeypatch.setattr(spectral, "DIGIT_BLOCK", 64)
+    for t, value in want.items():
+        assert form.band_term(PROFILED_SPEC.band, t, 1) == pytest.approx(value, rel=1e-13)
 
 
 def test_digit_rule_needs_sparse_digits(monkeypatch):
@@ -924,6 +938,19 @@ def test_probe_at_zero_matches_sampling_path():
         assert (curve.values[0], curve.errors[0]) == (0.0, 0.0)
         assert curve.metadata["band_mass"][0] == 1.0
         assert curve.metadata["spike_mass"][0] == {"total": 0.0, "per_spike": [0.0] * 4}
+
+
+@pytest.mark.parametrize("weight", [Uniform(0, 1), Triangular(0, 2), CANTOR],
+                         ids=["uniform", "triangular", "cantor"])
+def test_spike_pair_quadrature_at_zero_is_the_baseline(weight):
+    # every spike has h - L > 0, so at t = 0 no difference reaches a spike
+    spikes = geometric_spikes(10, 0.25, 1.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pair_correlation_integral(spikes, weight, 0.0, method="quadrature")
+    assert (got.value, got.method) == (spikes.baseline, "quadrature")
+    # a density view carries its own error, the digit walk's bound is 0 here
+    assert got.error == getattr(difference_density(weight), "error", 0.0)
 
 # -- vectorized difference-density kernels -------------------------------------------
 

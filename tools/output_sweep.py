@@ -7,7 +7,9 @@ form of the law of r - s and a self-similar weight too dense for the digit
 forms (``bernoulli``, M ratio > 1), on three spectra as ``spectral-scan``
 and ``convolution-root`` at powers 2 and 3, plus one probe per weight and
 a 500-spike arithmetic probe on ``cantor-thirds`` at t = 2 ... 50, where
-the kink walk meets many kinks.
+the kink walk meets many kinks.  The weights with a digit law also take a
+wide ``spectral-scan`` on the flat and the atom-profiled spectrum, t = 2 ...
+1250, where the digit walk runs up to 8 levels.
 """
 
 import contextlib
@@ -41,6 +43,8 @@ SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
            "atom-profiled": {"spectral": {"type": "spectral", "atoms": [[2.0, 0.3]], "band": {
                "lo": -1.5, "hi": 1.0, "mass": 0.7, "profile": [1.0, 3.0, 2.0]}}}}
 GRID = {"start": 2.0, "factor": 5.0, "count": 3}
+WIDE = ("cantor", "dyadic-odd", "dyadic-even", "scaled-cantor")
+WIDE_GRID = {"start": 2.0, "factor": 5.0, "count": 5}
 
 
 def configs():
@@ -59,6 +63,9 @@ def configs():
             for power in (2, 3):
                 yield (f"laws/{name}-{label}-root{power}",
                        {"kind": "convolution-root", "power": power, **base})
+            if name in WIDE and label != "golden-atoms":
+                yield f"laws/{name}-{label}-wide", {"kind": "spectral-scan", **base,
+                                                    "grid": WIDE_GRID}
         yield f"laws/{name}-probe", {"kind": "almost-mixing-probe", "measure": weight,
                                      "correlation": "spike(10,0.25,1)", "grid": GRID,
                                      "samples": {"n_pairs": 2000}, "seed": 5}
