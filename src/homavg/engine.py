@@ -32,6 +32,7 @@ from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
 
 DESCENT_SLACK = 1e-9
 PROBE_META_SPIKES = 64   # per-spike probe masses go into metadata up to this count
+WILSON_Z = 3.0           # the z of the hit share's upper bound in a sampled spike error
 
 
 def _point_seed(master: int, index: int) -> int:
@@ -281,9 +282,26 @@ def _pair_differences(weight: WeightMeasure, n_samples: int,
 
 def _pair_sampling(correlation: CorrelationModel, t: float,
                    u: np.ndarray) -> PairIntegral:
+    """The mean of rho(t u) over the drawn differences ``u``, with error
+    std / sqrt(n).  A spike correlation equals its baseline outside the
+    spike windows, so when few pairs hit one the sample std understates the
+    spread; its error is at least H sqrt(p_up / n), H the largest |height|
+    and p_up the Wilson upper bound (z = WILSON_Z) of the share of hits:
+    the excess over the baseline has variance at most H^2 p.  At t = 0 no
+    pair hits, every window lying off 0, and the error stays std / sqrt(n)."""
     vals = np.asarray(correlation.value(t * u), dtype=float)
-    return PairIntegral(float(vals.mean()),
-                        float(vals.std() / np.sqrt(len(u))), "sampling")
+    n = len(u)
+    error = float(vals.std() / np.sqrt(n))
+    if isinstance(correlation, SpikeCorrelation) and correlation.centers and t != 0:
+        h, L, heights = correlation.arrays
+        tu = np.abs(t * u)
+        j = np.searchsorted(h - L, tu, side="right") - 1     # the window at or below
+        share = np.count_nonzero((j >= 0) & (tu < (h + L)[np.maximum(j, 0)])) / n
+        z2 = WILSON_Z ** 2
+        p_up = (share + z2 / (2 * n) + WILSON_Z * np.sqrt(
+            share * (1 - share) / n + z2 / (4 * n * n))) / (1 + z2 / n)
+        error = max(error, float(np.max(np.abs(heights)) * np.sqrt(p_up / n)))
+    return PairIntegral(float(vals.mean()), error, "sampling")
 
 
 def _pair_quadrature(correlation, view, t: float, draws=None) -> PairIntegral | None:

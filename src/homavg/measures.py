@@ -18,14 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import ceil, log
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wofz
 
-from .errors import AccuracyError, InvalidMeasureError
+from .errors import InvalidMeasureError
 from .flows import arc_overlap, arc_overlap_integral, overlap_kinks
 from .quadrature import SELF_SIMILAR_NODES, digit_walk, digit_walk_work, sinc_power_integral
 from .rng import generator
@@ -33,6 +34,7 @@ from .rng import generator
 _CHAR_TOL = 1e-10
 _SAMPLE_RESOLUTION = 1e-12
 SPIKE_BLOCK = 4096       # spikes per breakpoint array: bounds the pair kernel's memory
+CHAR_BLOCK = 1 << 18     # values per table of a self-similar transform: bounds its memory
 
 
 def _require_finite(what: str, *params) -> None:
@@ -339,6 +341,28 @@ class DigitLaw:
         f = Fraction(factor)
         return DigitLaw(self.ratio, tuple(v * f for v in self.values), self.weights)
 
+    @cached_property
+    def floats(self) -> DigitFloats:
+        """The law in float64, converted once per law."""
+        values = np.array([float(v) for v in self.values])
+        probs = np.array([float(w) for w in self.weights])
+        for a in (values, probs):      # shared by every walk of the law
+            a.flags.writeable = False
+        return DigitFloats(float(self.ratio), values, probs,
+                           float(self.values[0] / (1 - self.ratio)),
+                           float(self.values[-1] / (1 - self.ratio)))
+
+
+class DigitFloats(NamedTuple):
+    """A ``DigitLaw``'s ratio, digit values and probabilities in float64, and
+    its support [lo, hi] rounded from the exact bounds."""
+
+    ratio: float
+    values: np.ndarray
+    probs: np.ndarray
+    lo: float
+    hi: float
+
 
 @lru_cache(maxsize=64)
 def _digit_power(law: DigitLaw, p: int) -> DigitLaw:
@@ -366,9 +390,8 @@ class DigitPairs:
 
     def __init__(self, law: DigitLaw):
         self.law = law
-        self.lo = float(law.values[0] / (1 - law.ratio))
-        self.hi = float(law.values[-1] / (1 - law.ratio))
-        self.pair_work = 2 * _sample_depth(float(law.ratio), 0.5 * (self.hi - self.lo))
+        self.lo, self.hi = law.floats.lo, law.floats.hi
+        self.pair_work = 2 * _sample_depth(law.floats.ratio, 0.5 * (self.hi - self.lo))
 
     def _work(self, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
               spread: float) -> int:
@@ -766,8 +789,8 @@ class SelfSimilar(WeightMeasure):
 
         nu_hat(xi) = sum_k weights[k] * exp(i xi shifts[k]) * nu_hat(ratios[k] xi)
 
-    which for a common contraction ratio collapses to an infinite product,
-    truncated once the remaining-scale bound certifies error < 1e-10.
+    run over the finite set of scales (products of the ratios) at which
+    nu_hat can still differ from 1 by more than 1e-10.
     """
 
     ratios: tuple[float, ...]
@@ -807,50 +830,36 @@ class SelfSimilar(WeightMeasure):
         return max(abs(lo), abs(hi), 1e-300)
 
     def _char(self, xi):
+        """nu_hat(s xi) = sum_k p_k e^{i s xi c_k} nu_hat(s r_k xi) over the
+        scales s with s max|xi| max|supp| >= 1e-10 (``_transform_scales``),
+        nu_hat taken as 1 below them, one generation of scales at a time.
+        Each step is elementwise in xi, and the frequencies go in blocks of
+        CHAR_BLOCK // (scales + 1), so a call holds 3 + (distinct ratios)
+        tables of at most CHAR_BLOCK complex values (4 MB) each, and its
+        values do not depend on the block."""
+        out = np.ones(len(xi), dtype=complex)
         top = float(np.max(np.abs(xi)))
-        if top == 0.0:
-            return np.ones(len(xi), dtype=complex)
-        bound = self._bound()
-        r = np.array(self.ratios)
-        c = np.array(self.shifts)
-        p = np.array(self.weights) / sum(self.weights)     # so that |nu_hat| <= 1
-        if np.all(r == r[0]):
-            ratio = float(r[0])
-            depth = max(0, ceil(log(_CHAR_TOL / (top * bound)) / log(ratio)))
-            out = np.ones(len(xi), dtype=complex)
-            scaled = np.array(xi, dtype=float)
-            for _ in range(depth):
-                out *= np.exp(1j * np.outer(scaled, c)) @ p
-                scaled = scaled * ratio
+        if not np.isfinite(top):      # no scale would fall below the truncation
+            raise ValueError("a self-similar transform needs finite frequencies")
+        if top * self._bound() < _CHAR_TOL:
             return out
-        return np.array([self._char_scalar(float(f), bound) for f in xi])
-
-    def _char_scalar(self, xi, bound):
-        # Distinct products of ratios coincide across reordered words, so the
-        # recursion is polynomial when memoized on the accumulated scale.
-        memo: dict[float, complex] = {}
-        budget = [500_000]
-        norm = sum(self.weights)
-
-        def rec(scale: float) -> complex:
-            key = float(np.format_float_scientific(scale, precision=12))
-            got = memo.get(key)
-            if got is not None:
-                return got
-            if abs(scale * xi) * bound < _CHAR_TOL:
-                return 1.0 + 0.0j
-            budget[0] -= 1
-            if budget[0] <= 0:
-                raise AccuracyError(
-                    "self-similar char fn recursion budget exhausted",
-                    achieved=abs(scale * xi) * bound)
-            val = complex(sum(
-                p / norm * np.exp(1j * scale * xi * c) * rec(scale * r)
-                for r, c, p in zip(self.ratios, self.shifts, self.weights)))
-            memo[key] = val
-            return val
-
-        return rec(1.0)
+        ratios = tuple(dict.fromkeys(self.ratios))
+        scales, children, ends = _transform_scales(ratios, _CHAR_TOL / (top * self._bound()))
+        norm = sum(self.weights)       # so that |nu_hat| <= 1
+        block = max(1, CHAR_BLOCK // (len(scales) + 1))
+        for first in range(0, len(xi), block):
+            arg = scales[:, None] * xi[first:first + block]
+            phases = [np.broadcast_to(sum(   # a map of shift 0 adds its probability
+                p / norm * (np.exp(1j * c * arg) if c else 1.0) for r, c, p in zip(
+                    self.ratios, self.shifts, self.weights) if r == q), arg.shape) for q in ratios]
+            table = np.ones((len(scales) + 1, arg.shape[1]), dtype=complex)  # last row: below
+            for lo, hi in zip(ends, ends[1:]):
+                gen = table[lo:hi]
+                np.multiply(phases[0][lo:hi], table[children[0][lo:hi]], out=gen)
+                for f, c in zip(phases[1:], children[1:]):
+                    gen += f[lo:hi] * table[c[lo:hi]]
+            out[first:first + block] = table[-2]
+        return out
 
     def _sample(self, count, master, path):
         """The chaos game from the support's midpoint, ``_sample_depth``
@@ -873,6 +882,35 @@ class SelfSimilar(WeightMeasure):
                 idx += u >= edge
             x = c[idx] + r[idx] * x
         return x
+
+
+def _transform_scales(ratios: tuple[float, ...], floor: float) -> tuple:
+    """(scales, children, ends): the products s >= ``floor`` of ``ratios``,
+    by generation (longest word), the deepest first and 1 last; per ratio q
+    the rows of the scales times q, -1 below ``floor``; the generations'
+    bounds.  A ratio is an odd numerator over a power of two, and a scale's
+    key packs the exponents of the distinct numerators and of two into one
+    integer, so equal products such as 1/2 1/2 and 1/4 share one scale."""
+    pairs = [q.as_integer_ratio() for q in ratios]
+    odd = sorted({a for a, _ in pairs} - {1})
+    steps = [b.bit_length() - 1 + (a > 1 and 1 << 64 * (1 + odd.index(a))) for a, b in pairs]
+    value, generation, level, depth = {0: 1.0}, {}, [0], 0
+    while level:
+        found = {}
+        for key in level:
+            generation[key] = depth
+            for step, q in zip(steps, ratios):
+                child = key + step
+                if child not in found and value.setdefault(child, value[key] * q) >= floor:
+                    found[child] = None
+        level, depth = found, depth + 1
+    order = sorted(generation, key=generation.get, reverse=True)
+    index = {key: i for i, key in enumerate(order)}
+    children = [np.array([index.get(key + step, -1) for key in order]) for step in steps]
+    sizes = [0] * depth
+    for g in generation.values():
+        sizes[depth - 1 - g] += 1
+    return np.array([value[key] for key in order]), children, [0, *accumulate(sizes)]
 
 
 def _sample_depth(ratio: float, diam: float) -> int:

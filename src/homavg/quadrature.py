@@ -118,13 +118,13 @@ ROUNDING = np.finfo(float).eps / 2   # unit roundoff of float64: where a digit w
 def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
                spread: float, frequency: float = 0.0) -> tuple:
     """(E[K(D)], error bound) for the self-similar ``law`` D (``ratio``,
-    ``values`` and ``weights`` as in ``self_similar_rule``) and a kernel K
-    that is a polynomial of degree <= ``degree`` < 2 SELF_SIMILAR_NODES
-    between the sorted ``kinks``, with Lipschitz bound ``lipschitz`` there
-    (inf for a kernel that jumps at its kinks) and max K - min K <=
-    ``spread``, or an entire kernel turning at most ``frequency`` radians
-    per unit of u.  ``kernel(u, w)`` returns sum_i w_i K(u_i), a float or
-    an array.
+    ``values`` and ``weights`` as in ``self_similar_rule``, and their float
+    view ``floats``) and a kernel K that is a polynomial of degree <=
+    ``degree`` < 2 SELF_SIMILAR_NODES between the sorted ``kinks``, with
+    Lipschitz bound ``lipschitz`` there (inf for a kernel that jumps at its
+    kinks) and max K - min K <= ``spread``, or an entire kernel turning at
+    most ``frequency`` radians per unit of u.  ``kernel(u, w)`` returns
+    sum_i w_i K(u_i), a float or an array.
 
     The walk splits D = A_k + ratio^k D' level by level.  While the kernel
     turns more than one radian across a copy, |frequency| ratio^k diam(D)
@@ -145,9 +145,7 @@ def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
     """
     size = degree // 2 + 1
     nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights, size)
-    values = np.array([float(v) for v in law.values])
-    probs = np.array([float(w) for w in law.weights])
-    ratio = float(law.ratio)
+    ratio, values, probs = law.floats.ratio, law.floats.values, law.floats.probs
     lo, hi = float(values[0]) / (1.0 - ratio), float(values[-1]) / (1.0 - ratio)
     rows = max(1, DIGIT_BLOCK // size)   # copies per kernel call: bounds the walk's memory
     atoms, weights, scale = np.zeros(1), np.ones(1), 1.0
@@ -218,12 +216,11 @@ def digit_walk_work(law, reach: int, degree: int, lipschitz: float, spread: floa
     estimate where they do."""
     if reach == 0 or spread == 0.0:
         return 0
-    heaviest = float(max(law.weights))
+    heaviest = float(law.floats.probs.max())
     levels = log(ROUNDING / reach) / log(heaviest)          # mass times spread
     if lipschitz < np.inf:
-        diam = float((law.values[-1] - law.values[0]) / (1 - law.ratio))
-        bound = reach * lipschitz * diam
-        shrink = log(heaviest * float(law.ratio))
+        bound = reach * lipschitz * (law.floats.hi - law.floats.lo)
+        shrink = log(heaviest * law.floats.ratio)
         levels = min(levels, log(ROUNDING * spread / bound) / shrink) if bound > 0 else 0
     return reach * (1 + max(0, ceil(levels))) * len(law.values) * (2 + degree // 2)
 

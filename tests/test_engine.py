@@ -529,6 +529,26 @@ def test_digit_rule_at_large_t_in_bounded_memory():
         assert proc.returncode == 0, (t, proc.stderr)
 
 
+@pytest.mark.parametrize("weight, rho, rest", [
+    (CANTOR, 1 / 3, 1 / 2),
+    (SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5)), 1 / 4, 3 / 8),
+    (SelfSimilar((0.25, 0.25), (0.0, 0.25), (0.5, 0.5)), 1 / 4, 3 / 4),
+    (rescale(CANTOR, 0.7), 1 / 3, 1 / (2 * 0.7)),
+], ids=["cantor", "dyadic-odd", "dyadic-even", "scaled-cantor"])
+def test_digit_walk_at_large_t_obeys_self_similarity(weight, rho, rest):
+    """With nu_hat(xi) = m(xi) nu_hat(rho xi), m(xi) = sum_k p_k e^{i xi c_k},
+    Phi(t) = ||A_t f||^2 on the flat band obeys
+    Phi(t / rho) = (sum p^2) Phi(t) + sum_{a != b} p_a p_b E[sinc(t (D + w_ab))]
+    with D = r - s and w_ab = (c_a - c_b) / rho.  Here sum p^2 = 1/2, and
+    |sinc(x)| <= 1 / |x| bounds the remainder by ``rest`` / t, ``rest`` the
+    sum of p_a p_b / dist(-w_ab, supp D) over the rescaling factor.  The
+    walk at t / rho takes one more level than at t, so a wrong level count,
+    scale, node or block join shows."""
+    phi = lambda t: l2_norm_spectral(spectral.lebesgue_band(), weight, t) ** 2
+    for t in (1e3, 1e4, 1e5):
+        assert abs(phi(t / rho) - phi(t) / 2) <= rest / t + quadrature.ROUNDING
+
+
 def test_digit_band_term_does_not_depend_on_the_block(monkeypatch):
     """Blocks of 64 evaluations make the walk join levels into the rule's
     nodes and evaluate its copies over many kernel calls."""
@@ -633,6 +653,25 @@ def test_pair_integral_paths_agree_on_random_densities():
                                          n_samples=40_000, seed=100 + k)
         assert abs(quad.value - samp.value) <= 3.0 * (quad.error + samp.error) \
             + 1e-12
+
+
+@pytest.mark.parametrize("weight, t, n, seed, within", [
+    (Uniform(0.5, 1.5), 2916.0, 20_000, 1199921073, 5.26),
+    (Uniform(0, 1), 1e6, 1000, 3, 1.0),
+], ids=["few-hits", "no-hit"])
+def test_sampled_spike_error_counts_the_hit_share(weight, t, n, seed, within):
+    """A spike correlation is its baseline outside the spike windows, so the
+    std of a sample with few hits shrinks with them; the sampled error is
+    at least H sqrt(p_up / n) with p_up the hit share's Wilson bound.  With
+    std / sqrt(n) alone, the few-hits point sat 8.67 errors from the exact
+    value, and the no-hit sample had error 0."""
+    spike = geometric_spikes(10.0, 0.25, 1.0)
+    exact = pair_correlation_integral(spike, weight, t, method="quadrature").value
+    samp = pair_correlation_integral(spike, weight, t, method="sampling",
+                                     n_samples=n, seed=seed)
+    assert samp.error > 0.0
+    assert 0.0 < abs(samp.value - exact) <= within * samp.error
+    assert (samp.value == spike.baseline) == (n == 1000)    # no pair hit a window
 
 
 def test_spike_pair_quadrature_is_even_in_t():

@@ -12,12 +12,14 @@ from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
                     PointMass, Scaled, SelfSimilar, TableDensity, Triangular,
                     TruncatedGaussian, Uniform, convolution_power, convolve,
                     rescale)
+from homavg import measures
 from homavg.measures import Cells, DigitLaw, Digits, Sinc, require_atomless
 from homavg.rng import generator
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
 DYADIC_ODD = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5))
 DYADIC_EVEN = SelfSimilar((0.25, 0.25), (0.0, 0.25), (0.5, 0.5))
+THREE_RATIOS = SelfSimilar((0.3, 0.45, 0.2), (0.0, 0.4, 0.8), (0.3, 0.3, 0.4))
 
 
 def cantor_char_oracle(xi):
@@ -103,8 +105,8 @@ def test_truncated_gaussian_char_matches_mpmath_oracle(params):
 
 def test_self_similar_fixed_point_identity():
     rng = np.random.default_rng(2)
-    for m in (CANTOR, DYADIC_ODD):
-        for xi in rng.uniform(-40, 40, size=12):
+    for m, top in ((CANTOR, 40), (DYADIC_ODD, 40), (THREE_RATIOS, 1e3)):
+        for xi in rng.uniform(-top, top, size=12):
             rhs = sum(p * np.exp(1j * xi * c) * m.char_fn(r * xi)
                       for r, c, p in zip(m.ratios, m.shifts, m.weights))
             assert m.char_fn(xi) == pytest.approx(rhs, abs=1e-9)
@@ -116,6 +118,28 @@ def test_unequal_ratio_self_similar_char():
     rhs = sum(p * np.exp(1j * xi * c) * m.char_fn(r * xi)
               for r, c, p in zip(m.ratios, m.shifts, m.weights))
     assert m.char_fn(xi) == pytest.approx(rhs, abs=1e-8)
+    # two partitions of [0, 1] into scaled copies give Uniform(0, 1), whose
+    # transform is exact, as does the common-ratio chain (1/2, 1/2)
+    xi = np.linspace(0.0, 200.0, 201)
+    for m in (SelfSimilar((0.5, 0.25, 0.25), (0.0, 0.5, 0.75), (0.5, 0.25, 0.25)),
+              SelfSimilar((1 / 3, 2 / 3), (0.0, 1 / 3), (1 / 3, 2 / 3)),
+              SelfSimilar((0.5, 0.5), (0.0, 0.5), (0.5, 0.5))):
+        np.testing.assert_allclose(m.char_fn(xi), Uniform(0, 1).char_fn(xi), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [CANTOR, THREE_RATIOS], ids=["cantor", "three-ratios"])
+def test_self_similar_transform_does_not_depend_on_the_block(monkeypatch, m):
+    """Blocks of 64 values split the frequencies into many blocks."""
+    xi = np.linspace(-300.0, 300.0, 1001)
+    want = m.char_fn(xi)
+    monkeypatch.setattr(measures, "CHAR_BLOCK", 64)
+    assert np.array_equal(m.char_fn(xi), want)
+
+
+@pytest.mark.parametrize("xi", [np.inf, np.nan])
+def test_self_similar_transform_rejects_non_finite_frequencies(xi):
+    with pytest.raises(ValueError, match="finite"):
+        THREE_RATIOS.char_fn(np.array([1.0, xi]))
 
 
 # -- convolution algebra ------------------------------------------------------

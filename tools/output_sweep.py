@@ -2,9 +2,12 @@
 template and of a law matrix, through ``homavg.cli.main`` at ``--threads 1``
 and ``2``, for ``diff -r`` between two trees.  Templates run at seeds 1 and
 2001, rounds 0-2 and the top round (round 0 and the top round for
-rigidity-adversary).  The law matrix runs eleven weights, covering every
-form of the law of r - s and a self-similar weight too dense for the digit
-forms (``bernoulli``, M ratio > 1), on three spectra as ``spectral-scan``
+rigidity-adversary).  The law matrix runs twelve weights, covering every
+form of the law of r - s, a self-similar weight too dense for the digit
+forms (``bernoulli``, M ratio > 1) and one of unequal ratios with no digit
+form (``uniform-split``: Uniform(0, 1) as the maps of ratios 1/2, 1/4, 1/4,
+so its spectral rows match ``uniform``'s within the ``expect`` tolerance,
+a shift keeping |nu_hat|), on three spectra as ``spectral-scan``
 and ``convolution-root`` at powers 2 and 3, plus one probe per weight and
 a 500-spike arithmetic probe on ``cantor-thirds`` at t = 2 ... 50, where
 the kink walk meets many kinks.  The weights with a digit law also take a
@@ -37,6 +40,8 @@ WEIGHTS = {
     "scaled-cantor": {"type": "scaled", "factor": 0.7, "inner": CANTOR},
     "bernoulli": {"type": "self-similar", "ratios": [0.45, 0.45], "shifts": [0.0, 0.55],
                   "weights": [0.5, 0.5]},
+    "uniform-split": {"type": "self-similar", "ratios": [0.5, 0.25, 0.25],
+                      "shifts": [0.0, 0.5, 0.75], "weights": [0.5, 0.25, 0.25]},
 }
 SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
            "golden-atoms": {"flow": "winding-golden", "observable": "cos-x2"},
