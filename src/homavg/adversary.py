@@ -296,5 +296,5 @@ def _quadrature_level_value(box: BoxSet, base: np.ndarray, alpha: np.ndarray,
     * amp * alpha_k), eta uniform on [-1, 1]."""
     offs = amp * alpha
     total = sum(arc_overlap_integral(box.sides, base[:, j], offs, (-1.0, 1.0),
-                                     (0.5, 0.5)) for j in range(base.shape[1]))
+                                     lambda x: 0.5 + 0.0 * x, 0) for j in range(base.shape[1]))
     return total / base.shape[1]

@@ -9,7 +9,7 @@ estimates how far A_t f sits from the space mean, three ways:
   on the cyclic subspace of f,
 * pair-correlation integrals  Int Int rho(t (r - s)) dnu(r) dnu(s),
   by difference-distribution sampling and exactly against a pair view of
-  r - s: its piecewise-linear density, or the kink walk over its digit law.
+  r - s: its exact density, or the kink walk over its digit law.
 
 Scans across a t-grid derive one seed per grid point, so results are
 bitwise independent of the number of worker threads.
@@ -211,9 +211,9 @@ def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | Digit
     """The pair view of r - s for independent r, s ~ measure, from the first
     form of its ``difference_law()`` that has one; None when none does.
 
-    A cell form gives the piecewise-linear density, carrying the form's
-    error; a digit form serving p = 1 gives the kink walk over the digit
-    law (``DigitPairs``).  Either view answers ``mass(a, b)``, the box pair
+    A cell or density form gives the exact density, with error 0; a digit
+    form serving p = 1 gives the kink walk over the digit law
+    (``DigitPairs``).  Either view answers ``mass(a, b)``, the box pair
     integral as (value, error) and the spike pair integral with the masses
     of any intervals (``spike_probe``), the walk declining (None) where it
     would compute more than sampling."""
@@ -240,8 +240,8 @@ def pair_correlation_integral(correlation: CorrelationModel,
 
     ``sampling`` draws independent pairs and averages; ``quadrature``
     integrates a spike or box correlation rho(t u) exactly against the pair
-    view of the difference u = r - s (``difference_density``): the
-    piecewise-linear density when its law has a cell form, the kink walk
+    view of the difference u = r - s (``difference_density``): the exact
+    density when its law has a cell or density form, the kink walk
     over the digit law of a self-similar weight with M ratio <= 1.  Under
     ``auto`` the walk takes a t only when it computes no more than the
     sampler does for ``n_samples`` pairs.  For a ``BochnerCorrelation`` it
@@ -412,9 +412,9 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     most ``PROBE_META_SPIKES`` spikes, per spike.
 
     The pair view of r - s (``difference_density``) is built once per
-    probe.  The piecewise-linear density of a cell form gives the pair
-    integral and every mass in closed form; the kink walk over a digit law
-    gives them exactly, with the masses as differences of one cumulative
+    probe.  The density of a cell or density form gives the pair integral
+    and every mass exactly; the kink walk over a digit law gives them
+    exactly too, with the masses as differences of one cumulative
     walk over all interval ends, at every t where the two walks compute no
     more than the sampler does for ``n_samples`` pairs.  Otherwise each
     grid point draws one set of pair differences, and the masses are counts

@@ -202,7 +202,7 @@ def arc_overlap(a: float, b: float, shift) -> np.ndarray:
     return first + wrapped
 
 
-_legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
+legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
 
 
 def overlap_kinks(sides, base, slope, x0: float, x1: float) -> np.ndarray:
@@ -222,25 +222,25 @@ def overlap_kinks(sides, base, slope, x0: float, x1: float) -> np.ndarray:
     return np.concatenate(cuts)
 
 
-def arc_overlap_integral(sides, base, slope, knots, values) -> float:
+def arc_overlap_integral(sides, base, slope, knots, shape, degree: int) -> float:
     """Int prod_k arc_overlap(a_k, a_k, base_k + x * slope_k) w(x) dx over
-    [knots[0], knots[-1]], where w is piecewise linear through (knots,
-    values); exact up to rounding.
+    [knots[0], knots[-1]], w = ``shape`` a polynomial of ``degree`` between
+    the sorted ``knots`` (or resolved as one); exact up to rounding.
 
     Factor k bends where its shift crosses Z, Z + a_k or Z - a_k
     (``overlap_kinks``).  Between the bends and the knots the integrand is
-    a polynomial of degree d + 1, which Gauss-Legendre with (d + 3) // 2
-    nodes integrates exactly.
+    a polynomial of degree d + ``degree``, which Gauss-Legendre with
+    (d + degree) // 2 + 1 nodes integrates exactly.
     """
     knots = np.asarray(knots, dtype=float)
     x0, x1 = knots[0], knots[-1]
     coords = list(zip(sides, base, slope, strict=True))
     cuts = overlap_kinks(sides, base, slope, x0, x1)
     pts = np.unique(np.clip(np.concatenate((knots, cuts)), x0, x1))
-    nodes, weights = _legendre((len(coords) + 3) // 2)
+    nodes, weights = legendre((len(coords) + degree) // 2 + 1)
     half = 0.5 * np.diff(pts)[:, None]
     x = 0.5 * (pts[1:] + pts[:-1])[:, None] + half * nodes
-    f = np.interp(x, knots, values)
+    f = shape(x)
     for a, b, s in coords:
         f = f * arc_overlap(a, a, b + x * s)
     return float(np.sum(half * f @ weights))

@@ -24,10 +24,10 @@ from math import ceil, log
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wofz
+from scipy.special import erf, erfcx, log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wofz
 
 from .errors import InvalidMeasureError
-from .flows import arc_overlap, arc_overlap_integral, overlap_kinks
+from .flows import arc_overlap, arc_overlap_integral, legendre, overlap_kinks
 from .quadrature import SELF_SIMILAR_NODES, digit_walk, digit_walk_work, sinc_power_integral
 from .rng import generator
 
@@ -35,6 +35,8 @@ _CHAR_TOL = 1e-10
 _SAMPLE_RESOLUTION = 1e-12
 SPIKE_BLOCK = 4096       # spikes per breakpoint array: bounds the pair kernel's memory
 CHAR_BLOCK = 1 << 18     # values per table of a self-similar transform: bounds its memory
+GAUSS_REACH = 40.0       # a truncated Gaussian lives within e^-GAUSS_REACH of its peak density
+GAUSS_NODES = 10         # nodes of the rule on each knot segment of its pair view
 
 
 def _require_finite(what: str, *params) -> None:
@@ -81,58 +83,62 @@ class WeightMeasure:
 
 
 class PiecewiseLinearDensity:
-    """Continuous piecewise-linear density, zero outside its knot range.
-
-    ``knots`` and ``values`` are read-only float64 arrays fixed at
-    construction, and ``cumulative`` holds the integral G from the first
-    knot up to each knot, so G is piecewise quadratic in between.
-    ``error`` bounds what its pair integrals may be off by.
+    """The density of r - s as a pair view (named for its first shape): a
+    vectorized ``shape``, zero outside the sorted read-only ``knots`` and
+    between them a polynomial of ``degree`` (1 for cells, 3 for a spline),
+    or smooth with knots that Gauss-Legendre of degree // 2 + 1 nodes, the
+    rule of each segment, resolves to rounding.  ``cumulative`` holds the
+    integral up to each knot.  Its pair integrals are exact: error 0.
     """
 
-    def __init__(self, knots, values, error: float = 0.0):
+    def __init__(self, knots, shape: Callable[[np.ndarray], np.ndarray], degree: int):
         self.knots = np.array(knots, dtype=float)
-        self.values = np.array(values, dtype=float)
-        self.error = error
+        self.shape = shape
+        self.degree = degree
         self.cumulative = np.concatenate(([0.0], np.cumsum(
-            0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.knots))))
-        for a in (self.knots, self.values, self.cumulative):
+            self._rule(self.knots[:-1], self.knots[1:], degree))))
+        for a in (self.knots, self.cumulative):
             a.flags.writeable = False
 
     def __call__(self, u):
-        return np.interp(u, self.knots, self.values, left=0.0, right=0.0)
+        return self.shape(np.asarray(u, dtype=float))
+
+    def _rule(self, a, b, degree: int, factor=None) -> np.ndarray:
+        """Int_a^b shape(u) factor(u) du elementwise over arrays a, b inside
+        one knot segment each, by Gauss-Legendre of degree // 2 + 1 nodes:
+        one shape call for all nodes, a row per node."""
+        nodes, weights = legendre(degree // 2 + 1)
+        u = 0.5 * (a + b) + 0.5 * (b - a) * nodes[:, None]
+        f = self.shape(u) if factor is None else self.shape(u) * factor(u)
+        return 0.5 * (b - a) * (weights @ f)
 
     def mass(self, a, b):
         """Integral over [a, b], elementwise over array arguments and 0
         where b <= a; a float for scalar arguments.
 
-        This is G(b) - G(a), exact for the piecewise-linear shape.  The
-        knots strictly between a and b come in as one difference of
-        ``cumulative``, the partial segments at either end as trapezoids, so
-        an interval inside one knot segment keeps its relative precision.
+        The knots strictly between a and b come in as one difference of
+        ``cumulative``, the partial segments at either end by the segment
+        rule, so an interval inside one knot segment keeps its relative
+        precision.
         """
-        k, v = self.knots, self.values
+        k = self.knots
         a, b = np.broadcast_arrays(np.clip(a, k[0], k[-1]), np.clip(b, k[0], k[-1]))
         out = np.zeros(a.shape)
         live = b > a
         a, b = a[live], b[live]
         ia = np.minimum(np.searchsorted(k, a, side="right") - 1, len(k) - 2)
         ib = np.minimum(np.searchsorted(k, b, side="right") - 1, len(k) - 2)
-        ga, gb = self(a), self(b)
-        inside = 0.5 * (ga + gb) * (b - a)
-        across = (0.5 * (ga + v[ia + 1]) * (k[ia + 1] - a)
-                  + (self.cumulative[ib] - self.cumulative[ia + 1])
-                  + 0.5 * (v[ib] + gb) * (b - k[ib]))
-        out[live] = np.where(ia == ib, inside, across)
+        inner = self.cumulative[ib] - self.cumulative[ia + 1] + self._rule(k[ib], b, self.degree)
+        out[live] = (self._rule(a, np.where(ia == ib, b, k[ia + 1]), self.degree)
+                     + np.where(ia == ib, 0.0, inner))
         return float(out) if out.ndim == 0 else out
 
     def spike_probe(self, h, L, heights, t: float, lo, hi, draws=None):
-        """(sum_j heights_j Int bump_j(|t u|) g(u) du, ``error``, masses) for
-        the spikes of centers ``h`` and halfwidths ``L`` at t >= 0, the
-        masses those of the intervals [lo_j, hi_j] of t (r - s) (t > 0
-        unless there are none).  Exact at any cost: ``draws`` is not
-        consulted."""
-        return (float(heights @ self.spike_bands(h, L, t)), self.error,
-                self.mass(lo / t, hi / t))
+        """(sum_j heights_j Int bump_j(|t u|) g(u) du, 0, masses) for the
+        spikes of centers ``h`` and halfwidths ``L`` at t >= 0, the masses
+        those of the intervals [lo_j, hi_j] of t (r - s) (t > 0 unless there
+        are none).  Exact at any cost: ``draws`` is not consulted."""
+        return (float(heights @ self.spike_bands(h, L, t)), 0.0, self.mass(lo / t, hi / t))
 
     def spike_bands(self, h: np.ndarray, L: np.ndarray, t: float) -> np.ndarray:
         """Int bump_j(|t u|) g(u) du for every spike (centers ``h``,
@@ -140,10 +146,11 @@ class PiecewiseLinearDensity:
 
         A spike band [a_j, b_j] on one side of u = 0 (h - L > 0), clipped to
         the support of g, splits at its apex and at the g-knots inside it
-        into segments on which both factors are linear.  The breakpoints of
-        a block of J spikes go band after band into one array, at most
-        3J + K long and laid out without a sort; Simpson is exact on each of
-        its segments, and ``np.bincount`` adds the segments up per spike.
+        into segments on which the bump is linear and g one piece.  The
+        breakpoints of a block of J spikes go band after band into one
+        array, at most 3J + K long and laid out without a sort; the segment
+        rule of one degree more than g's is exact on each of its segments,
+        and ``np.bincount`` adds the segments up per spike.
         """
         knots = self.knots
         out = np.zeros(len(h))
@@ -176,41 +183,21 @@ class PiecewiseLinearDensity:
                 owner = np.repeat(np.arange(len(idx)), inner)
                 rank = np.arange(len(owner)) - (np.cumsum(inner) - inner)[owner]
                 pts[start[owner] + 1 + rank + (rank >= below[owner])] = knots[k0[owner] + rank]
-                band = np.repeat(np.arange(len(idx)), count)
+                band = np.repeat(np.arange(len(idx)), count)[:-1]    # per segment
                 hv, lv = hb[idx][band], lb[idx][band]
-                f = self(pts) * _tri_eval(pts, t, hv, lv)
-                x0, x1 = pts[:-1], pts[1:]
-                mid = 0.5 * (x0 + x1)
-                simpson = (x1 - x0) / 6.0 * (f[:-1] + 4.0 * self(mid) * _tri_eval(
-                    mid, t, hv[:-1], lv[:-1]) + f[1:])
-                simpson[start[1:] - 1] = 0.0    # the gaps from one band to the next
-                out[first_spike + idx] += np.bincount(band[:-1], weights=simpson,
+                segment = self._rule(pts[:-1], pts[1:], self.degree + 1,
+                                     lambda u: _tri_eval(u, t, hv, lv))
+                segment[start[1:] - 1] = 0.0    # the gaps from one band to the next
+                out[first_spike + idx] += np.bincount(band, weights=segment,
                                                       minlength=len(idx))
         return out
 
     def box_integral(self, sides, slope: np.ndarray, draws=None) -> tuple[float, float]:
-        """(Int prod_k arc_overlap(a_k, a_k, u slope_k) g(u) du, ``error``),
-        by ``arc_overlap_integral``.  Exact at any cost: ``draws`` is not
+        """(Int prod_k arc_overlap(a_k, a_k, u slope_k) g(u) du, 0), by
+        ``arc_overlap_integral``.  Exact at any cost: ``draws`` is not
         consulted."""
-        return (arc_overlap_integral(sides, 0.0 * slope, slope, self.knots, self.values),
-                self.error)
-
-    def si_transform(self, lam) -> np.ndarray:
-        """F(lam) = Int g(u) sin(lam u) / u du for an array of ``lam``.
-
-        Exact per knot segment: with g = p + q u there, the segment gives
-        p [Si(lam u)] - q [cos(lam u)] / lam, the cosine difference taken as
-        -2 sin(lam m) sin(lam h) with m, h the segment's midpoint and half
-        width, so small lam loses nothing and F(0) = 0.
-        """
-        k, v = self.knots, self.values
-        q = np.diff(v) / np.diff(k)
-        p = v[:-1] - q * k[:-1]
-        mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
-        lam = np.asarray(lam, dtype=float)[:, None]
-        si, _ = sici(lam * k)
-        dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
-        return np.diff(si, axis=1) @ p - dcos_over_lam @ q
+        return (arc_overlap_integral(sides, 0.0 * slope, slope, self.knots, self.shape,
+                                     self.degree), 0.0)
 
 
 def _tri_eval(u, t, hv, lv):
@@ -219,39 +206,63 @@ def _tri_eval(u, t, hv, lv):
 
 
 @dataclass(frozen=True)
-class Cells:
-    """r - s as the correlated ``cells()`` (masses, width), nu's own when
-    ``exact``, rescaled by each of ``factors`` innermost first.  At power 1
-    an exact density has |nu_hat|^2 as its cosine transform: a band cell
-    [c, c'] of density d gives d (F(t c') - F(t c)) / t, F = ``si_transform``."""
+class Density:
+    """r - s as a density: ``pairs()`` gives its knots, shape and degree (as
+    in ``PiecewiseLinearDensity``) before the rescaling by ``factor``.  It
+    gives the pair view and serves no power."""
 
-    cells: Callable[[], tuple[np.ndarray, float]]
-    exact: bool
-    factors: tuple[float, ...] = ()
+    pairs: Callable[[], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], int]]
+    factor: float = 1.0
     integrand = None
 
-    def scaled(self, f: float) -> Cells:
-        return replace(self, factors=(*self.factors, f))
+    def scaled(self, f: float) -> Density:
+        return replace(self, factor=self.factor * f)
 
     def serves(self, power: int) -> bool:
-        return power == 1 and self.exact
+        return False
 
     def pair_view(self) -> PiecewiseLinearDensity:
-        return self.density()
+        knots, shape, degree = self.pairs()
+        f = self.factor
+        return PiecewiseLinearDensity(knots * f, lambda u: shape(u / f) / f, degree)
 
-    def density(self) -> PiecewiseLinearDensity:
-        """The density of r - s, with the quantizer's error 1e-4 unless exact."""
-        masses, delta = self.cells()
-        corr = np.correlate(masses, masses, mode="full")
-        knots = delta * np.arange(-len(masses), len(masses) + 1)
-        vals = np.concatenate(([0.0], corr / delta, [0.0]))
-        for f in self.factors:
-            knots, vals = knots * f, vals / f
-        return PiecewiseLinearDensity(knots, vals, 0.0 if self.exact else 1e-4)
+
+@dataclass(frozen=True)
+class Cells(Density):
+    """The density of r - s for a piecewise-constant weight: piecewise
+    linear (``_cell_pairs``).  At power 1 |nu_hat|^2 is its cosine
+    transform: a band cell [c, c'] of density d gives d (F(t c') - F(t c)) / t
+    with F(lam) = Int g(u) sin(lam u) / u du."""
+
+    def serves(self, power: int) -> bool:
+        return power == 1
 
     def band_term(self, band, t: float, power: int) -> float:
+        """F exact per knot segment: with g = p + q u there, the segment
+        gives p [Si(lam u)] - q [cos(lam u)] / lam, the cosine difference
+        taken as -2 sin(lam m) sin(lam h) with m, h the segment's midpoint
+        and half width, so small lam loses nothing and F(0) = 0."""
         edges, dens = band.cells()
-        return float(dens @ np.diff(self.density().si_transform(t * edges))) / t
+        knots, shape, _ = self.pairs()
+        k, v = knots * self.factor, shape(knots) / self.factor
+        q = np.diff(v) / np.diff(k)
+        p = v[:-1] - q * k[:-1]
+        mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
+        lam = t * edges[:, None]
+        si, _ = sici(lam * k)
+        dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
+        transform = np.diff(si, axis=1) @ p - dcos_over_lam @ q
+        return float(dens @ np.diff(transform)) / t
+
+
+def _cell_pairs(masses: np.ndarray, delta: float) -> tuple:
+    """The piecewise-linear density of r - s for a weight of cell ``masses``
+    on cells of width ``delta``: the masses' correlation over delta at the
+    multiples of delta."""
+    corr = np.correlate(masses, masses, mode="full")
+    knots = delta * np.arange(-len(masses), len(masses) + 1)
+    values = np.concatenate(([0.0], corr / delta, [0.0]))
+    return knots, lambda u: np.interp(u, knots, values, left=0.0, right=0.0), 1
 
 
 @dataclass(frozen=True)
@@ -495,12 +506,9 @@ class DigitPairs:
 class DensityMeasure(WeightMeasure):
     """Absolutely continuous measure on a bounded interval.
 
-    Subclasses provide cdf/ppf; sampling is inverse-CDF on a shared uniform
+    Subclasses provide ppf; sampling is inverse-CDF on a shared uniform
     stream.
     """
-
-    def cdf(self, x):
-        raise NotImplementedError
 
     def ppf(self, u):
         raise NotImplementedError
@@ -508,14 +516,6 @@ class DensityMeasure(WeightMeasure):
     def _sample(self, count, master, path):
         u = generator(master, *path).random(count)
         return self.ppf(u)
-
-    def difference_law(self):
-        return (Cells(self.cells, exact=False),)
-
-    def cells(self):
-        """Masses of 4096 equal cells of the support, by cdf, and their width."""
-        lo, hi = self.support()
-        return np.diff(self.cdf(np.linspace(lo, hi, 4097))), (hi - lo) / 4096
 
 
 @dataclass(frozen=True)
@@ -532,9 +532,6 @@ class Uniform(DensityMeasure):
         mid, half = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
         return np.exp(1j * xi * mid) * _sinc(xi * half)
 
-    def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
-
     def ppf(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
 
@@ -542,10 +539,10 @@ class Uniform(DensityMeasure):
         return (self.a, self.b)
 
     def difference_law(self):
-        return (Cells(self.cells, exact=True), Sinc(0.5 * (self.b - self.a), 1))
+        return (Cells(self._pairs), Sinc(0.5 * (self.b - self.a), 1))
 
-    def cells(self):
-        return np.array([1.0]), self.b - self.a
+    def _pairs(self):
+        return _cell_pairs(np.array([1.0]), self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -565,12 +562,6 @@ class Triangular(DensityMeasure):
         mid, quarter = 0.5 * (self.a + self.b), 0.25 * (self.b - self.a)
         return np.exp(1j * xi * mid) * _sinc(xi * quarter) ** 2
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        w = self.b - self.a
-        t = np.clip((x - self.a) / w, 0.0, 1.0)
-        return np.where(t < 0.5, 2.0 * t * t, 1.0 - 2.0 * (1.0 - t) ** 2)
-
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         w = self.b - self.a
@@ -582,7 +573,20 @@ class Triangular(DensityMeasure):
         return (self.a, self.b)
 
     def difference_law(self):
-        return (Sinc(0.25 * (self.b - self.a), 2), Cells(self.cells, exact=False))
+        return (Sinc(0.25 * (self.b - self.a), 2), Density(self._pairs))
+
+    def _pairs(self):
+        """r - s = U1 + U2 - U3 - U4, the U_i uniform of width h = (b - a) / 2,
+        has the cubic B-spline density with knots 0, +-h and +-2h: at x = |u| / h,
+        (4 - 6 x^2 + 3 x^3) / 6h up to 1, (2 - x)^3 / 6h up to 2, 0 beyond."""
+        h = 0.5 * (self.b - self.a)
+
+        def shape(u):
+            x = np.abs(u) / h
+            return np.where(x < 1.0, 4.0 + x * x * (3.0 * x - 6.0),
+                            np.maximum(2.0 - x, 0.0) ** 3) / (6.0 * h)
+
+        return h * np.arange(-2.0, 3.0), shape, 3
 
 
 @dataclass(frozen=True)
@@ -620,22 +624,9 @@ class TruncatedGaussian(DensityMeasure):
         out = np.exp(1j * mu * xi) * num / z
         return np.conj(out) if flip else out
 
-    # cdf and ppf port scipy's truncnorm (scipy 1.17.1) operation for
-    # operation on scipy.special alone, so draws and cell masses are
-    # bit-identical to it; only the log mass of the truncation is hoisted
-    # out of the per-point work.
-    def cdf(self, x):
-        al, be = self._bounds()
-        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
-        out = np.zeros(z.shape)
-        out[np.isnan(z)] = np.nan
-        out[z >= be] = 1.0
-        inside = (al < z) & (z < be)
-        if inside.any():
-            log_mass = _log_gauss_mass(al, be)[0]
-            out[inside] = np.exp(_log_cdf(z[inside], al, be, log_mass))
-        return out[()] if out.ndim == 0 else out
-
+    # ppf ports scipy's truncnorm (scipy 1.17.1) operation for operation on
+    # scipy.special alone, so draws are bit-identical to it; only the log
+    # mass of the truncation is hoisted out of the per-point work.
     def ppf(self, u):
         al, be = self._bounds()
         q = np.asarray(u, dtype=float)
@@ -645,7 +636,7 @@ class TruncatedGaussian(DensityMeasure):
         inside = (0 < q) & (q < 1)
         if inside.any():
             q = q[inside]
-            log_mass = _log_gauss_mass(al, be)[0]
+            log_mass = _log_gauss_mass(al, be)
             # Phi(x) = Phi(al) + q Z, or in the upper tail by symmetry.
             if al < 0:
                 z = ndtri_exp(_log_sum(log_ndtr(al), np.log(q) + log_mass))
@@ -657,6 +648,53 @@ class TruncatedGaussian(DensityMeasure):
     def support(self):
         return (self.lo, self.hi)
 
+    def difference_law(self):
+        return (Density(self._pairs),)
+
+    def _pairs(self):
+        """r - s has the density G(u / sigma) / sigma: with y0 = al + |v| / 2,
+        y1 = be - |v| / 2 and Z = Phi(be) - Phi(al), for |v| < be - al,
+        G(v) = e^{-v^2/4} [Phi(sqrt2 y1) - Phi(sqrt2 y0)] / (2 sqrt(pi) Z^2),
+        the range reflected to be > 0 (the law of r - s keeps under x -> -x).
+        Around the mean Z is a sum of erfs; above it (al > 0) ``_erfcx_drop``
+        takes the e^{-al^2} out of both differences, exact for narrow ranges.
+        G is analytic on each side of 0.  r lives, to e^-GAUSS_REACH of its
+        peak density, on [za, zb], so r - s on |v| <= zb - za; log G turns
+        by at most about R = max(|za|, |zb|) per unit of v there, and knots
+        2 / R apart, a few e-folds, are resolved by GAUSS_NODES nodes."""
+        al, be = self._bounds()
+        if be <= 0:
+            al, be = -be, -al
+        width = (self.hi - self.lo) / self.sigma    # be - al cancels for a narrow range far out
+        reach = np.sqrt(max(0.0, al) ** 2 + 2.0 * GAUSS_REACH)
+        za, zb = max(al, -reach), min(be, reach)
+        side = np.linspace(0.0, zb - za, ceil((zb - za) * max(-za, zb) / 2.0) + 1)
+        side = np.unique(np.append(side, width))      # on to the full width
+        if al > 0:      # G at a = |v| with the e^{-al^2} of both differences taken out
+            norm = np.sqrt(np.pi) * _erfcx_drop(al / np.sqrt(2.0), width / np.sqrt(2.0)) ** 2
+            inside = lambda a: np.exp(-0.5 * a * a - al * a) * _erfcx_drop(
+                al + 0.5 * a, width - a) / norm
+        else:   # G at a = |v| through 2 Phi(sqrt2 y) = 1 + erf(y): Z by erfs of both signs
+            norm = np.sqrt(np.pi) * (erf(be / np.sqrt(2.0)) - erf(al / np.sqrt(2.0))) ** 2
+            inside = lambda a: np.exp(-0.25 * a * a) * (erf(be - 0.5 * a) - erf(al + 0.5 * a)) / norm
+
+        def shape(u):
+            a = np.minimum(np.abs(u) / self.sigma, width)    # no mass at the full width
+            return np.where(a < width, inside(a), 0.0) / self.sigma
+
+        return self.sigma * np.concatenate((-side[:0:-1], side)), shape, 2 * GAUSS_NODES - 1
+
+
+def _erfcx_drop(x, w):
+    """erfcx(x) - erfcx(x + w) e^{-w (2x + w)} = 2 / sqrt(pi) Int_0^w e^{-s (2x + s)} ds
+    for x, w >= 0: by GAUSS_NODES-node Gauss-Legendre where the integrand falls by
+    at most e (the closed form cancels there), else in closed form."""
+    nodes, weights = legendre(GAUSS_NODES)
+    s = 0.5 * np.multiply.outer(w, 1.0 + nodes)     # the last axis runs over the nodes
+    quad = w / np.sqrt(np.pi) * (np.exp(-s * (2.0 * np.asarray(x)[..., None] + s)) @ weights)
+    closed = erfcx(x) - erfcx(x + w) * np.exp(-w * (2.0 * x + w))
+    return np.where(w * (2.0 * x + w) <= 1.0, quad, closed)
+
 
 def _log_sum(log_p, log_q):
     """log(p + q) elementwise; ``log_p`` may be a scalar."""
@@ -664,46 +702,15 @@ def _log_sum(log_p, log_q):
     return logsumexp([log_p, log_q], axis=0)
 
 
-def _log_diff(log_p, log_q):
-    """log(p - q) elementwise, through -q = q e^{i pi}."""
-    return logsumexp([log_p, log_q + np.pi * 1j], axis=0)
-
-
-def _log_gauss_mass(a, b):
-    """log(Phi(b) - Phi(a)) elementwise as a 1-d array, each interval taken in
-    the lower tail (reflected if it lies above 0) or, if it straddles 0, as
-    1 minus both tails."""
-    a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
-    left = b <= 0
-    right = a > 0
-    central = ~(left | right)
-    out = np.full(a.shape, np.nan, dtype=complex)
-    if left.any():
-        out[left] = _log_diff(log_ndtr(b[left]), log_ndtr(a[left]))
-    if right.any():
-        out[right] = _log_diff(log_ndtr(-a[right]), log_ndtr(-b[right]))
-    if central.any():
-        out[central] = log1p(-ndtr(a[central]) - ndtr(-b[central]))
-    return out.real
-
-
-def _log_cdf(z, a, b, log_mass):
-    """log P(Z <= z) for the standard normal truncated to (a, b), a < z < b;
-    near 1 it is taken from the survival function to avoid cancellation."""
-    out = _log_gauss_mass(a, z) - log_mass
-    high = out > -0.1
-    if high.any():
-        out[high] = np.log1p(-np.exp(_log_sf(z[high], a, b, log_mass)))
-    return out
-
-
-def _log_sf(z, a, b, log_mass):
-    """log P(Z > z), the mirror of _log_cdf."""
-    out = _log_gauss_mass(z, b) - log_mass
-    high = out > -0.1
-    if high.any():
-        out[high] = np.log1p(-np.exp(_log_cdf(z[high], a, b, log_mass)))
-    return out
+def _log_gauss_mass(a: float, b: float) -> float:
+    """log(Phi(b) - Phi(a)) for a < b, taken in the lower tail (reflected if
+    the interval lies above 0), log(p - q) through -q = q e^{i pi}, or, if it
+    straddles 0, as 1 minus both tails."""
+    if b <= 0:
+        return logsumexp([log_ndtr(b), log_ndtr(a) + np.pi * 1j]).real
+    if a > 0:
+        return logsumexp([log_ndtr(-a), log_ndtr(-b) + np.pi * 1j]).real
+    return log1p(-ndtr(a) - ndtr(-b))
 
 
 def _gauss_term(b, s, shift):
@@ -755,9 +762,6 @@ class TableDensity(DensityMeasure):
             out[s:s + step] = phases @ self.masses
         return out * _sinc(xi * delta / 2.0)
 
-    def cdf(self, x):
-        return np.interp(x, self.edges, self._cum)
-
     def ppf(self, u):
         return np.interp(u, self._cum, self.edges)
 
@@ -765,10 +769,10 @@ class TableDensity(DensityMeasure):
         return (self.lo, self.hi)
 
     def difference_law(self):
-        return (Cells(self.cells, exact=True),)
+        return (Cells(self._pairs),)
 
-    def cells(self):
-        return self.masses.copy(), (self.hi - self.lo) / len(self.masses)
+    def _pairs(self):
+        return _cell_pairs(self.masses, (self.hi - self.lo) / len(self.masses))
 
     def __eq__(self, other):
         return (isinstance(other, TableDensity) and self.lo == other.lo

@@ -145,8 +145,7 @@ def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
     """
     size = degree // 2 + 1
     nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights, size)
-    ratio, values, probs = law.floats.ratio, law.floats.values, law.floats.probs
-    lo, hi = float(values[0]) / (1.0 - ratio), float(values[-1]) / (1.0 - ratio)
+    ratio, values, probs, lo, hi = law.floats
     rows = max(1, DIGIT_BLOCK // size)   # copies per kernel call: bounds the walk's memory
     atoms, weights, scale = np.zeros(1), np.ones(1), 1.0
     total, pending, waiting = 0.0, [], 0   # the copies the rule takes, not yet evaluated

@@ -358,7 +358,10 @@ def arithmetic_spikes(step: float = 1.0, halfwidth: float = 0.25,
     """Spikes on the progression step, 2*step, ..., count*step.  The growth
     ratio of consecutive centers tends to 1, so the declared factor is the
     smallest consecutive ratio in the family."""
+    if count < 1:
+        raise ValueError("arithmetic spikes need count >= 1")
     centers = tuple(step * (j + 1) for j in range(count))
-    growth = (count) / (count - 1.0) * (1.0 - 1e-12)
+    # one spike has no consecutive ratio: it keeps the default growth
+    growth = count / (count - 1.0) * (1.0 - 1e-12) if count > 1 else SpikeCorrelation.growth
     return SpikeCorrelation(baseline, centers, (halfwidth,) * count,
                             (height,) * count, growth)

@@ -707,7 +707,11 @@ GOLDEN_BOX = BoxAutocorrelation(golden_winding(), BoxSet((0.5, 0.4)))
     (BoxAutocorrelation(circle_rotation(), BoxSet((0.3,))), Uniform(0, 1), 50.0),
     (BoxAutocorrelation(TorusWinding((1.0, 0.6180339887498949, 0.4142135623730951)),
                         BoxSet((0.5, 0.4, 0.3))), Uniform(0, 1), 40.0),
-], ids=["golden-table", "golden-uniform", "circle", "d3"])
+    (GOLDEN_BOX, Triangular(0.5, 2.5), 30.0),
+    (GOLDEN_BOX, GAUSS, 30.0),
+    (GOLDEN_BOX, TruncatedGaussian(3.0, 0.5, 0.0, 1.0), 100.0),
+], ids=["golden-table", "golden-uniform", "circle", "d3", "golden-triangular", "golden-gauss",
+        "golden-gauss-tail"])
 def test_box_pair_quadrature_is_exact(model, weight, t):
     pair = pair_correlation_integral(model, weight, t, method="quadrature")
     assert pair.error == 0.0
@@ -717,7 +721,7 @@ def test_box_pair_quadrature_is_exact(model, weight, t):
 
 def test_box_pair_quadrature_error_and_symmetry():
     tri = pair_correlation_integral(GOLDEN_BOX, Triangular(0, 2), 100.0)
-    assert tri.method == "quadrature" and tri.error == 1e-4
+    assert tri.method == "quadrature" and tri.error == 0.0
     table = TableDensity(0.0, 1.0, np.linspace(1.0, 2.0, 16))
     for t in (3.0, 30.0, 300.0):
         neg = pair_correlation_integral(GOLDEN_BOX, table, -t)
@@ -749,28 +753,42 @@ def test_other_correlations_are_sampled():
 
 
 def test_difference_density_is_a_probability_density():
-    for m in (Uniform(0, 1), TableDensity(0.0, 1.5, [1.0, 3.0, 2.0])):
+    for m in (Uniform(0, 1), TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), Triangular(0.5, 2.5),
+              GAUSS):
         g = difference_density(m)
-        assert g.error == 0.0
         assert g.mass(g.knots[0], g.knots[-1]) == pytest.approx(1.0, abs=1e-12)
         lo, hi = m.support()
-        assert g.knots[0] == pytest.approx(-(hi - lo))
+        assert g.knots[0] == pytest.approx(-(hi - lo)) == -g.knots[-1]
 
 
 @pytest.mark.parametrize("inner", [
     Uniform(0.25, 1.75), TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]),
     Triangular(0.0, 2.0), GAUSS])
 def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
+    """The view of a rescaling by f: knots times f, density over f, and so
+    the same masses, spike and box integrals at u f, t / f and slopes / f."""
     g = difference_density(inner)
-    for f in (0.3, 7.0):
-        scaled = difference_density(rescale(inner, f))
-        assert scaled.error == g.error
+    u = np.linspace(g.knots[0], g.knots[-1], 1001)
+    spikes = geometric_spikes(3.0, 0.4, count=5, first=1.5)
+    h, L, heights = spikes.arrays
+    sides, slope = (0.5, 0.4), 30.0 * np.asarray(golden_winding().alpha)
+    for scaled, f in ((difference_density(rescale(inner, f)), f) for f in (0.3, 7.0)):
+        assert scaled.degree == g.degree
         assert np.array_equal(scaled.knots, g.knots * f)
-        assert np.array_equal(scaled.values, g.values / f)
-    # nested rescalings apply innermost first
+        np.testing.assert_allclose(scaled(u * f), g(u) / f, rtol=1e-13, atol=1e-13 / f)
+        np.testing.assert_allclose(scaled.mass(u[:-1] * f, u[1:] * f), g.mass(u[:-1], u[1:]),
+                                   rtol=0, atol=1e-15)
+        for t in (2.0, 9.0):
+            want, _, masses = g.spike_probe(h, L, heights, t, h - L, h + L)
+            got, error, scaled_masses = scaled.spike_probe(h, L, heights, t / f, h - L, h + L)
+            assert error == 0.0 and got == pytest.approx(want, rel=0, abs=1e-14)
+            np.testing.assert_allclose(scaled_masses, masses, rtol=0, atol=1e-15)
+        assert scaled.box_integral(sides, slope / f) == pytest.approx(
+            g.box_integral(sides, slope), rel=0, abs=1e-14)
+    # nested rescalings multiply their factors
     nested = difference_density(Scaled(7.0, Scaled(0.3, inner)))
-    assert np.array_equal(nested.knots, g.knots * 0.3 * 7.0)
-    assert np.array_equal(nested.values, g.values / 0.3 / 7.0)
+    assert np.array_equal(nested.knots, g.knots * (0.3 * 7.0))
+    np.testing.assert_allclose(nested(u * 2.1), g(u) / 2.1, rtol=1e-13, atol=1e-13)
 
 
 def test_no_difference_law_means_no_density_and_sampled_pairs():
@@ -785,17 +803,19 @@ def test_no_difference_law_means_no_density_and_sampled_pairs():
 
 def test_sinc_path_never_builds_the_density(monkeypatch):
     calls = []
-    for name in ("cdf", "cells"):
-        def counted(self, *args, _name=name, _original=getattr(Triangular, name)):
-            calls.append(_name)
-            return _original(self, *args)
-        monkeypatch.setattr(Triangular, name, counted)
+    original = Triangular._pairs
+
+    def counted(self):
+        calls.append("pairs")
+        return original(self)
+
+    monkeypatch.setattr(Triangular, "_pairs", counted)
     for p in (1, 2, 3):
         value, diff = engine._spectral_power(SINC_SPEC, Triangular(0, 2), 100.0, 1e-8, p)
         assert diff == 0.0 and 0.0 < value < 1.0
     assert calls == []
-    difference_density(Triangular(0, 2))       # the counters do see a build
-    assert calls == ["cells", "cdf"]
+    difference_density(Triangular(0, 2))       # the counter does see a build
+    assert calls == ["pairs"]
 
 
 def test_engine_binds_no_concrete_measure_class():
@@ -988,8 +1008,8 @@ def test_spike_pair_quadrature_at_zero_is_the_baseline(weight):
         warnings.simplefilter("error")
         got = pair_correlation_integral(spikes, weight, 0.0, method="quadrature")
     assert (got.value, got.method) == (spikes.baseline, "quadrature")
-    # a density view carries its own error, the digit walk's bound is 0 here
-    assert got.error == getattr(difference_density(weight), "error", 0.0)
+    # a density view reports 0, and so does the digit walk's bound here
+    assert got.error == 0.0
 
 # -- vectorized difference-density kernels -------------------------------------------
 
@@ -1010,7 +1030,8 @@ def test_density_mass_matches_trapezoid_reference():
         n = int(rng.integers(2, 60))
         knots = np.sort(rng.uniform(-3.0, 3.0, n + 1))
         values = np.concatenate(([0.0], rng.random(n - 1), [0.0]))
-        g = engine.PiecewiseLinearDensity(knots, values)
+        g = engine.PiecewiseLinearDensity(
+            knots, lambda u, k=knots, v=values: np.interp(u, k, v, left=0.0, right=0.0), 1)
         lo = rng.uniform(-4.0, 4.0, 200)
         hi = lo + rng.choice([-1.0, 1.0], 200) * rng.exponential(0.5, 200)
         hi[:10] = lo[:10]                          # empty intervals
@@ -1061,8 +1082,9 @@ def spike_band_reference(g, h, L, t):
 @pytest.mark.parametrize("block", [measures.SPIKE_BLOCK, 7])
 def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
     monkeypatch.setattr(measures, "SPIKE_BLOCK", block)
-    g = difference_density(Triangular(0.0, 1.0))
-    assert len(g.knots) == 8193 and g.error == 1e-4
+    masses = np.random.default_rng(41).random(4096)
+    g = difference_density(TableDensity(0.0, 1.0, masses))
+    assert len(g.knots) == 8193 and g.degree == 1
     cases = [
         # bands 0.5/t wide: about 20 knots each at t = 100; at t = 4096 the
         # apexes j / 4096 sit exactly on knots and bands cross one or two
@@ -1144,7 +1166,7 @@ def test_probe_spike_mass_shape_on_both_paths(count):
             assert list(entry) == ["total"] and list(entry_exact) == ["total"]
 
 
-def test_probe_dense_progression_on_quantized_triangular_weight():
+def test_probe_dense_progression_on_triangular_weight():
     spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, height=1.0,
                                count=100_001, baseline=0.25)
     start = time.perf_counter()
@@ -1176,9 +1198,23 @@ def test_walk_pairs_against_sampling(weight):
 
 @pytest.mark.parametrize("weight", WALKED, ids=WALKED_IDS)
 def test_walk_probe_against_sampling(weight):
+    probe_against_sampling(weight, (-50.0, 10.0, 50.0))
+
+
+@pytest.mark.parametrize("weight", [
+    Triangular(0.5, 2.5), GAUSS, TruncatedGaussian(0.3, 0.05, 0.0, 1.0),
+    TruncatedGaussian(3.0, 0.5, 0.0, 1.0)], ids=["triangular", "gauss", "gauss-narrow",
+                                                 "gauss-tail"])
+def test_density_probe_against_sampling(weight):
+    probe_against_sampling(weight, (-30.0, 4.0, 30.0, 300.0))
+
+
+def probe_against_sampling(weight, grid):
+    """The exact probe's values and masses, even in t, within four errors of
+    fresh samples at every grid point."""
     spikes = geometric_spikes(10, 0.25, count=4)
     h, L, _ = spikes.arrays
-    grid, n = (-50.0, 10.0, 50.0), 200_000
+    n = 200_000
     curve = almost_mixing_probe(spikes, weight, grid)
     assert "failed_points" not in curve.metadata
     band, spike = curve.metadata["band_mass"], curve.metadata["spike_mass"]

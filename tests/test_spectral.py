@@ -150,6 +150,15 @@ def test_spike_validation():
     arithmetic_spikes(count=50)  # ratio (j+1)/j stays above the declared growth
 
 
+def test_arithmetic_spikes_count():
+    # one spike has no consecutive ratio and keeps the default growth
+    one = arithmetic_spikes(step=2.0, count=1)
+    assert one.centers == (2.0,) and one.growth == SpikeCorrelation.growth
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count"):
+            arithmetic_spikes(count=count)
+
+
 @pytest.mark.parametrize("args, kwargs, message", [
     ((0.25, (1.0, 4.0), (0.1,), (1.0, 1.0)), {}, "must align"),
     ((-0.1, (1.0,), (0.1,), (1.0,)), {}, "baseline must be nonnegative"),

@@ -2,9 +2,11 @@
 template and of a law matrix, through ``homavg.cli.main`` at ``--threads 1``
 and ``2``, for ``diff -r`` between two trees.  Templates run at seeds 1 and
 2001, rounds 0-2 and the top round (round 0 and the top round for
-rigidity-adversary).  The law matrix runs twelve weights, covering every
-form of the law of r - s, a self-similar weight too dense for the digit
-forms (``bernoulli``, M ratio > 1) and one of unequal ratios with no digit
+rigidity-adversary).  The law matrix runs fourteen weights, covering every
+form of the law of r - s, two more truncated Gaussians whose pair views
+place their knots where the mass lives (``gauss-narrow``, sigma 0.05, and
+``gauss-tail``, the mean 3 above [0, 1]), a self-similar weight too dense
+for the digit forms (``bernoulli``, M ratio > 1) and one of unequal ratios with no digit
 form (``uniform-split``: Uniform(0, 1) as the maps of ratios 1/2, 1/4, 1/4,
 so its spectral rows match ``uniform``'s within the ``expect`` tolerance,
 a shift keeping |nu_hat|), on three spectra as ``spectral-scan``
@@ -30,7 +32,8 @@ CANTOR = {"type": "self-similar", "ratios": [1 / 3, 1 / 3], "shifts": [0.0, 2 / 
           "weights": [0.5, 0.5]}
 WEIGHTS = {
     "uniform": "uniform[0.25,1.25]", "triangular": "triangular[0.5,2.5]",
-    "gauss-trunc": "gauss-trunc[0.5,0.2,0,1]", "cantor": "cantor-thirds",
+    "gauss-trunc": "gauss-trunc[0.5,0.2,0,1]", "gauss-narrow": "gauss-trunc[0.3,0.05,0,1]",
+    "gauss-tail": "gauss-trunc[3,0.5,0,1]", "cantor": "cantor-thirds",
     "dyadic-odd": "dyadic-odd", "dyadic-even": "dyadic-even",
     "table": {"type": "table", "lo": 0.0, "hi": 1.5, "masses": [1.0, 3.0, 2.0]},
     "nested-scaled-uniform": {"type": "scaled", "factor": 3.0, "inner": {
