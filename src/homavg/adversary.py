@@ -222,8 +222,9 @@ def build_adversarial_measure(flow: TorusWinding, box: BoxSet, depth: int,
 
 @dataclass(frozen=True)
 class LevelEstimate:
-    """Pair average (A_{s(i_n)} chi_A, chi_A) at one level, two ways:
-    Monte Carlo over (r, x) and exact per-leaf quadrature.  ``target`` is
+    """Pair average (A_{s(i_n)} chi_A, chi_A) at one level, two ways: a
+    conditional Monte Carlo over (leaf, eta) of the exact set correlation
+    mu(A intersect T_u A), and exact per-leaf quadrature.  ``target`` is
     mu(A), ``mixing_value`` is mu(A)^2, and ``rigid_fraction`` is the share
     of sampled weight mass whose translate differs from A by less than 2/n
     in measure."""
@@ -255,35 +256,30 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
                              seed: int = 0) -> list[LevelEstimate]:
     """Estimate (A_{s(i_n)} chi_A, chi_A) per level against mu(A) and
     mu(A)^2.  All interval positions enter through exact integer/rational
-    splits, so the huge scales of deep levels never touch float times."""
+    splits, so the huge scales of deep levels never touch float times.
+
+    A weight point r = leaf center + eta * half-width shifts the torus by
+    u = s(i_n) r, and the mean of chi_A(x) chi_A(x + u) over x is the exact
+    product of coordinate overlaps.  So only the leaf and eta are drawn,
+    and the estimate averages that product (Rao-Blackwell): no point x is
+    drawn, and the error is that of the product alone."""
     if not plan.levels:
         return []
     box = plan.box
     vol = box.volume
-    sides = np.asarray(box.sides)
     out = []
     for lev_idx, lev in enumerate(plan.levels):
         n = lev.level
         base, alpha, amp = _leaf_bases(plan, lev.scale)
-        n_leaves = base.shape[1]
-
         leaf = rng.generator(seed, rng.LEAF_CHOICE, lev_idx).integers(
-            0, n_leaves, size=n_samples)
+            0, base.shape[1], size=n_samples)
         eta = rng.generator(seed, rng.LEAF_OFFSET, lev_idx).uniform(
             -1.0, 1.0, size=n_samples)
-        x = rng.generator(seed, rng.OUTER_POINTS, lev_idx).random(
-            (n_samples, 2))
-        shift = np.mod(base[:, leaf].T + np.outer(eta * amp, alpha), 1.0)
-        y = np.mod(x + shift, 1.0)
-        prod = (np.all(x < sides, axis=1) & np.all(y < sides, axis=1)).astype(float)
-        mc = float(prod.mean())
-        mc_err = float(prod.std() / np.sqrt(n_samples))
-
-        corr_samples = np.ones(n_samples)
-        for c in range(2):
-            corr_samples *= arc_overlap(sides[c], sides[c], shift[:, c])
-        rigid = float(np.mean(2.0 * (vol - corr_samples) < 2.0 / n + 1e-12))
-
+        corr = np.prod([arc_overlap(a, a, np.mod(b[leaf] + (eta * amp) * al, 1.0))
+                        for a, b, al in zip(box.sides, base, alpha)], axis=0)
+        mc = float(corr.mean())
+        mc_err = float(corr.std() / np.sqrt(n_samples))
+        rigid = float(np.mean(2.0 * (vol - corr) < 2.0 / n + 1e-12))
         quad = _quadrature_level_value(box, base, alpha, amp)
         out.append(LevelEstimate(n, lev.scale, mc, mc_err, quad, vol,
                                  vol * vol, rigid))
@@ -293,8 +289,7 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
 def _quadrature_level_value(box: BoxSet, base: np.ndarray, alpha: np.ndarray,
                             amp: float) -> float:
     """Exact average over leaves of E_eta prod_k overlap(a_k, base_k + eta
-    * amp * alpha_k), eta uniform on [-1, 1]."""
-    offs = amp * alpha
-    total = sum(arc_overlap_integral(box.sides, base[:, j], offs, (-1.0, 1.0),
-                                     lambda x: 0.5 + 0.0 * x, 0) for j in range(base.shape[1]))
-    return total / base.shape[1]
+    * amp * alpha_k), eta uniform on [-1, 1], every leaf in one pass."""
+    per_leaf = arc_overlap_integral(box.sides, base, amp * alpha, (-1.0, 1.0),
+                                    lambda x: 0.5 + 0.0 * x, 0)
+    return sum(per_leaf.tolist()) / base.shape[1]

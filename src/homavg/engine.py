@@ -436,12 +436,15 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
         if view is not None and t != 0.0:
             exact = view.spike_probe(h, L, heights, abs(t), lo, hi, n_samples)
         if exact is not None:
+            # the view integrates the deviation itself: adding the baseline
+            # and taking it off again would cost an ulp of the baseline
             value, error, masses = exact
-            result = PairIntegral(spike.baseline + value, error, "quadrature")
+            deviation = abs(value)
             per, band = masses[:-1], masses[-1]
         else:
             u = _pair_differences(weight, n_samples, point_seed)
             result = _pair_sampling(spike, t, u)
+            deviation, error = abs(result.value - spike.baseline), result.error
             tu = np.sort(t * u)
             band = (np.searchsorted(tu, band_halfwidth, side="left")
                     - np.searchsorted(tu, -band_halfwidth, side="right")) / len(tu)
@@ -451,7 +454,7 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
         spike_masses[t] = {"total": float(per.sum())}
         if len(per) <= PROBE_META_SPIKES:
             spike_masses[t]["per_spike"] = per.tolist()
-        return abs(result.value - spike.baseline), result.error
+        return deviation, error
 
     meta = {"baseline": spike.baseline, "band_halfwidth": band_halfwidth,
             "kind": "almost-mixing-probe", "n_samples": n_samples}

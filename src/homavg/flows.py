@@ -211,21 +211,34 @@ def overlap_kinks(sides, base, slope, x0: float, x1: float) -> np.ndarray:
     Z + a_k or Z - a_k.  Those places come from the integers the shift
     sweeps over, so no gap is ever divided by a slope far smaller than
     itself."""
-    cuts = [np.empty(0)]
-    for a, b, s in zip(sides, base, slope, strict=True):
+    row = _kink_rows(sides, np.reshape(np.asarray(base, dtype=float), (-1, 1)),
+                     slope, x0, x1)[0]
+    return row[~np.isnan(row)]
+
+
+def _kink_rows(sides, bases: np.ndarray, slope, x0: float, x1: float) -> np.ndarray:
+    """``overlap_kinks`` for every column j of the (d, L) ``bases`` at once:
+    row j holds the kinks of base_k = bases[k, j], padded with NaN to the
+    longest row."""
+    cols = [np.empty((bases.shape[1], 0))]
+    for a, b, s in zip(sides, bases, slope, strict=True):
         if s == 0.0:
             continue
-        lo, hi = sorted((b + x0 * s, b + x1 * s))
+        ends = (b + x0 * s, b + x1 * s)
+        lo, hi = np.minimum(*ends), np.maximum(*ends)
         for c in (0.0, a, -a):
-            n = np.arange(np.ceil(lo - c), np.floor(hi - c) + 1.0)
-            cuts.append((n + c - b) / s)
-    return np.concatenate(cuts)
+            n0, n1 = np.ceil(lo - c), np.floor(hi - c)
+            n = n0[:, None] + np.arange(max(int(np.max(n1 - n0)) + 1, 0))
+            cols.append(np.where(n <= n1[:, None], (n + c - b[:, None]) / s, np.nan))
+    return np.concatenate(cols, axis=1)
 
 
-def arc_overlap_integral(sides, base, slope, knots, shape, degree: int) -> float:
+def arc_overlap_integral(sides, base, slope, knots, shape, degree: int) -> float | np.ndarray:
     """Int prod_k arc_overlap(a_k, a_k, base_k + x * slope_k) w(x) dx over
     [knots[0], knots[-1]], w = ``shape`` a polynomial of ``degree`` between
-    the sorted ``knots`` (or resolved as one); exact up to rounding.
+    the sorted ``knots`` (or resolved as one); exact up to rounding.  A
+    (d,) ``base`` gives a float; a (d, L) one gives the L integrals of its
+    columns, all evaluated in one pass.
 
     Factor k bends where its shift crosses Z, Z + a_k or Z - a_k
     (``overlap_kinks``).  Between the bends and the knots the integrand is
@@ -234,16 +247,28 @@ def arc_overlap_integral(sides, base, slope, knots, shape, degree: int) -> float
     """
     knots = np.asarray(knots, dtype=float)
     x0, x1 = knots[0], knots[-1]
-    coords = list(zip(sides, base, slope, strict=True))
-    cuts = overlap_kinks(sides, base, slope, x0, x1)
-    pts = np.unique(np.clip(np.concatenate((knots, cuts)), x0, x1))
-    nodes, weights = legendre((len(coords) + degree) // 2 + 1)
-    half = 0.5 * np.diff(pts)[:, None]
-    x = 0.5 * (pts[1:] + pts[:-1])[:, None] + half * nodes
+    base = np.asarray(base, dtype=float)
+    bases = base.reshape(len(sides), -1)
+    cuts = _kink_rows(sides, bases, slope, x0, x1)
+    # per column, the sorted distinct knots and cuts; the NaN padding sorts
+    # last, and a step onto a repeat or onto NaN is no piece
+    pts = np.sort(np.clip(np.concatenate(
+        (np.broadcast_to(knots, (bases.shape[1], len(knots))), cuts), axis=1), x0, x1), axis=1)
+    piece = pts[:, 1:] > pts[:, :-1]
+    column = np.nonzero(piece)[0]
+    left, right = pts[:, :-1][piece], pts[:, 1:][piece]
+    nodes, weights = legendre((len(sides) + degree) // 2 + 1)
+    half = 0.5 * (right - left)[:, None]
+    x = 0.5 * (right + left)[:, None] + half * nodes
     f = shape(x)
-    for a, b, s in coords:
-        f = f * arc_overlap(a, a, b + x * s)
-    return float(np.sum(half * f @ weights))
+    for a, b, s in zip(sides, bases, slope, strict=True):
+        f = f * arc_overlap(a, a, b[column][:, None] + x * s)
+    parts = half * f @ weights
+    # np.sum per column (not np.add.reduceat, which adds in another order),
+    # so each column sums as it would alone
+    ends = np.cumsum(np.count_nonzero(piece, axis=1))
+    out = np.array([np.sum(parts[i:j]) for i, j in zip(np.append(0, ends[:-1]), ends)])
+    return float(out[0]) if base.ndim == 1 else out
 
 
 def arc_correlation(flow: TorusWinding, a: BoxSet, b: BoxSet, t) -> np.ndarray | float:

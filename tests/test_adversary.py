@@ -8,7 +8,7 @@ from homavg import (AdversaryPlan, BoxSet, arc_correlation,
                     golden_winding, lattice_distance, pell_winding,
                     periodic_winding, rigidity_times,
                     verify_non_almost_mixing)
-from homavg import adversary
+from homavg import adversary, rng
 from homavg.adversary import MULTIPLIER_CAP, correlation_deviation
 from homavg.flows import arc_overlap
 
@@ -185,3 +185,43 @@ def test_verification_gap_over_mixing_value():
     for e in estimates:
         gap = e.mc_value - e.mixing_value
         assert gap >= 3.0 / 16.0 - 1.0 / e.level - 3.0 * e.mc_std_error
+
+
+def test_conditional_estimate_agrees_with_point_sampling():
+    # the indicator estimator verify used to run: the same leaf and eta
+    # draws, plus a uniform point x tested for x in A and x + shift in A
+    plan = build_adversarial_measure(GOLDEN_FLOW, HALF_BOX, 4)
+    n, seed = 100_000, 18
+    sides = np.asarray(HALF_BOX.sides)
+    for lev_idx, e in enumerate(verify_non_almost_mixing(plan, n_samples=n, seed=seed)):
+        base, alpha, amp = adversary._leaf_bases(plan, e.scale)
+        leaf = rng.generator(seed, rng.LEAF_CHOICE, lev_idx).integers(0, base.shape[1], size=n)
+        eta = rng.generator(seed, rng.LEAF_OFFSET, lev_idx).uniform(-1.0, 1.0, size=n)
+        x = rng.generator(seed, rng.OUTER_POINTS, lev_idx).random((n, 2))
+        y = np.mod(x + base[:, leaf].T + np.outer(eta * amp, alpha), 1.0)
+        hits = (np.all(x < sides, axis=1) & np.all(y < sides, axis=1)).astype(float)
+        point_value, point_error = hits.mean(), hits.std() / np.sqrt(n)
+        assert abs(e.mc_value - point_value) <= 3.0 * np.hypot(e.mc_std_error, point_error)
+        assert 4.0 * e.mc_std_error <= point_error
+
+
+@pytest.mark.parametrize("flow", [GOLDEN_FLOW, pell_winding()], ids=["golden", "pell"])
+def test_conditional_estimate_is_calibrated_against_quadrature(flow):
+    plan = build_adversarial_measure(flow, HALF_BOX, 4)
+    z = [(e.mc_value - e.quad_value) / e.mc_std_error
+         for seed in range(20)
+         for e in verify_non_almost_mixing(plan, n_samples=20_000, seed=seed)]
+    assert len(z) == 80
+    assert abs(sum(z) / np.sqrt(len(z))) <= 4.0
+    assert max(map(abs, z)) <= 5.0
+
+
+def test_verification_keeps_the_leaf_and_offset_streams():
+    # recorded before verify stopped drawing points: rigid_fraction, and the
+    # mean of the exact overlap product over the same (leaf, eta) draws,
+    # which is now the estimate itself
+    plan = build_adversarial_measure(GOLDEN_FLOW, HALF_BOX, 4)
+    estimates = verify_non_almost_mixing(plan, n_samples=20_000, seed=7)
+    assert [e.rigid_fraction for e in estimates] == [1.0, 1.0, 1.0, 1.0]
+    assert [e.mc_value for e in estimates] == [
+        0.12333909302436018, 0.18710142401927207, 0.20922573628048566, 0.21301665751537793]

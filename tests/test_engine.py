@@ -933,6 +933,19 @@ def test_probe_sparse_spikes_decay():
     assert curve.values[0] == pytest.approx(val, abs=1e-10)
 
 
+def test_exact_probe_reports_the_views_own_integral():
+    # far out the deviation is about 3.4e-7 against a 0.25 baseline; taking
+    # it as (baseline + v) - baseline would round it to an ulp of 0.25
+    spikes = geometric_spikes(10, 0.25, count=8)
+    grid = (1e6, 1e7)
+    curve = almost_mixing_probe(spikes, Uniform(0, 1), grid)
+    h, L, heights = spikes.arrays
+    none = np.empty(0)
+    for t, value in zip(grid, curve.values):
+        own = difference_density(Uniform(0, 1)).spike_probe(h, L, heights, t, none, none)[0]
+        assert value == pytest.approx(abs(own), rel=1e-15, abs=0)
+
+
 def test_probe_arithmetic_progression_does_not_decay():
     spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, height=1.0,
                                count=100_001, baseline=0.25)

@@ -14,7 +14,8 @@ and ``convolution-root`` at powers 2 and 3, plus one probe per weight and
 a 500-spike arithmetic probe on ``cantor-thirds`` at t = 2 ... 50, where
 the kink walk meets many kinks.  The weights with a digit law also take a
 wide ``spectral-scan`` on the flat and the atom-profiled spectrum, t = 2 ...
-1250, where the digit walk runs up to 8 levels.
+1250, where the digit walk runs up to 8 levels.  Two depth-6 adversary runs
+(golden and Pell windings, box (0.5, 0.5)) reach scales near 10^465.
 """
 
 import contextlib
@@ -77,6 +78,9 @@ def configs():
         yield f"laws/{name}-probe", {"kind": "almost-mixing-probe", "measure": weight,
                                      "correlation": "spike(10,0.25,1)", "grid": GRID,
                                      "samples": {"n_pairs": 2000}, "seed": 5}
+    for flow in ("winding-golden", "winding-pell"):
+        yield f"deep/{flow}-depth6", {"kind": "adversary", "flow": flow, "box": [0.5, 0.5],
+                                      "depth": 6, "samples": {"n_pairs": 100_000}, "seed": 5}
     yield "laws/cantor-dense-probe", {"kind": "almost-mixing-probe", "measure": "cantor-thirds",
                                       "correlation": workloads._arithmetic_spikes(500),
                                       "grid": GRID, "samples": {"n_pairs": 2000}, "seed": 5}
