@@ -30,9 +30,9 @@ import numpy as np
 
 from . import rng
 from .flows import (BoxSet, TorusWinding, _exact_distance, _exact_shifts,
-                    arc_correlation_exact, arc_overlap, arc_overlap_integral,
-                    rigidity_times)
+                    arc_correlation_exact, arc_overlap, overlap_kernel, rigidity_times)
 from .measures import NestedIntervals
+from .quadrature import kink_integral
 
 MULTIPLIER_CAP = 1 << 30     # only reachable for an exactly periodic (Fraction) slope
 _DELTA_SAFETY = Fraction((1 << 20) - 1, 1 << 20)
@@ -224,10 +224,8 @@ def build_adversarial_measure(flow: TorusWinding, box: BoxSet, depth: int,
 class LevelEstimate:
     """Pair average (A_{s(i_n)} chi_A, chi_A) at one level, two ways: a
     conditional Monte Carlo over (leaf, eta) of the exact set correlation
-    mu(A intersect T_u A), and exact per-leaf quadrature.  ``target`` is
-    mu(A), ``mixing_value`` is mu(A)^2, and ``rigid_fraction`` is the share
-    of sampled weight mass whose translate differs from A by less than 2/n
-    in measure."""
+    mu(A intersect T_u A), with its standard error, and exact per-leaf
+    quadrature.  ``target`` is mu(A) and ``mixing_value`` is mu(A)^2."""
 
     level: int
     scale: int
@@ -236,7 +234,6 @@ class LevelEstimate:
     quad_value: float
     target: float
     mixing_value: float
-    rigid_fraction: float
 
 
 def _leaf_bases(plan: AdversaryPlan, scale_n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -269,7 +266,6 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
     vol = box.volume
     out = []
     for lev_idx, lev in enumerate(plan.levels):
-        n = lev.level
         base, alpha, amp = _leaf_bases(plan, lev.scale)
         leaf = rng.generator(seed, rng.LEAF_CHOICE, lev_idx).integers(
             0, base.shape[1], size=n_samples)
@@ -279,10 +275,8 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
                         for a, b, al in zip(box.sides, base, alpha)], axis=0)
         mc = float(corr.mean())
         mc_err = float(corr.std() / np.sqrt(n_samples))
-        rigid = float(np.mean(2.0 * (vol - corr) < 2.0 / n + 1e-12))
         quad = _quadrature_level_value(box, base, alpha, amp)
-        out.append(LevelEstimate(n, lev.scale, mc, mc_err, quad, vol,
-                                 vol * vol, rigid))
+        out.append(LevelEstimate(lev.level, lev.scale, mc, mc_err, quad, vol, vol * vol))
     return out
 
 
@@ -290,6 +284,6 @@ def _quadrature_level_value(box: BoxSet, base: np.ndarray, alpha: np.ndarray,
                             amp: float) -> float:
     """Exact average over leaves of E_eta prod_k overlap(a_k, base_k + eta
     * amp * alpha_k), eta uniform on [-1, 1], every leaf in one pass."""
-    per_leaf = arc_overlap_integral(box.sides, base, amp * alpha, (-1.0, 1.0),
-                                    lambda x: 0.5 + 0.0 * x, 0)
+    per_leaf = kink_integral(overlap_kernel(box.sides, base, amp * alpha, 1.0), (-1.0, 1.0),
+                             lambda x: 0.5 + 0.0 * x, 0)
     return sum(per_leaf.tolist()) / base.shape[1]

@@ -213,10 +213,13 @@ def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | Digit
 
     A cell or density form gives the exact density, with error 0; a digit
     form serving p = 1 gives the kink walk over the digit law
-    (``DigitPairs``).  Either view answers ``mass(a, b)``, the box pair
-    integral as (value, error) and the spike pair integral with the masses
-    of any intervals (``spike_probe``), the walk declining (None) where it
-    would compute more than sampling."""
+    (``DigitPairs``).  Either view answers ``mass(a, b)``, the pair
+    integral of a correlation's kernel (``kernel(t, reach)``) as (value,
+    error) (``pair_integral``), and that of a spike correlation with the
+    masses of any intervals (``spike_probe``), the walk declining (None)
+    where it would compute more than sampling.  The density integrates the
+    kernel by ``quadrature.kink_integral``, the digit law by
+    ``quadrature.digit_walk``."""
     views = (form.pair_view() for form in measure.difference_law())
     return next((v for v in views if v is not None), None)
 
@@ -286,21 +289,19 @@ def _pair_sampling(correlation: CorrelationModel, t: float,
     std / sqrt(n).  A spike correlation equals its baseline outside the
     spike windows, so when few pairs hit one the sample std understates the
     spread; its error is at least H sqrt(p_up / n), H the largest |height|
-    and p_up the Wilson upper bound (z = WILSON_Z) of the share of hits:
-    the excess over the baseline has variance at most H^2 p.  At t = 0 no
-    pair hits, every window lying off 0, and the error stays std / sqrt(n)."""
+    and p_up the Wilson upper bound (z = WILSON_Z) of the share of hits,
+    the pairs whose value leaves the baseline: the excess over the baseline
+    has variance at most H^2 p.  At t = 0 no pair hits, every window lying
+    off 0, and the error stays std / sqrt(n)."""
     vals = np.asarray(correlation.value(t * u), dtype=float)
     n = len(u)
     error = float(vals.std() / np.sqrt(n))
     if isinstance(correlation, SpikeCorrelation) and correlation.centers and t != 0:
-        h, L, heights = correlation.arrays
-        tu = np.abs(t * u)
-        j = np.searchsorted(h - L, tu, side="right") - 1     # the window at or below
-        share = np.count_nonzero((j >= 0) & (tu < (h + L)[np.maximum(j, 0)])) / n
+        share = np.count_nonzero(vals != correlation.baseline) / n
         z2 = WILSON_Z ** 2
         p_up = (share + z2 / (2 * n) + WILSON_Z * np.sqrt(
             share * (1 - share) / n + z2 / (4 * n * n))) / (1 + z2 / n)
-        error = max(error, float(np.max(np.abs(heights)) * np.sqrt(p_up / n)))
+        error = max(error, float(np.max(np.abs(correlation.arrays[2])) * np.sqrt(p_up / n)))
     return PairIntegral(float(vals.mean()), error, "sampling")
 
 
@@ -308,18 +309,12 @@ def _pair_quadrature(correlation, view, t: float, draws=None) -> PairIntegral | 
     """Exact pair integral of a spike or box correlation against the pair
     view of r - s, with the view's error; None when the view declines at
     ``draws`` sampled pairs.  Both correlations are even in t, so they are
-    integrated at |t|."""
-    if isinstance(correlation, SpikeCorrelation):
-        h, L, heights = correlation.arrays
-        no_intervals = np.empty(0)
-        got = view.spike_probe(h, L, heights, abs(t), no_intervals, no_intervals, draws)
-        baseline = correlation.baseline
-    else:
-        got = view.box_integral(correlation.box.sides,
-                                abs(t) * np.asarray(correlation.flow.alpha), draws)
-        baseline = 0.0
+    integrated at |t|, and the view integrates rho(t u) less the spike
+    baseline."""
+    got = view.pair_integral(correlation, abs(t), draws)
     if got is None:
         return None
+    baseline = correlation.baseline if isinstance(correlation, SpikeCorrelation) else 0.0
     return PairIntegral(baseline + got[0], got[1], "quadrature")
 
 
@@ -423,7 +418,7 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     require_atomless(weight, "almost-mixing probe")
     grid = tuple(float(t) for t in t_grid)
     view = difference_density(weight)
-    h, L, heights = spike.arrays
+    h, L, _ = spike.arrays
     lo = np.append(h - L, -band_halfwidth)     # the spike windows, then the band
     hi = np.append(h + L, band_halfwidth)
     band_masses: dict[float, float] = {}
@@ -434,7 +429,7 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
         # t (r - s) is 0, which the sampling branch counts without dividing by t
         exact = None
         if view is not None and t != 0.0:
-            exact = view.spike_probe(h, L, heights, abs(t), lo, hi, n_samples)
+            exact = view.spike_probe(spike, abs(t), lo, hi, n_samples)
         if exact is not None:
             # the view integrates the deviation itself: adding the baseline
             # and taking it off again would cost an ulp of the baseline

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .quadrature import Kinked
 
 FLOAT_SAFE_DENOMINATOR = 1 << 52   # float CF extraction refused past this
 
@@ -202,24 +202,33 @@ def arc_overlap(a: float, b: float, shift) -> np.ndarray:
     return first + wrapped
 
 
-legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
+def overlap_kernel(sides, bases, slope, reach: float) -> Kinked:
+    """prod_k arc_overlap(a_k, a_k, base_k + u slope_k) over |u| <= reach as
+    a kink description, one column per column of the (d, L) ``bases`` (a
+    (d,) base is one column): degree d, Lipschitz bound
+    sum_k |slope_k| prod_{j != k} a_j and range prod_k a_k.
 
+    Factor k bends where its shift crosses Z, Z + a_k or Z - a_k.  Those
+    places come from the integers the shift sweeps over, so no gap is ever
+    divided by a slope far smaller than itself.
+    """
+    bases = np.asarray(bases, dtype=float).reshape(len(sides), -1)
+    kinks = np.sort(_kink_rows(sides, bases, slope, -reach, reach), axis=1)
+    a = np.array(sides, dtype=float)
+    lipschitz = float(sum(abs(s) * np.prod(np.delete(a, k)) for k, s in enumerate(slope)))
 
-def overlap_kinks(sides, base, slope, x0: float, x1: float) -> np.ndarray:
-    """The x in [x0, x1], unsorted, where some factor
-    arc_overlap(a_k, a_k, base_k + x * slope_k) bends: its shift crosses Z,
-    Z + a_k or Z - a_k.  Those places come from the integers the shift
-    sweeps over, so no gap is ever divided by a slope far smaller than
-    itself."""
-    row = _kink_rows(sides, np.reshape(np.asarray(base, dtype=float), (-1, 1)),
-                     slope, x0, x1)[0]
-    return row[~np.isnan(row)]
+    def value(u, column=0, factor=1.0):
+        for side, b, s in zip(sides, bases, slope):
+            factor = factor * arc_overlap(side, side, b[column] + u * s)
+        return factor
+
+    return Kinked(kinks, value, len(sides), lipschitz, float(np.prod(a)))
 
 
 def _kink_rows(sides, bases: np.ndarray, slope, x0: float, x1: float) -> np.ndarray:
-    """``overlap_kinks`` for every column j of the (d, L) ``bases`` at once:
-    row j holds the kinks of base_k = bases[k, j], padded with NaN to the
-    longest row."""
+    """The x in [x0, x1], unsorted, where a factor of ``overlap_kernel``
+    bends, for every column j of the (d, L) ``bases`` at once: row j holds
+    the kinks of base_k = bases[k, j], padded with NaN to the longest row."""
     cols = [np.empty((bases.shape[1], 0))]
     for a, b, s in zip(sides, bases, slope, strict=True):
         if s == 0.0:
@@ -231,44 +240,6 @@ def _kink_rows(sides, bases: np.ndarray, slope, x0: float, x1: float) -> np.ndar
             n = n0[:, None] + np.arange(max(int(np.max(n1 - n0)) + 1, 0))
             cols.append(np.where(n <= n1[:, None], (n + c - b[:, None]) / s, np.nan))
     return np.concatenate(cols, axis=1)
-
-
-def arc_overlap_integral(sides, base, slope, knots, shape, degree: int) -> float | np.ndarray:
-    """Int prod_k arc_overlap(a_k, a_k, base_k + x * slope_k) w(x) dx over
-    [knots[0], knots[-1]], w = ``shape`` a polynomial of ``degree`` between
-    the sorted ``knots`` (or resolved as one); exact up to rounding.  A
-    (d,) ``base`` gives a float; a (d, L) one gives the L integrals of its
-    columns, all evaluated in one pass.
-
-    Factor k bends where its shift crosses Z, Z + a_k or Z - a_k
-    (``overlap_kinks``).  Between the bends and the knots the integrand is
-    a polynomial of degree d + ``degree``, which Gauss-Legendre with
-    (d + degree) // 2 + 1 nodes integrates exactly.
-    """
-    knots = np.asarray(knots, dtype=float)
-    x0, x1 = knots[0], knots[-1]
-    base = np.asarray(base, dtype=float)
-    bases = base.reshape(len(sides), -1)
-    cuts = _kink_rows(sides, bases, slope, x0, x1)
-    # per column, the sorted distinct knots and cuts; the NaN padding sorts
-    # last, and a step onto a repeat or onto NaN is no piece
-    pts = np.sort(np.clip(np.concatenate(
-        (np.broadcast_to(knots, (bases.shape[1], len(knots))), cuts), axis=1), x0, x1), axis=1)
-    piece = pts[:, 1:] > pts[:, :-1]
-    column = np.nonzero(piece)[0]
-    left, right = pts[:, :-1][piece], pts[:, 1:][piece]
-    nodes, weights = legendre((len(sides) + degree) // 2 + 1)
-    half = 0.5 * (right - left)[:, None]
-    x = 0.5 * (right + left)[:, None] + half * nodes
-    f = shape(x)
-    for a, b, s in zip(sides, bases, slope, strict=True):
-        f = f * arc_overlap(a, a, b[column][:, None] + x * s)
-    parts = half * f @ weights
-    # np.sum per column (not np.add.reduceat, which adds in another order),
-    # so each column sums as it would alone
-    ends = np.cumsum(np.count_nonzero(piece, axis=1))
-    out = np.array([np.sum(parts[i:j]) for i, j in zip(np.append(0, ends[:-1]), ends)])
-    return float(out[0]) if base.ndim == 1 else out
 
 
 def arc_correlation(flow: TorusWinding, a: BoxSet, b: BoxSet, t) -> np.ndarray | float:

@@ -27,13 +27,12 @@ import numpy as np
 from scipy.special import erf, erfcx, log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wofz
 
 from .errors import InvalidMeasureError
-from .flows import arc_overlap, arc_overlap_integral, legendre, overlap_kinks
-from .quadrature import SELF_SIMILAR_NODES, digit_walk, digit_walk_work, sinc_power_integral
+from .quadrature import (SELF_SIMILAR_NODES, digit_walk, digit_walk_work, kink_integral,
+                         legendre, sinc_power_integral)
 from .rng import generator
 
 _CHAR_TOL = 1e-10
 _SAMPLE_RESOLUTION = 1e-12
-SPIKE_BLOCK = 4096       # spikes per breakpoint array: bounds the pair kernel's memory
 CHAR_BLOCK = 1 << 18     # values per table of a self-similar transform: bounds its memory
 GAUSS_REACH = 40.0       # a truncated Gaussian lives within e^-GAUSS_REACH of its peak density
 GAUSS_NODES = 10         # nodes of the rule on each knot segment of its pair view
@@ -96,21 +95,20 @@ class PiecewiseLinearDensity:
         self.shape = shape
         self.degree = degree
         self.cumulative = np.concatenate(([0.0], np.cumsum(
-            self._rule(self.knots[:-1], self.knots[1:], degree))))
+            self._rule(self.knots[:-1], self.knots[1:]))))
         for a in (self.knots, self.cumulative):
             a.flags.writeable = False
 
     def __call__(self, u):
         return self.shape(np.asarray(u, dtype=float))
 
-    def _rule(self, a, b, degree: int, factor=None) -> np.ndarray:
-        """Int_a^b shape(u) factor(u) du elementwise over arrays a, b inside
-        one knot segment each, by Gauss-Legendre of degree // 2 + 1 nodes:
-        one shape call for all nodes, a row per node."""
-        nodes, weights = legendre(degree // 2 + 1)
+    def _rule(self, a, b) -> np.ndarray:
+        """Int_a^b shape(u) du elementwise over arrays a, b inside one knot
+        segment each, by Gauss-Legendre of degree // 2 + 1 nodes: one shape
+        call for all nodes, a row per node."""
+        nodes, weights = legendre(self.degree // 2 + 1)
         u = 0.5 * (a + b) + 0.5 * (b - a) * nodes[:, None]
-        f = self.shape(u) if factor is None else self.shape(u) * factor(u)
-        return 0.5 * (b - a) * (weights @ f)
+        return 0.5 * (b - a) * (weights @ self.shape(u))
 
     def mass(self, a, b):
         """Integral over [a, b], elementwise over array arguments and 0
@@ -128,81 +126,25 @@ class PiecewiseLinearDensity:
         a, b = a[live], b[live]
         ia = np.minimum(np.searchsorted(k, a, side="right") - 1, len(k) - 2)
         ib = np.minimum(np.searchsorted(k, b, side="right") - 1, len(k) - 2)
-        inner = self.cumulative[ib] - self.cumulative[ia + 1] + self._rule(k[ib], b, self.degree)
-        out[live] = (self._rule(a, np.where(ia == ib, b, k[ia + 1]), self.degree)
+        inner = self.cumulative[ib] - self.cumulative[ia + 1] + self._rule(k[ib], b)
+        out[live] = (self._rule(a, np.where(ia == ib, b, k[ia + 1]))
                      + np.where(ia == ib, 0.0, inner))
         return float(out) if out.ndim == 0 else out
 
-    def spike_probe(self, h, L, heights, t: float, lo, hi, draws=None):
-        """(sum_j heights_j Int bump_j(|t u|) g(u) du, 0, masses) for the
-        spikes of centers ``h`` and halfwidths ``L`` at t >= 0, the masses
-        those of the intervals [lo_j, hi_j] of t (r - s) (t > 0 unless there
-        are none).  Exact at any cost: ``draws`` is not consulted."""
-        return (float(heights @ self.spike_bands(h, L, t)), 0.0, self.mass(lo / t, hi / t))
+    def pair_integral(self, correlation, t: float, draws=None) -> tuple[float, float]:
+        """(Int K(u) g(u) du, 0) for the kernel K of ``correlation`` at
+        t >= 0 (rho(t u) less any baseline), by ``kink_integral``.  Exact
+        at any cost: ``draws`` is not consulted."""
+        reach = max(-self.knots[0], self.knots[-1])
+        kernel = correlation.kernel(t, reach)
+        return float(kink_integral(kernel, self.knots, self.shape, self.degree)[0]), 0.0
 
-    def spike_bands(self, h: np.ndarray, L: np.ndarray, t: float) -> np.ndarray:
-        """Int bump_j(|t u|) g(u) du for every spike (centers ``h``,
-        halfwidths ``L``), both signs of u, exact.
-
-        A spike band [a_j, b_j] on one side of u = 0 (h - L > 0), clipped to
-        the support of g, splits at its apex and at the g-knots inside it
-        into segments on which the bump is linear and g one piece.  The
-        breakpoints of a block of J spikes go band after band into one
-        array, at most 3J + K long and laid out without a sort; the segment
-        rule of one degree more than g's is exact on each of its segments,
-        and ``np.bincount`` adds the segments up per spike.
-        """
-        knots = self.knots
-        out = np.zeros(len(h))
-        # the bands from h - L >= t max|knot| on see g = 0: at t = 0, all of them
-        seen = int(np.searchsorted(h - L, t * max(-knots[0], knots[-1])))
-        for first_spike in range(0, seen, SPIKE_BLOCK):
-            block = slice(first_spike, min(first_spike + SPIKE_BLOCK, seen))
-            hb, lb = h[block], L[block]
-            for sign in (1.0, -1.0):
-                if sign > 0:
-                    lo, hi = (hb - lb) / t, (hb + lb) / t
-                else:
-                    lo, hi = -(hb + lb) / t, -(hb - lb) / t
-                lo = np.maximum(lo, knots[0])
-                hi = np.minimum(hi, knots[-1])
-                idx = np.nonzero(hi > lo)[0]
-                if len(idx) == 0:
-                    continue
-                a, b = lo[idx], hi[idx]
-                ap = np.clip(sign * hb[idx] / t, a, b)
-                k0 = np.searchsorted(knots, a, side="right")    # first knot inside
-                inner = np.searchsorted(knots, b, side="left") - k0
-                below = np.clip(np.searchsorted(knots, ap, side="left") - k0, 0, inner)
-                count = inner + 3
-                start = np.cumsum(count) - count
-                pts = np.empty(int(count.sum()))
-                pts[start] = a
-                pts[start + 1 + below] = ap
-                pts[start + count - 1] = b
-                owner = np.repeat(np.arange(len(idx)), inner)
-                rank = np.arange(len(owner)) - (np.cumsum(inner) - inner)[owner]
-                pts[start[owner] + 1 + rank + (rank >= below[owner])] = knots[k0[owner] + rank]
-                band = np.repeat(np.arange(len(idx)), count)[:-1]    # per segment
-                hv, lv = hb[idx][band], lb[idx][band]
-                segment = self._rule(pts[:-1], pts[1:], self.degree + 1,
-                                     lambda u: _tri_eval(u, t, hv, lv))
-                segment[start[1:] - 1] = 0.0    # the gaps from one band to the next
-                out[first_spike + idx] += np.bincount(band, weights=segment,
-                                                      minlength=len(idx))
-        return out
-
-    def box_integral(self, sides, slope: np.ndarray, draws=None) -> tuple[float, float]:
-        """(Int prod_k arc_overlap(a_k, a_k, u slope_k) g(u) du, 0), by
-        ``arc_overlap_integral``.  Exact at any cost: ``draws`` is not
-        consulted."""
-        return (arc_overlap_integral(sides, 0.0 * slope, slope, self.knots, self.shape,
-                                     self.degree), 0.0)
-
-
-def _tri_eval(u, t, hv, lv):
-    """Triangular bump 1 - ||t u| - h| / L, clipped at zero; vectorized."""
-    return np.maximum(0.0, 1.0 - np.abs(np.abs(t * np.asarray(u)) - hv) / lv)
+    def spike_probe(self, spike, t: float, lo, hi, draws=None):
+        """(Int K(u) g(u) du, 0, masses) for the kernel K of the spike
+        correlation ``spike`` at t >= 0, the masses those of the intervals
+        [lo_j, hi_j] of t (r - s) (t > 0 unless there are none).  Exact at
+        any cost: ``draws`` is not consulted."""
+        return (*self.pair_integral(spike, t), self.mass(lo / t, hi / t))
 
 
 @dataclass(frozen=True)
@@ -442,61 +384,34 @@ class DigitPairs:
         out = np.where(b > a, at(b) - at(a), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def _spike_walk(self, h, L, heights, t: float) -> tuple | None:
-        """``digit_walk``'s arguments after the law for sum_j heights_j
-        bump_j(|t u|) at t >= 0, piecewise linear; None when no spike
-        reaches supp(D)."""
-        seen = np.searchsorted(h - L, t * max(-self.lo, self.hi))   # the rest is 0 on supp(D)
-        if seen == 0:
-            return None
-        h, L, heights = h[:seen], L[:seen], heights[:seen]
-        window = h - L
-        kinks = np.concatenate([window, h, h + L]) / t
-        kinks = np.sort(np.concatenate((-kinks, kinks)))
-        lipschitz = t * float(np.max(np.abs(heights) / L))
-        spread = float(max(heights.max(), 0.0) - min(heights.min(), 0.0))
+    def _walk(self, correlation, t: float) -> tuple:
+        """``digit_walk``'s arguments after the law for the kernel of
+        ``correlation`` at t >= 0 over supp(D)."""
+        kernel = correlation.kernel(t, self.hi)
+        return (kernel.kinks[0], lambda u, w: float(w @ kernel.value(u)), kernel.degree,
+                kernel.lipschitz, kernel.spread)
 
-        def kernel(u, w):
-            j = np.maximum(np.searchsorted(window, np.abs(t * u), side="right") - 1, 0)
-            return float(w @ (heights[j] * _tri_eval(u, t, h[j], L[j])))
-
-        return kinks, kernel, 1, lipschitz, spread
-
-    def spike_probe(self, h, L, heights, t: float, lo, hi, draws=None):
-        """(sum_j heights_j E[bump_j(|t D|)], the walk's bound, masses) at
-        t >= 0, the masses those of the intervals [lo_j, hi_j] of t (r - s)
-        (t > 0 unless there are none), or None when the two walks together
-        would cost more than ``draws`` sampled pairs; with no intervals the
-        mass walk costs nothing."""
-        walk = self._spike_walk(h, L, heights, t)
-        work = self._work(*self._mass_walk(self._ends(lo / t, hi / t)))
-        work += 0 if walk is None else self._work(*walk)
-        if self._declines(work, draws):
-            return None
-        value, error = (0.0, 0.0) if walk is None else digit_walk(self.law, *walk)
-        return value, error, self.mass(lo / t, hi / t)
-
-    def box_integral(self, sides, slope: np.ndarray, draws=None):
-        """(E[prod_k arc_overlap(a_k, a_k, D slope_k)], the walk's bound), or
-        None when the product's degree exceeds the Gauss rule's or the walk
+    def pair_integral(self, correlation, t: float, draws=None):
+        """(E[K(D)], the walk's bound) for the kernel K of ``correlation`` at
+        t >= 0, or None when its degree exceeds the Gauss rule's or the walk
         would cost more than ``draws`` sampled pairs."""
-        if len(sides) >= 2 * SELF_SIMILAR_NODES:
-            return None
-        kinks = np.sort(overlap_kinks(sides, 0.0 * slope, slope, self.lo, self.hi))
-        a = np.array(sides, dtype=float)
-        spread = float(np.prod(a))
-        lipschitz = float(sum(abs(s) * np.prod(np.delete(a, k)) for k, s in enumerate(slope)))
-
-        def kernel(u, w):
-            f = np.ones(len(u))
-            for side, s in zip(sides, slope):
-                f = f * arc_overlap(side, side, u * s)
-            return float(w @ f)
-
-        walk = (kinks, kernel, len(sides), lipschitz, spread)
-        if self._declines(self._work(*walk), draws):
+        walk = self._walk(correlation, t)
+        degree = walk[2]
+        if degree >= 2 * SELF_SIMILAR_NODES or self._declines(self._work(*walk), draws):
             return None
         return digit_walk(self.law, *walk)
+
+    def spike_probe(self, spike, t: float, lo, hi, draws=None):
+        """(E[K(D)], the walk's bound, masses) for the kernel K of the spike
+        correlation ``spike`` at t >= 0, the masses those of the intervals
+        [lo_j, hi_j] of t (r - s) (t > 0 unless there are none), or None
+        when the two walks together would cost more than ``draws`` sampled
+        pairs; with no intervals the mass walk costs nothing."""
+        walk = self._walk(spike, t)
+        work = self._work(*self._mass_walk(self._ends(lo / t, hi / t))) + self._work(*walk)
+        if self._declines(work, draws):
+            return None
+        return (*digit_walk(self.law, *walk), self.mass(lo / t, hi / t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Composite Gauss-Legendre quadrature with cell-doubling refinement, Gauss
 rules of self-similar laws built from their exact moments, the exact
-sinc-power band integral, and the digit walk that integrates a kernel over
-a digit law: a piecewise-polynomial kernel split at its kinks, or an
-entire one (a band term) split by how far it turns across a copy."""
+sinc-power band integral, and the two integrators of a kernel against the
+law of r - s: the kink integral against a piecewise-polynomial density,
+and the digit walk over a digit law, which takes a piecewise-polynomial
+kernel split at its kinks, or an entire one (a band term) split by how far
+it turns across a copy."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, log
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,6 +23,7 @@ MAX_DOUBLINGS = 14    # cell doublings before adaptive_gl gives up
 GL_NODES, GL_WEIGHTS = leggauss(ORDER)
 GL_NODES.flags.writeable = GL_WEIGHTS.flags.writeable = False   # shared by every caller
 SELF_SIMILAR_NODES = 8   # nodes of a self-similar law's Gauss rule
+legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
 
 
 def fixed_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -111,7 +114,7 @@ def self_similar_rule(ratio: Fraction, values: tuple[Fraction, ...],
     return rule
 
 
-DIGIT_BLOCK = 1 << 16   # kernel evaluations at once: bounds a digit walk's memory
+DIGIT_BLOCK = 1 << 16   # kernel evaluations at once: bounds a walk's or a kink integral's memory
 ROUNDING = np.finfo(float).eps / 2   # unit roundoff of float64: where a digit walk stops
 
 
@@ -188,6 +191,63 @@ def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
         atoms = (atoms[inside, None] + scale * values).ravel()
         weights = (weights[inside, None] * probs).ravel()
         scale *= ratio
+
+
+class Kinked(NamedTuple):
+    """A kernel K_j(u) of columns j = 0, 1, ...: a polynomial of ``degree``
+    in u between the kinks of row j of ``kinks`` (sorted, NaN padding last)
+    within the reach it was described for, with Lipschitz bound
+    ``lipschitz`` there and max K - min K <= ``spread``.
+    ``value(u, column=0, factor=1.0)`` is factor * K_column(u) elementwise,
+    ``column`` an index array broadcasting against u; a product kernel
+    multiplies its factors into ``factor`` one at a time."""
+
+    kinks: np.ndarray
+    value: Callable[..., np.ndarray]
+    degree: int
+    lipschitz: float
+    spread: float
+
+
+def kink_integral(kernel: Kinked, knots, shape, degree: int) -> np.ndarray:
+    """Int K_j(u) w(u) du over [knots[0], knots[-1]] for every column j of
+    ``kernel``, w = ``shape`` a polynomial of ``degree`` between the sorted
+    ``knots`` (or resolved as one); exact up to rounding.
+
+    Per column, the knots and the kinks split the range into pieces on
+    which K_j w is a polynomial of degree kernel.degree + ``degree``, which
+    Gauss-Legendre with (kernel.degree + degree) // 2 + 1 nodes integrates
+    exactly.  The pieces of every column are evaluated together, at most
+    DIGIT_BLOCK values at a time, as w(u) times the kernel.
+    """
+    knots = np.asarray(knots, dtype=float)
+    x0, x1 = knots[0], knots[-1]
+    cuts = kernel.kinks
+    # per column, the sorted distinct knots and cuts; the NaN padding sorts
+    # last, and a step onto a repeat or onto NaN is no piece
+    pts = np.concatenate((np.broadcast_to(knots, (len(cuts), len(knots))), cuts), axis=1)
+    np.clip(pts, x0, x1, out=pts)
+    pts.sort(axis=1)
+    steps = pts.shape[1] - 1
+    piece = pts[:, 1:] > pts[:, :-1]
+    # the flat index of each piece's left end, row by row, is its index
+    # among the row's steps plus its row
+    starts = np.flatnonzero(piece)
+    flat = pts.ravel()
+    nodes, weights = legendre((kernel.degree + degree) // 2 + 1)
+    rows = max(1, DIGIT_BLOCK // len(nodes))
+    parts = np.empty(len(starts))
+    for first in range(0, len(starts), rows):
+        block = slice(first, first + rows)
+        column = starts[block] // steps
+        left, right = flat[starts[block] + column], flat[starts[block] + column + 1]
+        half = 0.5 * (right - left)[:, None]
+        x = 0.5 * (right + left)[:, None] + half * nodes
+        parts[block] = half * kernel.value(x, column[:, None], shape(x)) @ weights
+    # np.sum per column (not np.add.reduceat, which adds in another order),
+    # so each column sums as it would alone
+    ends = np.cumsum(np.count_nonzero(piece, axis=1))
+    return np.array([np.sum(parts[i:j]) for i, j in zip(np.append(0, ends[:-1]), ends)])
 
 
 def _rule_sum(kernel, nodes, node_weights, copies, rows: int):

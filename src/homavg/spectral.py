@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .flows import BoxSet, TorusWinding, arc_correlation
-from .quadrature import DIGIT_BLOCK, adaptive_gl
+from .flows import BoxSet, TorusWinding, arc_correlation, overlap_kernel
+from .quadrature import DIGIT_BLOCK, Kinked, adaptive_gl
 
 _MASS_TOL = 1e-9
 
@@ -248,7 +248,9 @@ def spectrum_of_observable(flow: TorusWinding, obs: FourierObservable,
 # ---------------------------------------------------------------------------
 
 class CorrelationModel:
-    """Correlation function rho(t); ``value`` is vectorized over t."""
+    """Correlation function rho(t); ``value`` is vectorized over t.  A model
+    whose pair integral has a quadrature also describes rho(t u) - baseline
+    over |u| <= reach at t >= 0 by ``kernel(t, reach)``, a ``Kinked``."""
 
     def value(self, t):
         raise NotImplementedError
@@ -263,6 +265,12 @@ class BoxAutocorrelation(CorrelationModel):
 
     def value(self, t):
         return arc_correlation(self.flow, self.box, self.box, t)
+
+    def kernel(self, t: float, reach: float) -> Kinked:
+        """rho(t u), the product of the coordinate overlaps at the shifts
+        u t alpha_k (``overlap_kernel``)."""
+        slope = t * np.asarray(self.flow.alpha)
+        return overlap_kernel(self.box.sides, 0.0 * slope, slope, reach)
 
 
 @dataclass(frozen=True)
@@ -326,22 +334,42 @@ class SpikeCorrelation(CorrelationModel):
             a.flags.writeable = False
         return out
 
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """The midpoints of the gaps between consecutive windows: the
+        windows are disjoint, so these split [0, inf) into one cell per
+        spike that holds its window."""
+        h, w, _ = self.arrays
+        return 0.5 * ((h + w)[:-1] + (h - w)[1:])
+
+    def _excess(self, x: np.ndarray) -> np.ndarray:
+        """sum_j heights_j max(0, 1 - |x - h_j| / L_j) at x >= 0: only the
+        spike whose cell holds x can be nonzero there."""
+        if not self.centers:
+            return np.zeros(np.shape(x))
+        h, w, heights = self.arrays
+        j = np.searchsorted(self._cells, x)
+        return heights[j] * np.maximum(0.0, 1.0 - np.abs(x - h[j]) / w[j])
+
     def value(self, t):
-        t = np.abs(np.asarray(t, dtype=float))
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        out = np.full(len(tt), self.baseline)
-        if self.centers:
-            h, halfwidths, heights = self.arrays
-            j = np.clip(np.searchsorted(h, tt), 0, len(h) - 1)
-            jm = np.maximum(j - 1, 0)
-            for cand, active in ((j, np.ones(len(tt), bool)), (jm, jm != j)):
-                hw = halfwidths[cand]
-                ht = heights[cand]
-                dist = np.abs(tt - h[cand])
-                bump = np.where(active & (dist < hw), ht * (1.0 - dist / hw), 0.0)
-                out = out + bump
-        return float(out[0]) if scalar else out
+        out = self.baseline + self._excess(np.abs(np.asarray(t, dtype=float)))
+        return float(out) if out.ndim == 0 else out
+
+    def kernel(self, t: float, reach: float) -> Kinked:
+        """rho(t u) - baseline: piecewise linear with kinks at +-(h_j - L_j)
+        / t, +-h_j / t and +-(h_j + L_j) / t of the spikes whose window
+        starts below t reach (the others are 0 there), sorted as laid out
+        since the windows are disjoint; Lipschitz t max |height_j| / L_j
+        and range from min(height_j, 0) to max(height_j, 0) over them."""
+        h, w, heights = self.arrays
+        seen = int(np.searchsorted(h - w, t * reach))
+        h, w, heights = h[:seen], w[:seen], heights[:seen]
+        ends = np.column_stack((h - w, h, h + w)).ravel() / t
+        lipschitz = t * float(np.max(np.abs(heights) / w, initial=0.0))
+        spread = float(max(heights.max(initial=0.0), 0.0) - min(heights.min(initial=0.0), 0.0))
+        return Kinked(np.concatenate((-ends[::-1], ends))[None, :],
+                      lambda u, column=0, factor=1.0: factor * self._excess(np.abs(t * u)),
+                      1, lipschitz, spread)
 
 
 def geometric_spikes(growth: float = 10.0, halfwidth: float = 0.25,

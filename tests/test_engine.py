@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -766,12 +767,11 @@ def test_difference_density_is_a_probability_density():
     Triangular(0.0, 2.0), GAUSS])
 def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
     """The view of a rescaling by f: knots times f, density over f, and so
-    the same masses, spike and box integrals at u f, t / f and slopes / f."""
+    the same masses, spike and box integrals at u f and t / f."""
     g = difference_density(inner)
     u = np.linspace(g.knots[0], g.knots[-1], 1001)
     spikes = geometric_spikes(3.0, 0.4, count=5, first=1.5)
-    h, L, heights = spikes.arrays
-    sides, slope = (0.5, 0.4), 30.0 * np.asarray(golden_winding().alpha)
+    h, L, _ = spikes.arrays
     for scaled, f in ((difference_density(rescale(inner, f)), f) for f in (0.3, 7.0)):
         assert scaled.degree == g.degree
         assert np.array_equal(scaled.knots, g.knots * f)
@@ -779,12 +779,12 @@ def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
         np.testing.assert_allclose(scaled.mass(u[:-1] * f, u[1:] * f), g.mass(u[:-1], u[1:]),
                                    rtol=0, atol=1e-15)
         for t in (2.0, 9.0):
-            want, _, masses = g.spike_probe(h, L, heights, t, h - L, h + L)
-            got, error, scaled_masses = scaled.spike_probe(h, L, heights, t / f, h - L, h + L)
+            want, _, masses = g.spike_probe(spikes, t, h - L, h + L)
+            got, error, scaled_masses = scaled.spike_probe(spikes, t / f, h - L, h + L)
             assert error == 0.0 and got == pytest.approx(want, rel=0, abs=1e-14)
             np.testing.assert_allclose(scaled_masses, masses, rtol=0, atol=1e-15)
-        assert scaled.box_integral(sides, slope / f) == pytest.approx(
-            g.box_integral(sides, slope), rel=0, abs=1e-14)
+        assert scaled.pair_integral(GOLDEN_BOX, 30.0 / f) == pytest.approx(
+            g.pair_integral(GOLDEN_BOX, 30.0), rel=0, abs=1e-14)
     # nested rescalings multiply their factors
     nested = difference_density(Scaled(7.0, Scaled(0.3, inner)))
     assert np.array_equal(nested.knots, g.knots * (0.3 * 7.0))
@@ -939,10 +939,9 @@ def test_exact_probe_reports_the_views_own_integral():
     spikes = geometric_spikes(10, 0.25, count=8)
     grid = (1e6, 1e7)
     curve = almost_mixing_probe(spikes, Uniform(0, 1), grid)
-    h, L, heights = spikes.arrays
     none = np.empty(0)
     for t, value in zip(grid, curve.values):
-        own = difference_density(Uniform(0, 1)).spike_probe(h, L, heights, t, none, none)[0]
+        own = difference_density(Uniform(0, 1)).spike_probe(spikes, t, none, none)[0]
         assert value == pytest.approx(abs(own), rel=1e-15, abs=0)
 
 
@@ -1092,9 +1091,12 @@ def spike_band_reference(g, h, L, t):
     return out
 
 
-@pytest.mark.parametrize("block", [measures.SPIKE_BLOCK, 7])
+@pytest.mark.parametrize("block", [quadrature.DIGIT_BLOCK, 7])
 def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
-    monkeypatch.setattr(measures, "SPIKE_BLOCK", block)
+    """The kink integral of a spike kernel, pieces taken ``block`` values at
+    a time, against the per-spike reference weighted by random unequal
+    heights, so that an error on any one spike shows in the total."""
+    monkeypatch.setattr(quadrature, "DIGIT_BLOCK", block)
     masses = np.random.default_rng(41).random(4096)
     g = difference_density(TableDensity(0.0, 1.0, masses))
     assert len(g.knots) == 8193 and g.degree == 1
@@ -1110,12 +1112,39 @@ def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
                           (0.45, 0.05) * 20, (1.0,) * 40,
                           growth=40 / 39 * (1 - 1e-12)), 30.0),
     ]
+    rng = np.random.default_rng(43)
     for spike, t in cases:
+        heights = rng.uniform(0.1, 2.0, len(spike.centers))
+        spike = SpikeCorrelation(spike.baseline, spike.centers, spike.halfwidths,
+                                 tuple(heights), spike.growth)
         h, L, _ = spike.arrays
-        got = g.spike_bands(h, L, t)
-        np.testing.assert_allclose(got, spike_band_reference(g, h, L, t),
-                                   rtol=0, atol=1e-13)
-        assert np.count_nonzero(got) > 0
+        bands = spike_band_reference(g, h, L, t)
+        assert np.count_nonzero(bands) > 0
+        got, error = g.pair_integral(spike, t)
+        assert error == 0.0
+        assert got == pytest.approx(heights @ bands, rel=0, abs=1e-13)
+
+
+def test_kink_integral_memory_stays_within_its_blocks():
+    """20,000 arithmetic spikes on gauss-trunc at a t that sees all of them:
+    about 120,000 pieces of 11 nodes each.  An unblocked pass holds 10.6 MB
+    of nodes alone and peaked at 83 MB; in blocks of DIGIT_BLOCK values the
+    peak is that of a few arrays of one value per piece, about 8 MB."""
+    g = difference_density(GAUSS)
+    spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, count=20_000)
+    t = 20_300.0
+    kernel = spikes.kernel(t, max(-g.knots[0], g.knots[-1]))
+    assert kernel.kinks.size == 6 * 20_000 and (kernel.degree + g.degree) // 2 + 1 == 11
+    bound = 30e6
+    g.pair_integral(spikes, t)      # caches the rule and the spike cells
+    tracemalloc.start()
+    try:
+        value, _ = g.pair_integral(spikes, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert 0.0 < value < 1.0
 
 
 def test_probe_builds_once_and_counts_calls(monkeypatch):
@@ -1345,11 +1374,11 @@ def test_walk_work_covers_its_kernel_evaluations(weight):
     evaluations alone, over its Gauss rule's nodes, stay within it."""
     view = difference_density(weight)
     spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, height=1.0, count=500, baseline=0.25)
-    h, L, heights = spikes.arrays
+    h, L, _ = spikes.arrays
     for t in (10.0, 100.0, 1000.0):
         ends = view._ends(np.append(h - L, -1.0) / t, np.append(h + L, 1.0) / t)
         for kinks, kernel, degree, lipschitz, spread in (
-                view._spike_walk(h, L, heights, t), view._mass_walk(ends)):
+                view._walk(spikes, t), view._mass_walk(ends)):
             seen = []
             counted = lambda u, w: seen.append(len(u)) or kernel(u, w)
             quadrature.digit_walk(view.law, kinks, counted, degree, lipschitz, spread)

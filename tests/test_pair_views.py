@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from homavg import (Triangular, TruncatedGaussian, difference_density,
-                    geometric_spikes, golden_winding, rescale)
-from homavg.flows import arc_overlap, overlap_kinks
+from homavg import (BoxAutocorrelation, BoxSet, Triangular, TruncatedGaussian,
+                    difference_density, geometric_spikes, golden_winding, rescale)
+from homavg.flows import arc_overlap, overlap_kernel
 
 mp.mp.dps = 20
+GOLDEN_BOX = BoxAutocorrelation(golden_winding(), BoxSet((0.5, 0.4)))
 GL_NODES, GL_WEIGHTS = leggauss(16)
 
 
@@ -49,7 +50,7 @@ def box_kernel(sides, slope, width):
         for a, s in zip(sides, slope):
             out = out * arc_overlap(a, a, u * s)
         return out
-    return kernel, overlap_kinks(sides, 0.0 * slope, slope, -width, width)
+    return kernel, overlap_kernel(sides, 0.0 * slope, slope, width).kinks[0]
 
 
 # -- triangular: the cubic B-spline of U1 + U2 - U3 - U4 ----------------------------
@@ -82,11 +83,11 @@ def test_triangular_view_matches_its_convolution(weight):
     assert g.mass(-2 * (hi - lo), 2 * (hi - lo)) == pytest.approx(1.0, rel=0, abs=1e-15)
     density = lambda x: truncated_power(Fraction(x) / half, 3) / half
     spike = geometric_spikes(3.0, 0.4, count=6, first=1.5)
-    h, L, heights = spike.arrays
+    h, L, _ = spike.arrays
     for t in (1.0, 4.0, 30.0):
         kernel, breaks = spike_kernel(spike, t)
         breaks = np.concatenate((breaks, float(half) * np.arange(-2, 3)))
-        got, error, _ = g.spike_probe(h, L, heights, t, h - L, h + L)
+        got, error, _ = g.spike_probe(spike, t, h - L, h + L)
         assert error == 0.0
         assert got == pytest.approx(split_reference(density, kernel, breaks, np.inf,
                                                     2 * float(half)), rel=0, abs=1e-13)
@@ -94,7 +95,7 @@ def test_triangular_view_matches_its_convolution(weight):
         slope = t * np.asarray(golden_winding().alpha)
         kernel, breaks = box_kernel((0.5, 0.4), slope, 2 * float(half))
         breaks = np.concatenate((breaks, float(half) * np.arange(-2, 3)))
-        got, error = g.box_integral((0.5, 0.4), slope)
+        got, error = g.pair_integral(GOLDEN_BOX, t)
         assert error == 0.0
         assert got == pytest.approx(split_reference(density, kernel, breaks, np.inf,
                                                     2 * float(half)), rel=0, abs=1e-13)
@@ -202,17 +203,17 @@ def test_gauss_view_matches_the_autocorrelation(params):
         assert g.mass(a, b) == pytest.approx(float(oracle.mass(a, b)), rel=0, abs=1e-13)
     # spikes whose bands fall where the mass lives, and the box pair integral
     spike = geometric_spikes(3.0, 0.4, count=6, first=1.5)
-    h, L, heights = spike.arrays
+    h, L, _ = spike.arrays
     for t in (1.0 / scale, 6.0 / scale):
         kernel, breaks = spike_kernel(spike, t)
-        got, error, _ = g.spike_probe(h, L, heights, t, h - L, h + L)
+        got, error, _ = g.spike_probe(spike, t, h - L, h + L)
         assert error == 0.0
         assert got == pytest.approx(split_reference(
             oracle.closed_form, kernel, np.append(breaks, 0.0), scale / 8, reach),
             rel=0, abs=1e-13)
     slope = 2.0 / scale * np.asarray(golden_winding().alpha)
     kernel, breaks = box_kernel((0.5, 0.4), slope, width)
-    got, error = g.box_integral((0.5, 0.4), slope)
+    got, error = g.pair_integral(GOLDEN_BOX, 2.0 / scale)
     assert error == 0.0
     assert got == pytest.approx(split_reference(
         oracle.closed_form, kernel, np.append(breaks, 0.0), scale / 8, reach),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homavg import (BochnerCorrelation, BoxAutocorrelation, BoxIndicator,
                     BoxSet, FourierObservable, FrequencyBand, SpectralModel,
@@ -178,6 +180,36 @@ def test_arithmetic_spikes_count():
 def test_spike_validation_messages(args, kwargs, message):
     with pytest.raises(ValueError, match=message):
         SpikeCorrelation(*args, **{"growth": 2.0, **kwargs})
+
+
+@st.composite
+def spike_models(draw):
+    """Disjoint windows of unequal halfwidths: each takes a share of the
+    room to its nearer neighbour (or to 0), signed heights, and a growth
+    declared below every drawn ratio of consecutive centers."""
+    count = draw(st.integers(1, 12))
+    ratios = draw(st.lists(st.floats(1.05, 6.0), min_size=count - 1, max_size=count - 1))
+    h = draw(st.floats(0.5, 50.0)) * np.cumprod([1.0, *ratios])
+    room = np.minimum(np.diff(h, prepend=0.0), np.diff(h, append=np.inf))
+    shares = draw(st.lists(st.floats(0.01, 0.95), min_size=count, max_size=count))
+    heights = draw(st.lists(st.floats(-3.0, 3.0), min_size=count, max_size=count))
+    return SpikeCorrelation(draw(st.floats(0.0, 2.0)), tuple(h), tuple(0.5 * room * shares),
+                            tuple(heights), growth=1.04)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model=spike_models(), draws=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=20))
+def test_spike_value_is_baseline_plus_every_bump(model, draws):
+    """The single-window lookup of ``value`` against the sum of every
+    spike's bump, at random times, the window ends and the apexes, both
+    signs; the windows are disjoint, so the sum has one nonzero term."""
+    h, L, heights = model.arrays
+    at = np.concatenate((h - L, h, h + L))
+    x = np.concatenate((np.asarray(draws) * 1.2 * (h[-1] + L[-1]), at, -at))
+    bumps = heights * np.maximum(0.0, 1.0 - np.abs(np.abs(x)[:, None] - h) / L)
+    want = model.baseline + bumps.sum(axis=1)
+    np.testing.assert_array_equal(model.value(x), want)
+    assert [model.value(v) for v in x[:3]] == want[:3].tolist()
 
 
 def test_spike_arrays_are_read_only_copies():

@@ -16,6 +16,11 @@ the kink walk meets many kinks.  The weights with a digit law also take a
 wide ``spectral-scan`` on the flat and the atom-profiled spectrum, t = 2 ...
 1250, where the digit walk runs up to 8 levels.  Two depth-6 adversary runs
 (golden and Pell windings, box (0.5, 0.5)) reach scales near 10^465.
+Every law-matrix weight with a pair view also writes
+``laws/<weight>-pairs.json``: ``pair_correlation_integral`` by quadrature
+of ``spike(10,0.25,1)``, the 500-spike arithmetic correlation and the
+golden box (0.5, 0.4) at t = 0, 2, 10 and 50, a pair path that no CLI kind
+reaches for the box and the walked spikes.
 """
 
 import contextlib
@@ -26,7 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-from homavg import cli  # noqa: E402
+from homavg import BoxAutocorrelation, BoxSet, cli, golden_winding, presets  # noqa: E402
+from homavg.engine import difference_density, pair_correlation_integral  # noqa: E402
 import workloads  # noqa: E402
 
 CANTOR = {"type": "self-similar", "ratios": [1 / 3, 1 / 3], "shifts": [0.0, 2 / 3],
@@ -54,6 +60,12 @@ SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
 GRID = {"start": 2.0, "factor": 5.0, "count": 3}
 WIDE = ("cantor", "dyadic-odd", "dyadic-even", "scaled-cantor")
 WIDE_GRID = {"start": 2.0, "factor": 5.0, "count": 5}
+PAIR_TIMES = (0.0, 2.0, 10.0, 50.0)
+PAIR_CORRELATIONS = {
+    "spike": presets.resolve_correlation("spike(10,0.25,1)"),
+    "arithmetic-500": presets.resolve_correlation(workloads._arithmetic_spikes(500)),
+    "golden-box": BoxAutocorrelation(golden_winding(), BoxSet((0.5, 0.4))),
+}
 
 
 def configs():
@@ -86,8 +98,28 @@ def configs():
                                       "grid": GRID, "samples": {"n_pairs": 2000}, "seed": 5}
 
 
+def pair_values(weight) -> dict | None:
+    """{correlation: [[t, value, error], ...]} by pair quadrature, or None
+    for a weight without a pair view."""
+    measure = presets.resolve_measure(weight)
+    if difference_density(measure) is None:
+        return None
+    out = {}
+    for label, model in PAIR_CORRELATIONS.items():
+        out[label] = []
+        for t in PAIR_TIMES:
+            got = pair_correlation_integral(model, measure, t, method="quadrature")
+            out[label].append([t, got.value, got.error])
+    return out
+
+
 def main(outdir: str) -> None:
     out = Path(outdir)
+    for name, weight in WEIGHTS.items():
+        values = pair_values(weight)
+        if values is not None:
+            (out / "laws").mkdir(parents=True, exist_ok=True)
+            (out / "laws" / f"{name}-pairs.json").write_text(json.dumps(values, indent=1) + "\n")
     for name, cfg in configs():
         path = out / f"{name}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
