@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import erf, erfcx, log1p, log_ndtr, logsumexp, ndtr, ndtri_exp, sici, wofz
 
+from . import quadrature
 from .errors import InvalidMeasureError
 from .quadrature import (SELF_SIMILAR_NODES, digit_walk, digit_walk_work, kink_integral,
                          legendre, sinc_power_integral)
@@ -33,7 +34,6 @@ from .rng import generator
 
 _CHAR_TOL = 1e-10
 _SAMPLE_RESOLUTION = 1e-12
-CHAR_BLOCK = 1 << 18     # values per table of a self-similar transform: bounds its memory
 GAUSS_REACH = 40.0       # a truncated Gaussian lives within e^-GAUSS_REACH of its peak density
 GAUSS_NODES = 10         # nodes of the rule on each knot segment of its pair view
 
@@ -46,6 +46,24 @@ def _require_finite(what: str, *params) -> None:
 def _sinc(u):
     """sin(u)/u with the removable singularity filled in."""
     return np.sinc(np.asarray(u) / np.pi)
+
+
+def interval_transform(x, centers, half, masses, real: bool = False) -> np.ndarray:
+    """sum_j masses_j e^{i x c_j} sinc(x h_j) at a 1-d array x: uniform masses
+    on [c_j - h_j, c_j + h_j], atoms where h_j = 0, or its cosine part if
+    ``real``, for at most ``quadrature.BLOCK`` (x, interval) pairs at a time;
+    a single width ``half`` factors its sinc out.  ``einsum`` sums the row of
+    each x in one order whatever the block, as BLAS products do not."""
+    centers, shared = np.asarray(centers, dtype=float), np.ndim(half) == 0
+    step, blocks = max(1, quadrature.BLOCK // len(centers)), []
+    for first in range(0, max(len(x), 1), step):     # one block even for no x
+        part = x[first:first + step, None]
+        terms = np.cos(part * centers) if real else np.exp(1j * (part * centers))
+        sinc = _sinc(part * half)       # one column for all intervals, or one each
+        blocks.append(np.einsum("ij,j->i", terms if shared else terms * sinc, masses))
+        if shared:
+            blocks[-1] *= sinc[:, 0]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 class WeightMeasure:
@@ -444,8 +462,7 @@ class Uniform(DensityMeasure):
             raise InvalidMeasureError("uniform needs a < b")
 
     def _char(self, xi):
-        mid, half = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
-        return np.exp(1j * xi * mid) * _sinc(xi * half)
+        return interval_transform(xi, [0.5 * (self.a + self.b)], 0.5 * (self.b - self.a), [1.0])
 
     def ppf(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
@@ -641,8 +658,9 @@ def _gauss_term(b, s, shift):
 class TableDensity(DensityMeasure):
     """Piecewise-constant density on an equispaced grid over [lo, hi].
 
-    The characteristic function is the exact mixture of per-cell uniforms,
-    so no quadrature error enters.  Cell masses are normalized on input.
+    The characteristic function is the exact mixture of per-cell uniforms
+    (``interval_transform``, one shared width), so no quadrature error
+    enters.  Cell masses are normalized on input.
     """
 
     atomless = True
@@ -667,15 +685,8 @@ class TableDensity(DensityMeasure):
         self._cum[-1] = 1.0
 
     def _char(self, xi):
-        delta = (self.hi - self.lo) / len(self.masses)
-        centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        out = np.empty(len(xi), dtype=complex)
-        step = max(1, int(5e6 // max(len(centers), 1)))
-        for s in range(0, len(xi), step):
-            f = xi[s:s + step]
-            phases = np.exp(1j * np.outer(f, centers))
-            out[s:s + step] = phases @ self.masses
-        return out * _sinc(xi * delta / 2.0)
+        return interval_transform(xi, 0.5 * (self.edges[:-1] + self.edges[1:]),
+                                  0.5 * (self.hi - self.lo) / len(self.masses), self.masses)
 
     def ppf(self, u):
         return np.interp(u, self._cum, self.edges)
@@ -753,8 +764,8 @@ class SelfSimilar(WeightMeasure):
         scales s with s max|xi| max|supp| >= 1e-10 (``_transform_scales``),
         nu_hat taken as 1 below them, one generation of scales at a time.
         Each step is elementwise in xi, and the frequencies go in blocks of
-        CHAR_BLOCK // (scales + 1), so a call holds 3 + (distinct ratios)
-        tables of at most CHAR_BLOCK complex values (4 MB) each, and its
+        quadrature.BLOCK // (scales + 1), so a call holds 3 + (distinct
+        ratios) tables of at most BLOCK complex values (1 MB) each, and its
         values do not depend on the block."""
         out = np.ones(len(xi), dtype=complex)
         top = float(np.max(np.abs(xi)))
@@ -765,7 +776,7 @@ class SelfSimilar(WeightMeasure):
         ratios = tuple(dict.fromkeys(self.ratios))
         scales, children, ends = _transform_scales(ratios, _CHAR_TOL / (top * self._bound()))
         norm = sum(self.weights)       # so that |nu_hat| <= 1
-        block = max(1, CHAR_BLOCK // (len(scales) + 1))
+        block = max(1, quadrature.BLOCK // (len(scales) + 1))
         for first in range(0, len(xi), block):
             arg = scales[:, None] * xi[first:first + block]
             phases = [np.broadcast_to(sum(   # a map of shift 0 adds its probability
@@ -900,11 +911,9 @@ class NestedIntervals(WeightMeasure):
         return (float(self._leaf_lo.min()), float(self._leaf_hi.max()))
 
     def _char(self, xi):
-        centers = 0.5 * (self._leaf_lo + self._leaf_hi)
-        halves = 0.5 * (self._leaf_hi - self._leaf_lo)
-        n = len(centers)
-        phases = np.exp(1j * np.outer(xi, centers)) * _sinc(np.outer(xi, halves))
-        return phases.sum(axis=1) / n
+        n = len(self._leaf_lo)
+        return interval_transform(xi, 0.5 * (self._leaf_lo + self._leaf_hi),
+                                  0.5 * (self._leaf_hi - self._leaf_lo), np.full(n, 1.0 / n))
 
     def _sample(self, count, master, path):
         rng = generator(master, *path)
@@ -935,7 +944,7 @@ class PointMass(WeightMeasure):
         _require_finite("point mass", self.at)
 
     def _char(self, xi):
-        return np.exp(1j * xi * self.at)
+        return interval_transform(xi, [self.at], 0.0, [1.0])
 
     def _sample(self, count, master, path):
         return np.full(count, self.at)

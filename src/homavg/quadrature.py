@@ -114,7 +114,7 @@ def self_similar_rule(ratio: Fraction, values: tuple[Fraction, ...],
     return rule
 
 
-DIGIT_BLOCK = 1 << 16   # kernel evaluations at once: bounds a walk's or a kink integral's memory
+BLOCK = 1 << 16   # values of any vectorized pass at once: bounds its memory
 ROUNDING = np.finfo(float).eps / 2   # unit roundoff of float64: where a digit walk stops
 
 
@@ -149,7 +149,7 @@ def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
     size = degree // 2 + 1
     nodes, node_weights = self_similar_rule(law.ratio, law.values, law.weights, size)
     ratio, values, probs, lo, hi = law.floats
-    rows = max(1, DIGIT_BLOCK // size)   # copies per kernel call: bounds the walk's memory
+    rows = max(1, BLOCK // size)   # copies per kernel call: bounds the walk's memory
     atoms, weights, scale = np.zeros(1), np.ones(1), 1.0
     total, pending, waiting = 0.0, [], 0   # the copies the rule takes, not yet evaluated
     stuck = 0.0     # the bound of straddling copies whose children would not shrink
@@ -159,11 +159,11 @@ def digit_walk(law, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
     turn, fine = abs(frequency) * (hi - lo), 1.0   # the rule resolves D into copies of scale fine
     while True:
         if turn * scale * fine > 1.0:     # no copy settles yet: all split, or the rule joins a level
-            if len(atoms) * len(values) > rows and len(nodes) * len(values) <= DIGIT_BLOCK:
+            if len(atoms) * len(values) > rows and len(nodes) * len(values) <= BLOCK:
                 nodes = (values[:, None] + ratio * nodes).ravel()
                 node_weights = (probs[:, None] * node_weights).ravel()
                 fine *= ratio
-                rows = max(1, DIGIT_BLOCK // len(nodes))
+                rows = max(1, BLOCK // len(nodes))
             else:
                 atoms = (atoms[:, None] + scale * values).ravel()
                 weights = (weights[:, None] * probs).ravel()
@@ -218,7 +218,7 @@ def kink_integral(kernel: Kinked, knots, shape, degree: int) -> np.ndarray:
     which K_j w is a polynomial of degree kernel.degree + ``degree``, which
     Gauss-Legendre with (kernel.degree + degree) // 2 + 1 nodes integrates
     exactly.  The pieces of every column are evaluated together, at most
-    DIGIT_BLOCK values at a time, as w(u) times the kernel.
+    BLOCK values at a time, as w(u) times the kernel.
     """
     knots = np.asarray(knots, dtype=float)
     x0, x1 = knots[0], knots[-1]
@@ -235,7 +235,7 @@ def kink_integral(kernel: Kinked, knots, shape, degree: int) -> np.ndarray:
     starts = np.flatnonzero(piece)
     flat = pts.ravel()
     nodes, weights = legendre((kernel.degree + degree) // 2 + 1)
-    rows = max(1, DIGIT_BLOCK // len(nodes))
+    rows = max(1, BLOCK // len(nodes))
     parts = np.empty(len(starts))
     for first in range(0, len(starts), rows):
         block = slice(first, first + rows)
@@ -286,7 +286,6 @@ def digit_walk_work(law, reach: int, degree: int, lipschitz: float, spread: floa
 
 _SINC_NEAR = 40          # sinc^n is integrated by quadrature up to x = 2 n + _SINC_NEAR
 _SINC_TERMS = 40         # terms of each asymptotic tail series
-_SINC_BLOCK = 1 << 20    # quadrature nodes evaluated at once
 
 
 @lru_cache(maxsize=16)
@@ -339,7 +338,7 @@ def sinc_power_integral(n: int, a, b) -> np.ndarray:
            - _sinc_power_tail(n, coef, np.maximum(hi, x0)))
     qa, qb = np.minimum(lo, x0), np.minimum(hi, x0)
     live = np.flatnonzero(qb > qa)
-    step = max(1, _SINC_BLOCK // len(nodes))
+    step = max(1, BLOCK // len(nodes))
     for first in range(0, len(live), step):
         idx = live[first:first + step]
         span = qb[idx] - qa[idx]

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .flows import BoxSet, TorusWinding, arc_correlation, overlap_kernel
-from .quadrature import DIGIT_BLOCK, Kinked, adaptive_gl
+from .measures import interval_transform
+from .quadrature import Kinked, adaptive_gl
 
 _MASS_TOL = 1e-9
 
@@ -59,30 +60,19 @@ class FrequencyBand:
         edges = np.linspace(self.lo, self.hi, len(prof) + 1)
         return edges, prof * (self.mass / (prof.sum() * self.cell_width))
 
-    def transform(self, t: np.ndarray) -> np.ndarray:
-        """Int e^{i r t} density(r) dr at a 1-d array of t: each cell
-        [c, c + w] with density d contributes exactly
-        d w e^{i t (c + w/2)} sinc(t w / 2), which is d w at t = 0."""
+    def transform(self, t: np.ndarray, real: bool = False) -> np.ndarray:
+        """Int e^{i r t} density(r) dr at a 1-d array of t, or its real part:
+        each cell [c, c + w] with density d contributes exactly
+        d w e^{i t (c + w/2)} sinc(t w / 2), which is d w at t = 0
+        (``interval_transform``, one shared width)."""
         edges, dens = self.cells()
         width = self.cell_width
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return (np.exp(1j * np.outer(t, mids)) @ dens) * (
-            width * np.sinc(t * width / (2.0 * np.pi)))
+        return interval_transform(t, 0.5 * (edges[:-1] + edges[1:]), 0.5 * width,
+                                  dens * width, real)
 
     def real_transform_sum(self, t: np.ndarray, weights: np.ndarray) -> float:
-        """sum_i weights_i Re transform(t_i) for 1-d arrays: each cell gives
-        d w cos(t (c + w/2)) sinc(t w / 2), taken for at most DIGIT_BLOCK
-        (point, cell) pairs at a time."""
-        edges, dens = self.cells()
-        width = self.cell_width
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        step = max(1, DIGIT_BLOCK // len(mids))
-        total = 0.0
-        for first in range(0, len(t), step):
-            part = t[first:first + step]
-            envelope = weights[first:first + step] * np.sinc(part * width / (2.0 * np.pi))
-            total += float(envelope @ (np.cos(np.outer(part, mids)) @ dens))
-        return width * total
+        """sum_i weights_i Re transform(t_i) for 1-d arrays."""
+        return float(weights @ self.transform(t, real=True))
 
     def density(self, r):
         """Density value at frequencies ``r`` (zero outside the band)."""
@@ -110,16 +100,15 @@ class SpectralModel:
             raise ValueError(f"spectral mass {total} differs from 1 beyond 1e-9")
 
     def correlation(self, t):
-        """rho(t) = sum_k m_k e^{i w_k t} + Int e^{i r t} density(r) dr,
-        the band term by ``FrequencyBand.transform``."""
+        """rho(t) = sum_k m_k e^{i w_k t} + Int e^{i r t} density(r) dr, the
+        atoms by ``interval_transform`` (width 0), the band by its transform."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
         out = np.zeros(len(tt), dtype=complex)
         if self.atoms:
-            w = np.array([w for w, _ in self.atoms])
-            m = np.array([m for _, m in self.atoms])
-            out += np.exp(1j * np.outer(tt, w)) @ m
+            w, m = np.array(self.atoms).T
+            out += interval_transform(tt, w, 0.0, m)
         if self.band is not None:
             out += self.band.transform(tt)
         return complex(out[0]) if scalar else out

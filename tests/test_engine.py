@@ -15,7 +15,8 @@ from homavg import engine, measures, quadrature, spectral
 from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     InvalidMeasureError, Observable, PointMass,
                     SpectralModel, SpikeCorrelation, Uniform,
-                    almost_mixing_probe, arithmetic_spikes, circle_rotation,
+                    almost_mixing_probe, arithmetic_spikes,
+                    build_adversarial_measure, circle_rotation,
                     convergence_scan, convolve, cos_mode, descent_check,
                     difference_density, geometric_grid, geometric_spikes,
                     golden_winding, l1_deviation, l2_deviation_mc,
@@ -555,8 +556,7 @@ def test_digit_band_term_does_not_depend_on_the_block(monkeypatch):
     nodes and evaluate its copies over many kernel calls."""
     form = CANTOR.difference_law()[0]
     want = {t: form.band_term(PROFILED_SPEC.band, t, 1) for t in (14.5, 362.5, 1e4)}
-    monkeypatch.setattr(quadrature, "DIGIT_BLOCK", 64)
-    monkeypatch.setattr(spectral, "DIGIT_BLOCK", 64)
+    monkeypatch.setattr(quadrature, "BLOCK", 64)
     for t, value in want.items():
         assert form.band_term(PROFILED_SPEC.band, t, 1) == pytest.approx(value, rel=1e-13)
 
@@ -1091,12 +1091,12 @@ def spike_band_reference(g, h, L, t):
     return out
 
 
-@pytest.mark.parametrize("block", [quadrature.DIGIT_BLOCK, 7])
+@pytest.mark.parametrize("block", [quadrature.BLOCK, 7])
 def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
     """The kink integral of a spike kernel, pieces taken ``block`` values at
     a time, against the per-spike reference weighted by random unequal
     heights, so that an error on any one spike shows in the total."""
-    monkeypatch.setattr(quadrature, "DIGIT_BLOCK", block)
+    monkeypatch.setattr(quadrature, "BLOCK", block)
     masses = np.random.default_rng(41).random(4096)
     g = difference_density(TableDensity(0.0, 1.0, masses))
     assert len(g.knots) == 8193 and g.degree == 1
@@ -1128,7 +1128,7 @@ def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
 def test_kink_integral_memory_stays_within_its_blocks():
     """20,000 arithmetic spikes on gauss-trunc at a t that sees all of them:
     about 120,000 pieces of 11 nodes each.  An unblocked pass holds 10.6 MB
-    of nodes alone and peaked at 83 MB; in blocks of DIGIT_BLOCK values the
+    of nodes alone and peaked at 83 MB; in blocks of BLOCK values the
     peak is that of a few arrays of one value per piece, about 8 MB."""
     g = difference_density(GAUSS)
     spikes = arithmetic_spikes(step=1.0, halfwidth=0.25, count=20_000)
@@ -1145,6 +1145,24 @@ def test_kink_integral_memory_stays_within_its_blocks():
         tracemalloc.stop()
     assert peak < bound
     assert 0.0 < value < 1.0
+
+
+def test_nested_interval_spectral_norm_memory_stays_within_its_blocks():
+    """The depth-4 golden adversary weight, 16 leaves, on the flat band at
+    t = 3000: ``expect`` evaluates its transform at 63,872 and then 127,744
+    nodes, which as (nodes x leaves) matrices peaked at 111 MiB; in blocks
+    of BLOCK (node, leaf) pairs it stays near 8 MB."""
+    weight = build_adversarial_measure(golden_winding(), BoxSet((0.5, 0.5)), 4).measure()
+    bound = 32 * 2 ** 20
+    l2_norm_spectral(spectral.lebesgue_band(), weight, 10.0)     # caches the rules
+    tracemalloc.start()
+    try:
+        value = l2_norm_spectral(spectral.lebesgue_band(), weight, 3000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert value == pytest.approx(0.5025572784757295, rel=0, abs=1e-15)
 
 
 def test_probe_builds_once_and_counts_calls(monkeypatch):

@@ -12,8 +12,9 @@ from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
                     PointMass, Scaled, SelfSimilar, TableDensity, Triangular,
                     TruncatedGaussian, Uniform, convolution_power, convolve,
                     rescale)
-from homavg import measures
-from homavg.measures import Cells, Density, DigitLaw, Digits, Sinc, require_atomless
+from homavg import measures, quadrature
+from homavg.measures import (Cells, Density, DigitLaw, Digits, Sinc, interval_transform,
+                             require_atomless)
 from homavg.rng import generator
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
@@ -132,7 +133,7 @@ def test_self_similar_transform_does_not_depend_on_the_block(monkeypatch, m):
     """Blocks of 64 values split the frequencies into many blocks."""
     xi = np.linspace(-300.0, 300.0, 1001)
     want = m.char_fn(xi)
-    monkeypatch.setattr(measures, "CHAR_BLOCK", 64)
+    monkeypatch.setattr(quadrature, "BLOCK", 64)
     assert np.array_equal(m.char_fn(xi), want)
 
 
@@ -140,6 +141,44 @@ def test_self_similar_transform_does_not_depend_on_the_block(monkeypatch, m):
 def test_self_similar_transform_rejects_non_finite_frequencies(xi):
     with pytest.raises(ValueError, match="finite"):
         THREE_RATIOS.char_fn(np.array([1.0, xi]))
+
+
+def interval_reference(x, centers, half, masses, real):
+    """sum_j m_j e^{i x c_j} sinc(x h_j), one interval at a time."""
+    out = np.zeros(len(x), dtype=complex)
+    for c, h, m in zip(centers, np.broadcast_to(half, np.shape(centers)), masses):
+        u = x * h
+        sinc = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0.0)
+        out += m * np.exp(1j * x * c) * sinc
+    return out.real if real else out
+
+
+INTERVAL_RNG = np.random.default_rng(47)
+INTERVAL_CENTERS = INTERVAL_RNG.uniform(-1.0, 1.0, 13)
+INTERVAL_MASSES = INTERVAL_RNG.uniform(0.1, 1.0, 13)
+INTERVAL_HALVES = {
+    "shared": 0.3,
+    "per-interval": np.where(np.arange(13) % 4 == 0, 0.0,
+                             INTERVAL_RNG.uniform(0.0, 0.5, 13)),   # every fourth an atom
+    "atoms": 0.0,
+}
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("half", INTERVAL_HALVES.values(), ids=INTERVAL_HALVES.keys())
+def test_interval_transform_matches_per_interval_sum(monkeypatch, half, real):
+    """x = 0 gives the total mass; |x| up to 1e4 leaves only the rounding of
+    the sinc's argument, about 1e4 eps; blocks of 7 pairs, one x at a time,
+    change no bit; no x gives no value."""
+    x = np.concatenate(([0.0, 1e-9, -2.5], INTERVAL_RNG.uniform(-1e4, 1e4, 200)))
+    got = interval_transform(x, INTERVAL_CENTERS, half, INTERVAL_MASSES, real)
+    assert got.dtype == (float if real else complex)
+    assert got[0] == pytest.approx(INTERVAL_MASSES.sum(), rel=1e-15)
+    want = interval_reference(x, INTERVAL_CENTERS, half, INTERVAL_MASSES, real)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * INTERVAL_MASSES.sum())
+    monkeypatch.setattr(quadrature, "BLOCK", 7)
+    assert np.array_equal(interval_transform(x, INTERVAL_CENTERS, half, INTERVAL_MASSES, real), got)
+    assert interval_transform(x[:0], INTERVAL_CENTERS, half, INTERVAL_MASSES, real).shape == (0,)
 
 
 # -- convolution algebra ------------------------------------------------------

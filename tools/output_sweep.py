@@ -2,14 +2,16 @@
 template and of a law matrix, through ``homavg.cli.main`` at ``--threads 1``
 and ``2``, for ``diff -r`` between two trees.  Templates run at seeds 1 and
 2001, rounds 0-2 and the top round (round 0 and the top round for
-rigidity-adversary).  The law matrix runs fourteen weights, covering every
+rigidity-adversary).  The law matrix runs fifteen weights, covering every
 form of the law of r - s, two more truncated Gaussians whose pair views
 place their knots where the mass lives (``gauss-narrow``, sigma 0.05, and
 ``gauss-tail``, the mean 3 above [0, 1]), a self-similar weight too dense
 for the digit forms (``bernoulli``, M ratio > 1) and one of unequal ratios with no digit
 form (``uniform-split``: Uniform(0, 1) as the maps of ratios 1/2, 1/4, 1/4,
 so its spectral rows match ``uniform``'s within the ``expect`` tolerance,
-a shift keeping |nu_hat|), on three spectra as ``spectral-scan``
+a shift keeping |nu_hat|), and a nested-interval weight with unequal
+widths at one level (``nested``), whose transform takes one width per
+interval, on three spectra as ``spectral-scan``
 and ``convolution-root`` at powers 2 and 3, plus one probe per weight and
 a 500-spike arithmetic probe on ``cantor-thirds`` at t = 2 ... 50, where
 the kink walk meets many kinks.  The weights with a digit law also take a
@@ -52,6 +54,9 @@ WEIGHTS = {
                   "weights": [0.5, 0.5]},
     "uniform-split": {"type": "self-similar", "ratios": [0.5, 0.25, 0.25],
                       "shifts": [0.0, 0.5, 0.75], "weights": [0.5, 0.25, 0.25]},
+    "nested": {"type": "nested-intervals", "levels": [
+        [["0/1", "2/5"], ["1/2", "1/1"]],
+        [["0/1", "1/10"], ["3/10", "2/5"], ["1/2", "11/20"], ["4/5", "1/1"]]]},
 }
 SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
            "golden-atoms": {"flow": "winding-golden", "observable": "cos-x2"},
