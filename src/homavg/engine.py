@@ -78,6 +78,15 @@ def weighted_average_pointwise(flow: TorusWinding, observable: Observable,
                         float(np.std(vals) / np.sqrt(n_r)))
 
 
+def _inner_means(flow: TorusWinding, observable: Observable, weight: WeightMeasure,
+                 t: float, xb: np.ndarray, n_r: int, seed: int, path: tuple) -> np.ndarray:
+    """The observable averaged over n_r draws of the weight at each point of
+    ``xb``, (A_t f)(x) by Monte Carlo, the draws from the stream ``path``."""
+    rs = weight._sample(len(xb) * n_r, seed, path).reshape(len(xb), n_r)
+    pts = np.mod(xb[:, None, :] + (t * rs)[:, :, None] * np.asarray(flow.alpha), 1.0)
+    return observable(pts).mean(axis=1)
+
+
 def l1_deviation(flow: TorusWinding, observable: Observable,
                  weight: WeightMeasure, t: float, n_x: int = 10_000,
                  n_r: int = 10_000, seed: int = 0) -> DeviationEstimate:
@@ -89,10 +98,7 @@ def l1_deviation(flow: TorusWinding, observable: Observable,
     devs = np.empty(n_x)
     for b, start in enumerate(range(0, n_x, block)):
         xb = xs[start:start + block]
-        rs = weight._sample(len(xb) * n_r, seed, (rng.INNER_WEIGHT, b))
-        rs = rs.reshape(len(xb), n_r)
-        pts = np.mod(xb[:, None, :] + (t * rs)[:, :, None] * np.asarray(flow.alpha), 1.0)
-        inner = observable(pts).mean(axis=1)
+        inner = _inner_means(flow, observable, weight, t, xb, n_r, seed, (rng.INNER_WEIGHT, b))
         devs[start:start + len(xb)] = np.abs(inner - observable.mean)
     return DeviationEstimate(float(devs.mean()),
                              float(devs.std() / np.sqrt(n_x)),
@@ -111,17 +117,12 @@ def l2_deviation_mc(flow: TorusWinding, observable: Observable,
     require_atomless(weight, "weighted averaging")
     d = flow.dimension
     xs = rng.generator(seed, rng.OUTER_POINTS).random((n_x, d))
-    alpha = np.asarray(flow.alpha)
     block = max(1, int(4e6) // max(n_r, 1))
     prods = np.empty(n_x)
     for b, start in enumerate(range(0, n_x, block)):
         xb = xs[start:start + block]
-        halves = []
-        for half in (0, 1):
-            rs = weight._sample(len(xb) * n_r, seed, (rng.INNER_WEIGHT, b, half))
-            rs = rs.reshape(len(xb), n_r)
-            pts = np.mod(xb[:, None, :] + (t * rs)[:, :, None] * alpha, 1.0)
-            halves.append(observable(pts).mean(axis=1) - observable.mean)
+        halves = [_inner_means(flow, observable, weight, t, xb, n_r, seed,
+                               (rng.INNER_WEIGHT, b, half)) - observable.mean for half in (0, 1)]
         prods[start:start + len(xb)] = halves[0] * halves[1]
     est = float(prods.mean())
     spread = float(prods.std() / np.sqrt(n_x))
@@ -145,36 +146,28 @@ def l2_norm_spectral(spectrum: SpectralModel, weight: WeightMeasure,
 def _spectral_power(spectrum: SpectralModel, multiplier, t: float, tol: float,
                     power: int = 1) -> tuple[float, float]:
     """(Int |g(t r)|^(2 power) dsigma(r), quadrature difference of its band
-    term), g = nu_hat for a weight measure, or a magnitude callable.
-
-    The band term is that of the first form of the weight's
-    ``difference_law()`` that serves ``power`` (exact, difference 0); a form
-    with an ``integrand`` sums the atoms with it too.  Without such a form
-    or a band, all of it goes to ``spectrum.expect`` at ``tol``, g(t r)
-    oscillating at frequency t times the support width of nu (t for a callable).
-    """
+    term), g = nu_hat for a weight measure, or a magnitude callable.  The
+    atoms take |g(t r)|^(2 power).  A weight's band term is band.mass at
+    t = 0 (nu_hat(0) = 1), else its own exact ``band_term``, difference 0.
+    Where that is None, for a callable or without a band, all of it goes to
+    ``spectrum.expect`` at ``tol``, g(t r) oscillating at frequency t times
+    the support width of nu (t for a callable)."""
     power = operator.index(power)
-    forms = ()
+    band, term = spectrum.band, None
     if isinstance(multiplier, WeightMeasure):
         require_atomless(multiplier, "spectral channel")
         lo, hi = multiplier.support()
         mag = lambda r: np.abs(multiplier.char_fn(t * r))
         frequency = t * max(hi - lo, 1e-9)
-        forms = multiplier.difference_law()
+        if band is not None:
+            term = band.mass if t == 0.0 else multiplier.band_term(band, t, power)
     else:
         mag = lambda r: np.abs(np.asarray(multiplier(t * r), dtype=float))
         frequency = t
-    form = next((f for f in forms if f.serves(power)), None)
     fn = lambda r: mag(r) ** (2 * power)
-    if form is not None and form.integrand is not None:
-        fn = form.integrand(t, power)
-    band = spectrum.band
-    if band is None or form is None:
+    if term is None:
         return spectrum.expect(fn, tol, frequency)
-    total = spectrum.atom_sum(fn)
-    if t == 0.0:
-        return total + band.mass, 0.0
-    return total + form.band_term(band, t, power), 0.0
+    return spectrum.atom_sum(fn) + term, 0.0
 
 
 @dataclass(frozen=True)
@@ -208,20 +201,12 @@ def descent_check(spectrum: SpectralModel, weight, t: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | DigitPairs | None:
-    """The pair view of r - s for independent r, s ~ measure, from the first
-    form of its ``difference_law()`` that has one; None when none does.
-
-    A cell or density form gives the exact density, with error 0; a digit
-    form serving p = 1 gives the kink walk over the digit law
-    (``DigitPairs``).  Either view answers ``mass(a, b)``, the pair
-    integral of a correlation's kernel (``kernel(t, reach)``) as (value,
-    error) (``pair_integral``), and that of a spike correlation with the
-    masses of any intervals (``spike_probe``), the walk declining (None)
-    where it would compute more than sampling.  The density integrates the
-    kernel by ``quadrature.kink_integral``, the digit law by
-    ``quadrature.digit_walk``."""
-    views = (form.pair_view() for form in measure.difference_law())
-    return next((v for v in views if v is not None), None)
+    """The pair view of r - s for independent r, s ~ measure, its
+    ``pair_view()``: the exact density of a density weight, error 0, or the
+    kink walk over a digit law (``DigitPairs``); None where pairs are
+    sampled.  Each view answers ``mass(a, b)``, ``pair_integral`` and
+    ``spike_probe``, a walk declining (None) where sampling costs less."""
+    return measure.pair_view()
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +229,8 @@ def pair_correlation_integral(correlation: CorrelationModel,
     ``sampling`` draws independent pairs and averages; ``quadrature``
     integrates a spike or box correlation rho(t u) exactly against the pair
     view of the difference u = r - s (``difference_density``): the exact
-    density when its law has a cell or density form, the kink walk
-    over the digit law of a self-similar weight with M ratio <= 1.  Under
+    density of a density weight, the kink walk over the digit law of a
+    self-similar weight with M ratio <= 1.  Under
     ``auto`` the walk takes a t only when it computes no more than the
     sampler does for ``n_samples`` pairs.  For a ``BochnerCorrelation`` it
     is the Parseval twin of the spectral channel,
@@ -407,7 +392,7 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     most ``PROBE_META_SPIKES`` spikes, per spike.
 
     The pair view of r - s (``difference_density``) is built once per
-    probe.  The density of a cell or density form gives the pair integral
+    probe.  The density of a density weight gives the pair integral
     and every mass exactly; the kink walk over a digit law gives them
     exactly too, with the masses as differences of one cumulative
     walk over all interval ends, at every t where the two walks compute no

@@ -1,10 +1,13 @@
 """Probability measures on the real line with exact characteristic functions.
 
-A weight measure answers three queries:
+A weight measure answers four queries:
 
-* ``char_fn(xi)``      -- the transform  nu_hat(xi) = Int e^{i xi x} dnu(x),
-* ``sample(n, seed)``  -- deterministic i.i.d. draws,
-* ``difference_law()`` -- the exact forms of the law of r - s in order, or ().
+* ``char_fn(xi)``                -- the transform  nu_hat(xi) = Int e^{i xi x} dnu(x),
+* ``sample(n, seed)``            -- deterministic i.i.d. draws,
+* ``band_term(band, t, power)``  -- Int |nu_hat(t r)|^(2 power) over a spectral
+  band by the weight's exact rule, or None,
+* ``pair_view()``                -- the exact view of the law of r - s for pair
+  integrals, or None.
 
 Measures combine by convolution (characteristic functions multiply, samples
 add) and rescale by a positive factor t (char_fn at t*xi, samples times t).
@@ -16,7 +19,7 @@ averaging entry point downstream rejects measures that are not atomless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -95,8 +98,14 @@ class WeightMeasure:
         """An interval certainly containing all the mass."""
         raise NotImplementedError
 
-    def difference_law(self) -> tuple:
-        return ()
+    def band_term(self, band, t: float, power: int) -> float | None:
+        """Int |nu_hat(t r)|^(2 power) over a spectral ``band``, t != 0, by
+        the weight's own exact rule; None where ``expect`` must do it."""
+        return None
+
+    def pair_view(self) -> PiecewiseLinearDensity | DigitPairs | None:
+        """The exact view of r - s for independent r, s ~ the weight."""
+        return None
 
 
 class PiecewiseLinearDensity:
@@ -119,6 +128,11 @@ class PiecewiseLinearDensity:
 
     def __call__(self, u):
         return self.shape(np.asarray(u, dtype=float))
+
+    def scaled(self, f: float) -> PiecewiseLinearDensity:
+        """The density of f (r - s), f > 0."""
+        shape = self.shape
+        return PiecewiseLinearDensity(self.knots * f, lambda u: shape(u / f) / f, self.degree)
 
     def _rule(self, a, b) -> np.ndarray:
         """Int_a^b shape(u) du elementwise over arrays a, b inside one knot
@@ -165,56 +179,6 @@ class PiecewiseLinearDensity:
         return (*self.pair_integral(spike, t), self.mass(lo / t, hi / t))
 
 
-@dataclass(frozen=True)
-class Density:
-    """r - s as a density: ``pairs()`` gives its knots, shape and degree (as
-    in ``PiecewiseLinearDensity``) before the rescaling by ``factor``.  It
-    gives the pair view and serves no power."""
-
-    pairs: Callable[[], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], int]]
-    factor: float = 1.0
-    integrand = None
-
-    def scaled(self, f: float) -> Density:
-        return replace(self, factor=self.factor * f)
-
-    def serves(self, power: int) -> bool:
-        return False
-
-    def pair_view(self) -> PiecewiseLinearDensity:
-        knots, shape, degree = self.pairs()
-        f = self.factor
-        return PiecewiseLinearDensity(knots * f, lambda u: shape(u / f) / f, degree)
-
-
-@dataclass(frozen=True)
-class Cells(Density):
-    """The density of r - s for a piecewise-constant weight: piecewise
-    linear (``_cell_pairs``).  At power 1 |nu_hat|^2 is its cosine
-    transform: a band cell [c, c'] of density d gives d (F(t c') - F(t c)) / t
-    with F(lam) = Int g(u) sin(lam u) / u du."""
-
-    def serves(self, power: int) -> bool:
-        return power == 1
-
-    def band_term(self, band, t: float, power: int) -> float:
-        """F exact per knot segment: with g = p + q u there, the segment
-        gives p [Si(lam u)] - q [cos(lam u)] / lam, the cosine difference
-        taken as -2 sin(lam m) sin(lam h) with m, h the segment's midpoint
-        and half width, so small lam loses nothing and F(0) = 0."""
-        edges, dens = band.cells()
-        knots, shape, _ = self.pairs()
-        k, v = knots * self.factor, shape(knots) / self.factor
-        q = np.diff(v) / np.diff(k)
-        p = v[:-1] - q * k[:-1]
-        mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
-        lam = t * edges[:, None]
-        si, _ = sici(lam * k)
-        dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
-        transform = np.diff(si, axis=1) @ p - dcos_over_lam @ q
-        return float(dens @ np.diff(transform)) / t
-
-
 def _cell_pairs(masses: np.ndarray, delta: float) -> tuple:
     """The piecewise-linear density of r - s for a weight of cell ``masses``
     on cells of width ``delta``: the masses' correlation over delta at the
@@ -225,62 +189,33 @@ def _cell_pairs(masses: np.ndarray, delta: float) -> tuple:
     return knots, lambda u: np.interp(u, knots, values, left=0.0, right=0.0), 1
 
 
-@dataclass(frozen=True)
-class Sinc:
-    """|nu_hat(xi)| = |sinc(q xi)|^m: |nu_hat(t r)|^(2 power) = sinc^n(lam r),
-    lam = |t| q, n = 2 m power, and a band cell [c, c'] of density d gives
+def _si_band_term(band, t: float, k: np.ndarray, v: np.ndarray) -> float:
+    """The band term at power 1, t != 0, where r - s has the piecewise-linear
+    density g of values v at knots k: |nu_hat|^2 is its cosine transform,
+    so a band cell [c, c'] of density d gives d (F(t c') - F(t c)) / t with
+    F(lam) = Int g(u) sin(lam u) / u du, exact per knot segment: with
+    g = p + q u there, p [Si(lam u)] - q [cos(lam u)] / lam, the cosine
+    difference taken as -2 sin(lam m) sin(lam h) with m, h the segment's
+    midpoint and half width, so small lam loses nothing and F(0) = 0."""
+    edges, dens = band.cells()
+    q = np.diff(v) / np.diff(k)
+    p = v[:-1] - q * k[:-1]
+    mid, half = 0.5 * (k[1:] + k[:-1]), 0.5 * np.diff(k)
+    lam = t * edges[:, None]
+    si, _ = sici(lam * k)
+    dcos_over_lam = -2.0 * np.sin(lam * mid) * half * np.sinc(lam * half / np.pi)
+    transform = np.diff(si, axis=1) @ p - dcos_over_lam @ q
+    return float(dens @ np.diff(transform)) / t
+
+
+def _sinc_band_term(band, t: float, q: float, n: int) -> float:
+    """The band term (t != 0) of a weight with |nu_hat(t r)|^(2 power) =
+    sinc^n(lam r), lam = |t| q: a band cell [c, c'] of density d gives
     d I_n(lam c, lam c') / lam with I_n = ``sinc_power_integral``."""
-
-    q: float
-    m: int
-
-    def scaled(self, f: float) -> Sinc:
-        return Sinc(self.q * f, self.m)
-
-    def serves(self, power: int) -> bool:
-        return True
-
-    def pair_view(self) -> None:
-        return None
-
-    def integrand(self, t: float, power: int):
-        lam, n = abs(t) * self.q, 2 * self.m * power
-        return lambda r: np.sinc(lam * np.asarray(r, dtype=float) / np.pi) ** n
-
-    def band_term(self, band, t: float, power: int) -> float:
-        edges, dens = band.cells()
-        lam, n = abs(t) * self.q, 2 * self.m * power
-        cells = sinc_power_integral(n, lam * edges[:-1], lam * edges[1:])
-        return float(dens @ cells) / lam
-
-
-@dataclass(frozen=True)
-class Digits:
-    """r - s as a self-similar ``DigitLaw``, serving a power whose M merged
-    digits have M ratio <= 1: the digit walk's copies then grow <= t.  The
-    band term E[Re rho_band(t D)] is one walk of the band's entire kernel,
-    turning at |t| max|band edge|."""
-
-    law: DigitLaw
-    integrand = None
-
-    def scaled(self, f: float) -> Digits:
-        return Digits(self.law.scaled(f))
-
-    def serves(self, power: int) -> bool:
-        law = self.law.power(power)
-        return len(law.values) * law.ratio <= 1
-
-    def pair_view(self) -> DigitPairs | None:
-        """The kink walk's view of r - s where the digit rule serves p = 1."""
-        return DigitPairs(self.law) if self.serves(1) else None
-
-    def band_term(self, band, t: float, power: int) -> float:
-        kernel = lambda u, w: band.real_transform_sum(t * u, w)
-        value, _ = digit_walk(self.law.power(power), np.empty(0), kernel,
-                              2 * SELF_SIMILAR_NODES - 1, 0.0, 0.0,
-                              abs(t) * max(abs(band.lo), abs(band.hi)))
-        return value
+    edges, dens = band.cells()
+    lam = abs(t) * q
+    cells = sinc_power_integral(n, lam * edges[:-1], lam * edges[1:])
+    return float(dens @ cells) / lam
 
 
 @dataclass(frozen=True)
@@ -363,6 +298,10 @@ class DigitPairs:
         self.law = law
         self.lo, self.hi = law.floats.lo, law.floats.hi
         self.pair_work = 2 * _sample_depth(law.floats.ratio, 0.5 * (self.hi - self.lo))
+
+    def scaled(self, f: float) -> DigitPairs:
+        """The view of f (r - s), f > 0."""
+        return DigitPairs(self.law.scaled(f))
 
     def _work(self, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
               spread: float) -> int:
@@ -450,6 +389,10 @@ class DensityMeasure(WeightMeasure):
         u = generator(master, *path).random(count)
         return self.ppf(u)
 
+    def pair_view(self):
+        """The exact density of r - s, ``_pairs()``: knots, shape, degree."""
+        return PiecewiseLinearDensity(*self._pairs())
+
 
 @dataclass(frozen=True)
 class Uniform(DensityMeasure):
@@ -470,8 +413,13 @@ class Uniform(DensityMeasure):
     def support(self):
         return (self.a, self.b)
 
-    def difference_law(self):
-        return (Cells(self._pairs), Sinc(0.5 * (self.b - self.a), 1))
+    def band_term(self, band, t, power):
+        """The Si form of its piecewise-linear r - s at power 1, a sinc power
+        (|nu_hat| = |sinc((b - a) xi / 2)|) above."""
+        if power > 1:
+            return _sinc_band_term(band, t, 0.5 * (self.b - self.a), 2 * power)
+        knots, shape, _ = self._pairs()
+        return _si_band_term(band, t, knots, shape(knots))
 
     def _pairs(self):
         return _cell_pairs(np.array([1.0]), self.b - self.a)
@@ -504,8 +452,9 @@ class Triangular(DensityMeasure):
     def support(self):
         return (self.a, self.b)
 
-    def difference_law(self):
-        return (Sinc(0.25 * (self.b - self.a), 2), Density(self._pairs))
+    def band_term(self, band, t, power):
+        """A sinc power at every power: |nu_hat| = sinc^2((b - a) xi / 4)."""
+        return _sinc_band_term(band, t, 0.25 * (self.b - self.a), 4 * power)
 
     def _pairs(self):
         """r - s = U1 + U2 - U3 - U4, the U_i uniform of width h = (b - a) / 2,
@@ -580,9 +529,6 @@ class TruncatedGaussian(DensityMeasure):
     def support(self):
         return (self.lo, self.hi)
 
-    def difference_law(self):
-        return (Density(self._pairs),)
-
     def _pairs(self):
         """r - s has the density G(u / sigma) / sigma: with y0 = al + |v| / 2,
         y1 = be - |v| / 2 and Z = Phi(be) - Phi(al), for |v| < be - al,
@@ -619,7 +565,7 @@ class TruncatedGaussian(DensityMeasure):
 
 def _erfcx_drop(x, w):
     """erfcx(x) - erfcx(x + w) e^{-w (2x + w)} = 2 / sqrt(pi) Int_0^w e^{-s (2x + s)} ds
-    for x, w >= 0: by GAUSS_NODES-node Gauss-Legendre where the integrand falls by
+    for x, w >= 0: by GAUSS_NODES-node Gauss-Legendre where the exponential falls by
     at most e (the closed form cancels there), else in closed form."""
     nodes, weights = legendre(GAUSS_NODES)
     s = 0.5 * np.multiply.outer(w, 1.0 + nodes)     # the last axis runs over the nodes
@@ -694,8 +640,12 @@ class TableDensity(DensityMeasure):
     def support(self):
         return (self.lo, self.hi)
 
-    def difference_law(self):
-        return (Cells(self._pairs),)
+    def band_term(self, band, t, power):
+        """The Si form of its piecewise-linear r - s at power 1."""
+        if power > 1:
+            return None
+        knots, shape, _ = self._pairs()
+        return _si_band_term(band, t, knots, shape(knots))
 
     def _pairs(self):
         return _cell_pairs(self.masses, (self.hi - self.lo) / len(self.masses))
@@ -748,12 +698,31 @@ class SelfSimilar(WeightMeasure):
         fixed = [c / (1.0 - r) for r, c in zip(self.ratios, self.shifts)]
         return (min(fixed), max(fixed))
 
-    def difference_law(self):
-        """With one common ratio, r - s is self-similar with that ratio and
-        the digits c_a - c_b, of probability p_a p_b / (sum p)^2."""
+    def _digits(self, power: int) -> DigitLaw | None:
+        """The digit law of a sum of ``power`` copies of r - s where its M
+        merged digits have M ratio <= 1, so the walk's copies grow <= t.
+        With one common ratio, r - s is self-similar with that ratio and the
+        digits c_a - c_b, of probability p_a p_b / (sum p)^2."""
         if len(set(self.ratios)) > 1:
-            return ()
-        return _self_similar_difference(self.ratios[0], self.shifts, self.weights)
+            return None
+        law = _self_similar_difference(self.ratios[0], self.shifts, self.weights).power(power)
+        return law if len(law.values) * law.ratio <= 1 else None
+
+    def band_term(self, band, t, power):
+        """E[Re rho_band(t D)] for the digit law D of the power: one walk of
+        the band's entire kernel, turning at |t| max|band edge|."""
+        law = self._digits(power)
+        if law is None:
+            return None
+        kernel = lambda u, w: band.real_transform_sum(t * u, w)
+        value, _ = digit_walk(law, np.empty(0), kernel, 2 * SELF_SIMILAR_NODES - 1, 0.0, 0.0,
+                              abs(t) * max(abs(band.lo), abs(band.hi)))
+        return value
+
+    def pair_view(self):
+        """The kink walk over the digit law of r - s where it serves p = 1."""
+        law = self._digits(1)
+        return None if law is None else DigitPairs(law)
 
     def _bound(self):
         lo, hi = self.support()
@@ -851,14 +820,14 @@ def _sample_depth(ratio: float, diam: float) -> int:
 
 @lru_cache(maxsize=16)
 def _self_similar_difference(ratio: float, shifts: tuple[float, ...],
-                             weights: tuple[float, ...]) -> tuple[Digits]:
-    """The digit form of ``SelfSimilar.difference_law``, built once per
+                             weights: tuple[float, ...]) -> DigitLaw:
+    """The digit law of r - s for ``SelfSimilar._digits``, built once per
     measure: its Fraction arithmetic costs more than the band term."""
     c = [Fraction(x) for x in shifts]
     p = [Fraction(x) for x in weights]
     norm = sum(p) ** 2
-    return (Digits(DigitLaw.merged(Fraction(ratio), (
-        (ca - cb, pa * pb / norm) for ca, pa in zip(c, p) for cb, pb in zip(c, p)))),)
+    return DigitLaw.merged(Fraction(ratio), (
+        (ca - cb, pa * pb / norm) for ca, pa in zip(c, p) for cb, pb in zip(c, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -1006,8 +975,13 @@ class Scaled(WeightMeasure):
         lo, hi = self.inner.support()
         return (self.factor * lo, self.factor * hi)
 
-    def difference_law(self):
-        return tuple(f.scaled(self.factor) for f in self.inner.difference_law())
+    def band_term(self, band, t, power):
+        """The inner weight's at time t times the factor."""
+        return self.inner.band_term(band, t * self.factor, power)
+
+    def pair_view(self):
+        view = self.inner.pair_view()
+        return None if view is None else view.scaled(self.factor)
 
 
 def convolve(a: WeightMeasure, b: WeightMeasure) -> WeightMeasure:

@@ -41,7 +41,7 @@ def fixed_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 def adaptive_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 tol: float, pieces: int = 1,
                 frequency: float = 0.0) -> tuple[complex, float]:
-    """Integral of ``f`` over [a, b] for an integrand that is smooth on each
+    """Integral of ``f`` over [a, b] for a function that is smooth on each
     of ``pieces`` equal parts of [a, b] and oscillates like
     exp(i*frequency*x).  Returns (value, difference at acceptance).
 
@@ -309,7 +309,7 @@ def sinc_power_integral(n: int, a, b) -> np.ndarray:
     elementwise over arrays a <= b.  The cost is bounded in n and does not
     depend on a or b.
 
-    The integrand is even and nonnegative, so [a, b] folds onto one or two
+    sinc^n is even and nonnegative, so [a, b] folds onto one or two
     pieces [A, B] in [0, inf), and with X0 = 2 n + 40
 
         Int_A^B = Q(min(A, X0), min(B, X0)) + T(max(A, X0)) - T(max(B, X0)).

@@ -124,7 +124,7 @@ class SpectralModel:
     def expect(self, fn, tol: float = 1e-8,
                frequency: float = 0.0) -> tuple[float, float]:
         """(Int fn(r) dsigma(r), quadrature difference of the band term) for
-        a real vectorized integrand oscillating like exp(i*frequency*r): the
+        a real vectorized function oscillating like exp(i*frequency*r): the
         atoms exactly, the band by ``adaptive_gl`` on whole band cells, so
         the density jumps only at cell edges."""
         total, diff = self.atom_sum(fn), 0.0

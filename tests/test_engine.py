@@ -22,8 +22,8 @@ from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     golden_winding, l1_deviation, l2_deviation_mc,
                     l2_norm_spectral, pair_correlation_integral, rescale,
                     spectrum_of_observable, weighted_average_pointwise)
-from homavg.measures import (Cells, DigitLaw, Digits, Scaled, SelfSimilar, Sinc,
-                             TableDensity, Triangular, TruncatedGaussian)
+from homavg.measures import (DigitLaw, Scaled, SelfSimilar, TableDensity, Triangular,
+                             TruncatedGaussian)
 from homavg.spectral import BoxAutocorrelation, BoxIndicator, CorrelationModel
 from homavg.flows import BoxSet, TorusWinding
 
@@ -362,11 +362,17 @@ SINC_SPEC = SpectralModel(atoms=((0.8, 0.2), (-2.5, 0.1)),
 
 
 def test_triangular_power_is_uniform_double_power():
-    # |nu_hat| of Triangular(0, 2) = U(0, 1) * U(0, 1) is |nu_hat_U|^2
+    # |nu_hat| of Triangular(0, 2) = U(0, 1) * U(0, 1) is |nu_hat_U|^2: the
+    # same sinc power for the band, bit for bit; the atoms take each weight's
+    # own |nu_hat|, equal to rounding
     for t in (0.0, 3.0, 1e3, 5.8e3):
         for p in (1, 2, 3):
-            assert (engine._spectral_power(SINC_SPEC, Triangular(0, 2), t, 1e-8, p)
-                    == engine._spectral_power(SINC_SPEC, Uniform(0, 1), t, 1e-8, 2 * p))
+            tri = engine._spectral_power(SINC_SPEC, Triangular(0, 2), t, 1e-8, p)
+            uni = engine._spectral_power(SINC_SPEC, Uniform(0, 1), t, 1e-8, 2 * p)
+            assert tri[1] == uni[1] == 0.0 and tri[0] == pytest.approx(uni[0], rel=0, abs=1e-15)
+            if t:
+                assert (Triangular(0, 2).band_term(SINC_SPEC.band, t, p)
+                        == Uniform(0, 1).band_term(SINC_SPEC.band, t, 2 * p))
 
 
 @pytest.mark.parametrize("weight, width", [(Triangular(0, 1), 1.0),
@@ -554,11 +560,10 @@ def test_digit_walk_at_large_t_obeys_self_similarity(weight, rho, rest):
 def test_digit_band_term_does_not_depend_on_the_block(monkeypatch):
     """Blocks of 64 evaluations make the walk join levels into the rule's
     nodes and evaluate its copies over many kernel calls."""
-    form = CANTOR.difference_law()[0]
-    want = {t: form.band_term(PROFILED_SPEC.band, t, 1) for t in (14.5, 362.5, 1e4)}
+    want = {t: CANTOR.band_term(PROFILED_SPEC.band, t, 1) for t in (14.5, 362.5, 1e4)}
     monkeypatch.setattr(quadrature, "BLOCK", 64)
     for t, value in want.items():
-        assert form.band_term(PROFILED_SPEC.band, t, 1) == pytest.approx(value, rel=1e-13)
+        assert CANTOR.band_term(PROFILED_SPEC.band, t, 1) == pytest.approx(value, rel=1e-13)
 
 
 def test_digit_rule_needs_sparse_digits(monkeypatch):
@@ -785,9 +790,9 @@ def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
             np.testing.assert_allclose(scaled_masses, masses, rtol=0, atol=1e-15)
         assert scaled.pair_integral(GOLDEN_BOX, 30.0 / f) == pytest.approx(
             g.pair_integral(GOLDEN_BOX, 30.0), rel=0, abs=1e-14)
-    # nested rescalings multiply their factors
+    # nested rescalings apply their factors innermost first
     nested = difference_density(Scaled(7.0, Scaled(0.3, inner)))
-    assert np.array_equal(nested.knots, g.knots * (0.3 * 7.0))
+    assert np.array_equal(nested.knots, g.knots * 0.3 * 7.0)
     np.testing.assert_allclose(nested(u * 2.1), g(u) / 2.1, rtol=1e-13, atol=1e-13)
 
 
@@ -819,29 +824,107 @@ def test_sinc_path_never_builds_the_density(monkeypatch):
 
 
 def test_engine_binds_no_concrete_measure_class():
-    # the exact path is read off the weight's difference_law(), never its type,
-    # and each form evaluates its own band term
+    # the exact path is read off the weight's own band_term and pair_view,
+    # never its type
     for name in ("Uniform", "Triangular", "TruncatedGaussian", "TableDensity", "Scaled",
                  "sici", "self_similar_rule", "sinc_power_integral", "_sinc_power_integral",
                  "digit_band_term", "_digit_band_term"):
         assert not hasattr(engine, name), name
 
 
-@pytest.mark.parametrize("weight, power, served", [
-    (Uniform(0, 1), 1, Cells), (Uniform(0, 1), 2, Sinc), (Triangular(0, 2), 1, Sinc),
-    (CANTOR, 1, Digits), (CANTOR, 2, None),
-    (TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), 2, None), (GAUSS, 1, None),
+@pytest.mark.parametrize("weight, power, rule", [
+    (Uniform(0, 1), 1, "si"), (Uniform(0, 1), 2, "sinc"), (Triangular(0, 2), 1, "sinc"),
+    (CANTOR, 1, "digit"), (CANTOR, 2, "expect"),
+    (TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]), 2, "expect"), (GAUSS, 1, "expect"),
 ], ids=["uniform-1", "uniform-2", "triangular-1", "cantor-1", "cantor-2", "table-2",
         "gauss-1"])
-def test_band_term_comes_from_the_first_form_that_serves(monkeypatch, weight, power, served):
+def test_band_term_comes_from_the_first_form_that_serves(monkeypatch, weight, power, rule):
+    """The one rule that evaluates the band term: the Si form, a sinc
+    power, the digit walk, or ``expect`` where the weight has none."""
     taken = []
-    for cls in (Cells, Sinc, Digits):
-        def recording(self, *args, _original=cls.band_term):
-            taken.append(type(self))
-            return _original(self, *args)
-        monkeypatch.setattr(cls, "band_term", recording)
+    for owner, attr, name in ((measures, "_si_band_term", "si"),
+                              (measures, "_sinc_band_term", "sinc"),
+                              (measures, "digit_walk", "digit"),
+                              (spectral.SpectralModel, "expect", "expect")):
+        def recording(*args, _original=getattr(owner, attr), _name=name):
+            taken.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, attr, recording)
     engine._spectral_power(PROFILED_SPEC, weight, 5.0, 1e-8, power)
-    assert taken == ([served] if served else [])
+    assert taken == [rule]
+
+
+SCALED_INNER = {
+    "uniform": Uniform(0.25, 1.25), "table": TableDensity(0.0, 1.5, [1.0, 3.0, 2.0]),
+    "triangular": Triangular(0.5, 2.5), "cantor": CANTOR,
+    "dyadic-odd": SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5)),
+    "dyadic-even": SelfSimilar((0.25, 0.25), (0.0, 0.25), (0.5, 0.5)),
+}
+# _spectral_power of Scaled(0.7, weight) at p = 1, 2, 3 and t = 3, 40, tol
+# 1e-10, as the forms' `scaled` computed them (commit 94266f2)
+SCALED_POWERS = {
+    ("uniform", "flat"): (0.8877192886682184, 0.10961804797402257, 0.7973968004462697,
+                          0.0747963531053869, 0.72397727122238, 0.06170984608586526),
+    ("uniform", "profiled"): (0.6616658269100796, 0.09049709003515208, 0.5557487979107367,
+                              0.06278340213836413, 0.5005196895702729, 0.05183424902349384),
+    ("table", "flat"): (0.8256406378147805, 0.0858825050432479, 0.7028801634898321,
+                        0.058869214817302236, 0.6139040314624798, 0.04835342964881065),
+    ("table", "profiled"): (0.5833896899581555, 0.0713490991051721, 0.48670069838493557,
+                            0.04944036172794153, 0.43088638063299184, 0.040616705932639774),
+    ("triangular", "flat"): (0.7973968004462697, 0.0747963531053869, 0.6636661212015835,
+                             0.053784636099052784, 0.5716044780994808, 0.04419834505774094),
+    ("triangular", "profiled"): (0.5557487979107367, 0.06278340213836413, 0.4615229997519346,
+                                 0.04517898183910962, 0.4051674230156026, 0.03712660933041336),
+    ("cantor", "flat"): (0.8370554729366025, 0.16316544434111072, 0.7197812308708845,
+                         0.07471862275850473, 0.6331752781459924, 0.05298235745516988),
+    ("cantor", "profiled"): (0.5800535489329487, 0.15553940205329492, 0.49586934590475834,
+                             0.0642275181134378, 0.44232116382006437, 0.04446681989629929),
+    ("dyadic-odd", "flat"): (0.9079014242011972, 0.22040064200371734, 0.8307146239316014,
+                             0.12292818943720316, 0.7655882946465332, 0.08552022647112426),
+    ("dyadic-odd", "profiled"): (0.6949097235292082, 0.1807169142352153, 0.5857290278564389,
+                                 0.10020448755749321, 0.5295115277478515, 0.07020089015654256),
+    ("dyadic-even", "flat"): (0.9758781619432124, 0.3962032289354161, 0.952797492677365,
+                              0.23745189394763314, 0.9307045983845315, 0.1689517648852348),
+    ("dyadic-even", "profiled"): (0.9005677123036542, 0.2663217464201598, 0.823572186780293,
+                                  0.167087183794738, 0.7633035517490966, 0.1267364395318377),
+}
+
+
+@pytest.mark.parametrize("name, label", list(SCALED_POWERS), ids=[
+    f"{name}-{label}" for name, label in SCALED_POWERS])
+def test_scaled_weight_is_its_inner_weight_at_scaled_time(name, label):
+    """Scaled(f, w) at t is w at f t: the band term by the inner weight's
+    own rule, within 1e-15 of the values the form layer gave, and of the
+    inner weight's whole spectral power at f t."""
+    spec = {"flat": spectral.lebesgue_band(), "profiled": PROFILED_SPEC}[label]
+    inner = SCALED_INNER[name]
+    got = [engine._spectral_power(spec, Scaled(0.7, inner), t, 1e-10, p)[0]
+           for p in (1, 2, 3) for t in (3.0, 40.0)]
+    at_scaled_time = [engine._spectral_power(spec, inner, 0.7 * t, 1e-10, p)[0]
+                      for p in (1, 2, 3) for t in (3.0, 40.0)]
+    np.testing.assert_allclose(got, SCALED_POWERS[name, label], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, at_scaled_time, rtol=0, atol=1e-15)
+
+
+def test_twice_scaled_uniform_probe_keeps_its_values():
+    """The density view of Scaled(3, Scaled(0.5, U(0, 1))) scales the inner
+    view twice; its probe values and masses stay within 1e-15 of those the
+    form layer gave with the one factor 1.5 (commit 94266f2)."""
+    curve = almost_mixing_probe(geometric_spikes(10, 0.25, count=8),
+                                Scaled(3.0, Scaled(0.5, Uniform(0.0, 1.0))),
+                                (2.0, 10.0, 50.0), n_samples=2000, seed=5)
+    close = lambda got, want: np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    close(curve.values, (0.11111111111111113, 0.0422222222222222, 0.012355555555555528))
+    assert curve.errors == (0.0, 0.0, 0.0)
+    close(curve.metadata["band_mass"],
+          (0.5555555555555556, 0.12888888888888891, 0.026488888888888888))
+    masses = curve.metadata["spike_mass"]
+    close([m["total"] for m in masses],
+          (0.11111111111111112, 0.04222222222222221, 0.012355555555555547))
+    close([m["per_spike"][:2] for m in masses],
+          ((0.11111111111111112, 0.0), (0.031111111111111114, 0.011111111111111098),
+           (0.00657777777777778, 0.005777777777777767)))
+    assert all(m["per_spike"][2:] == [0.0] * 6 for m in masses)
 
 
 # -- scans -----------------------------------------------------------------------
@@ -1358,11 +1441,11 @@ def test_walk_error_is_its_bound():
     """A ramp with its kink at 0.1, walked to rounding and, with a looser
     spread, stopped near 1e-10: each reported bound is positive and covers
     the gap between the two."""
-    (form,) = CANTOR.difference_law()
+    law = difference_density(CANTOR).law
     kinks = np.array([0.1])
     ramp = lambda u, w: float(w @ np.maximum(u - 0.1, 0.0))
-    fine, fine_error = quadrature.digit_walk(form.law, kinks, ramp, 1, 1.0, 2.0)
-    coarse, coarse_error = quadrature.digit_walk(form.law, kinks, ramp, 1, 1.0, 2e6)
+    fine, fine_error = quadrature.digit_walk(law, kinks, ramp, 1, 1.0, 2.0)
+    coarse, coarse_error = quadrature.digit_walk(law, kinks, ramp, 1, 1.0, 2e6)
     assert 0.0 < fine_error <= 2.0 * quadrature.ROUNDING
     assert 1e-13 < coarse_error <= 2e6 * quadrature.ROUNDING
     assert abs(coarse - fine) <= coarse_error + fine_error

@@ -13,9 +13,10 @@ from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
                     TruncatedGaussian, Uniform, convolution_power, convolve,
                     rescale)
 from homavg import measures, quadrature
-from homavg.measures import (Cells, Density, DigitLaw, Digits, Sinc, interval_transform,
-                             require_atomless)
+from homavg.measures import (DigitLaw, DigitPairs, PiecewiseLinearDensity,
+                             interval_transform, require_atomless)
 from homavg.rng import generator
+from homavg.spectral import FrequencyBand
 
 CANTOR = SelfSimilar((1 / 3, 1 / 3), (0.0, 2 / 3), (0.5, 0.5))
 DYADIC_ODD = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5))
@@ -288,36 +289,47 @@ TRIANGULAR = Triangular(1.0, 3.0)
 GAUSS = TruncatedGaussian(0.5, 0.2, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("measure, forms", [
-    (UNIFORM, (Cells(UNIFORM._pairs), Sinc(0.75, 1))),
-    (TABLE, (Cells(TABLE._pairs),)),
-    (TRIANGULAR, (Sinc(0.5, 2), Density(TRIANGULAR._pairs))),
-    (GAUSS, (Density(GAUSS._pairs),)),
-    (Scaled(2.0, TRIANGULAR), (Sinc(1.0, 2), Density(TRIANGULAR._pairs, 2.0))),
-    (Scaled(3.0, Scaled(0.5, UNIT)), (Cells(UNIT._pairs, 1.5), Sinc(0.75, 1))),
-    (Scaled(4.0, TABLE), (Cells(TABLE._pairs, 4.0),)),
-    (CANTOR, (Digits(CANTOR_DIGITS),)),
-    (Scaled(2.0, CANTOR), (Digits(DigitLaw(
-        THIRD, tuple(2 * v for v in CANTOR_DIGITS.values), CANTOR_DIGITS.weights)),)),
-    (NESTED, ()),
-    (convolve(Uniform(0, 1), Uniform(0, 1)), ()),
-    (PointMass(0.5), ()),
-    (SelfSimilar((0.5, 1 / 3), (0.0, 2 / 3), (0.5, 0.5)), ()),
-    (Scaled(3.0, GAUSS), (Density(GAUSS._pairs, 3.0),)),
+GAUSS_DEGREE = 2 * measures.GAUSS_NODES - 1
+CELLS = 0.5 * np.arange(-3.0, 4.0)       # the knots of TABLE's r - s
+
+
+@pytest.mark.parametrize("measure, powers, view", [
+    (UNIFORM, {1, 2, 3}, (1.5 * np.arange(-1.0, 2.0), 1)),
+    (TABLE, {1}, (CELLS, 1)),
+    (TRIANGULAR, {1, 2, 3}, (np.arange(-2.0, 3.0), 3)),
+    (GAUSS, set(), ((-1.0, 1.0), GAUSS_DEGREE)),
+    (Scaled(2.0, TRIANGULAR), {1, 2, 3}, (2.0 * np.arange(-2.0, 3.0), 3)),
+    (Scaled(3.0, Scaled(0.5, UNIT)), {1, 2, 3}, (1.5 * np.arange(-1.0, 2.0), 1)),
+    (Scaled(4.0, TABLE), {1}, (4.0 * CELLS, 1)),
+    (CANTOR, {1}, CANTOR_DIGITS),
+    (Scaled(2.0, CANTOR), {1}, DigitLaw(
+        THIRD, tuple(2 * v for v in CANTOR_DIGITS.values), CANTOR_DIGITS.weights)),
+    (NESTED, set(), None),
+    (convolve(Uniform(0, 1), Uniform(0, 1)), set(), None),
+    (PointMass(0.5), set(), None),
+    (SelfSimilar((0.5, 1 / 3), (0.0, 2 / 3), (0.5, 0.5)), set(), None),
+    (Scaled(3.0, GAUSS), set(), ((-3.0, 3.0), GAUSS_DEGREE)),
 ], ids=["uniform", "table", "triangular", "gauss-trunc", "scaled-triangular",
         "nested-scaled-uniform", "scaled-table", "self-similar", "scaled-self-similar",
         "nested-intervals", "convolution", "point-mass", "unequal-ratios",
         "scaled-gauss-trunc"])
-def test_difference_law_per_class(measure, forms):
-    """The forms of each class's law of r - s, in the order they are tried."""
-    assert measure.difference_law() == forms
-    for form in forms:
-        if isinstance(form, Density):     # the unscaled measure's density of r - s
-            lo, hi = form.pairs.__self__.support()
-            knots, shape, degree = form.pairs()
-            assert (knots[0], knots[-1]) == pytest.approx((lo - hi, hi - lo))
-            assert shape(knots[[0, -1]]).tolist() == [0.0, 0.0]
-            assert degree in (1, 3, 2 * measures.GAUSS_NODES - 1)
+def test_difference_law_per_class(measure, powers, view):
+    """The powers each class's own band term serves, and its pair view of
+    r - s: a density's knots (all of them, or the two ends of a gaussian's),
+    zero at both ends, and its degree; or the digit law of the kink walk."""
+    band = FrequencyBand(-1.0, 1.0, 1.0)
+    assert {p for p in (1, 2, 3) if measure.band_term(band, 5.0, p) is not None} == powers
+    got = measure.pair_view()
+    if view is None:
+        assert got is None
+    elif isinstance(view, DigitLaw):
+        assert isinstance(got, DigitPairs) and got.law == view
+    else:
+        knots, degree = view
+        assert isinstance(got, PiecewiseLinearDensity) and got.degree == degree
+        ends = got.knots if len(knots) > 2 else got.knots[[0, -1]]
+        np.testing.assert_allclose(ends, knots, rtol=1e-15, atol=0)
+        assert got(got.knots[[0, -1]]).tolist() == [0.0, 0.0]
 
 
 def test_digit_law_powers_merge_equal_sums_exactly():
@@ -330,11 +342,10 @@ def test_digit_law_powers_merge_equal_sums_exactly():
     assert CANTOR_DIGITS.power(3) is CANTOR_DIGITS.power(3)      # built once per (law, p)
     # dyadic digits {0, 1/2} and {0, 1/4}: r - s has three digits either way
     for m, step in ((DYADIC_ODD, Fraction(1, 2)), (DYADIC_EVEN, Fraction(1, 4))):
-        (form,) = m.difference_law()
-        law = form.law
+        law = m.pair_view().law
         assert law.ratio == Fraction(1, 4) and law.values == (-step, 0, step)
     # weights summing to 1 only within 1e-12 are normalized exactly
-    (near,) = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)).difference_law()
+    near = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)).pair_view()
     assert sum(near.law.weights) == 1
 
 
