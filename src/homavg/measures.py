@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import ceil, log
 from typing import Callable, NamedTuple
@@ -31,8 +31,8 @@ from scipy.special import erf, erfcx, log1p, log_ndtr, logsumexp, ndtr, ndtri_ex
 
 from . import quadrature
 from .errors import InvalidMeasureError
-from .quadrature import (SELF_SIMILAR_NODES, digit_walk, digit_walk_work, kink_integral,
-                         legendre, sinc_power_integral)
+from .quadrature import (SELF_SIMILAR_NODES, digit_walk, digit_walk_work, gl_pieces,
+                         kink_integral, legendre, sinc_power_integral)
 from .rng import generator
 
 _CHAR_TOL = 1e-10
@@ -135,12 +135,9 @@ class PiecewiseLinearDensity:
         return PiecewiseLinearDensity(self.knots * f, lambda u: shape(u / f) / f, self.degree)
 
     def _rule(self, a, b) -> np.ndarray:
-        """Int_a^b shape(u) du elementwise over arrays a, b inside one knot
-        segment each, by Gauss-Legendre of degree // 2 + 1 nodes: one shape
-        call for all nodes, a row per node."""
-        nodes, weights = legendre(self.degree // 2 + 1)
-        u = 0.5 * (a + b) + 0.5 * (b - a) * nodes[:, None]
-        return 0.5 * (b - a) * (weights @ self.shape(u))
+        """Int_a^b shape(u) du elementwise over 1-d arrays a, b inside one
+        knot segment each, by Gauss-Legendre of degree // 2 + 1 nodes."""
+        return gl_pieces(lambda u, part: self.shape(u), a, b, self.degree // 2 + 1)
 
     def mass(self, a, b):
         """Integral over [a, b], elementwise over array arguments and 0
@@ -238,6 +235,13 @@ class DigitLaw:
         values = tuple(sorted(acc))
         return DigitLaw(ratio, values, tuple(acc[v] for v in values))
 
+    def plus(self, other: DigitLaw) -> DigitLaw:
+        """The law of D + D' for independent D ~ self and D' ~ ``other`` of
+        the same ratio: pairwise digit sums and weight products."""
+        return DigitLaw.merged(self.ratio, (
+            (a + b, u * w) for a, u in zip(self.values, self.weights)
+            for b, w in zip(other.values, other.weights)))
+
     def power(self, p: int) -> DigitLaw:
         """The law of a sum of ``p`` independent copies: p-fold digit sums,
         built once per (law, p > 1)."""
@@ -272,12 +276,7 @@ class DigitFloats(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _digit_power(law: DigitLaw, p: int) -> DigitLaw:
-    out = law
-    for _ in range(p - 1):
-        out = DigitLaw.merged(law.ratio, (
-            (a + b, u * w) for a, u in zip(out.values, out.weights)
-            for b, w in zip(law.values, law.weights)))
-    return out
+    return reduce(DigitLaw.plus, (law,) * p)
 
 
 class DigitPairs:
@@ -290,18 +289,19 @@ class DigitPairs:
     sampling costs the same at every t.  Given ``draws``, a pair integral
     or a probe point declines (returns None) when its walks' work
     (``digit_walk_work``: copies placed and kernel evaluations) exceeds the
-    sampler's: 2 draws per pair, each a chaos game of ``_sample_depth``
-    map choices.
+    sampler's: ``pair_work``, 2 draws per pair, each a chaos game of the
+    weight's ``SelfSimilar._depth()`` map choices.
     """
 
-    def __init__(self, law: DigitLaw):
+    def __init__(self, law: DigitLaw, pair_work: int):
         self.law = law
         self.lo, self.hi = law.floats.lo, law.floats.hi
-        self.pair_work = 2 * _sample_depth(law.floats.ratio, 0.5 * (self.hi - self.lo))
+        self.pair_work = pair_work
 
     def scaled(self, f: float) -> DigitPairs:
-        """The view of f (r - s), f > 0."""
-        return DigitPairs(self.law.scaled(f))
+        """The view of f (r - s), f > 0: the sampler scales its draws, so a
+        pair costs what it did."""
+        return DigitPairs(self.law.scaled(f), self.pair_work)
 
     def _work(self, kinks: np.ndarray, kernel, degree: int, lipschitz: float,
               spread: float) -> int:
@@ -722,7 +722,13 @@ class SelfSimilar(WeightMeasure):
     def pair_view(self):
         """The kink walk over the digit law of r - s where it serves p = 1."""
         law = self._digits(1)
-        return None if law is None else DigitPairs(law)
+        return None if law is None else DigitPairs(law, 2 * self._depth())
+
+    def _depth(self) -> int:
+        """Levels of its chaos game: they resolve its support to _SAMPLE_RESOLUTION."""
+        lo, hi = self.support()
+        return max(1, ceil(log(_SAMPLE_RESOLUTION / max(hi - lo, 1e-300))
+                           / log(max(self.ratios))))
 
     def _bound(self):
         lo, hi = self.support()
@@ -761,20 +767,19 @@ class SelfSimilar(WeightMeasure):
         return out
 
     def _sample(self, count, master, path):
-        """The chaos game from the support's midpoint, ``_sample_depth``
-        maps deep.  Each level draws its map index as ``Generator.choice``
+        """The chaos game from the support's midpoint, ``_depth()`` maps
+        deep.  Each level draws its map index as ``Generator.choice``
         with probabilities would, byte for byte (checked against numpy
         2.4): the cdf of the weights divided by its last entry, and the
         count of its edges below one uniform draw."""
         lo, hi = self.support()
-        depth = _sample_depth(max(self.ratios), max(hi - lo, 1e-300))
         rng = generator(master, *path)
         r = np.array(self.ratios)
         c = np.array(self.shifts)
         cdf = np.cumsum(self.weights)
         cdf /= cdf[-1]
         x = np.full(count, 0.5 * (lo + hi))
-        for _ in range(depth):
+        for _ in range(self._depth()):
             u = rng.random(count)
             idx = np.zeros(count, dtype=np.intp)
             for edge in cdf[:-1]:
@@ -812,22 +817,17 @@ def _transform_scales(ratios: tuple[float, ...], floor: float) -> tuple:
     return np.array([value[key] for key in order]), children, [0, *accumulate(sizes)]
 
 
-def _sample_depth(ratio: float, diam: float) -> int:
-    """Levels of a chaos game with contraction ``ratio`` that resolve a
-    support of width ``diam`` to _SAMPLE_RESOLUTION."""
-    return max(1, ceil(log(_SAMPLE_RESOLUTION / diam) / log(ratio)))
-
-
 @lru_cache(maxsize=16)
 def _self_similar_difference(ratio: float, shifts: tuple[float, ...],
                              weights: tuple[float, ...]) -> DigitLaw:
     """The digit law of r - s for ``SelfSimilar._digits``, built once per
-    measure: its Fraction arithmetic costs more than the band term."""
-    c = [Fraction(x) for x in shifts]
-    p = [Fraction(x) for x in weights]
-    norm = sum(p) ** 2
-    return DigitLaw.merged(Fraction(ratio), (
-        (ca - cb, pa * pb / norm) for ca, pa in zip(c, p) for cb, pb in zip(c, p)))
+    measure: its Fraction arithmetic costs more than the band term.  It is
+    the law of r, digits the shifts with the weights normalized, plus its
+    mirror."""
+    total = sum(Fraction(p) for p in weights)
+    law = DigitLaw.merged(Fraction(ratio), (
+        (Fraction(c), Fraction(p) / total) for c, p in zip(shifts, weights)))
+    return law.plus(DigitLaw.merged(law.ratio, zip((-v for v in law.values), law.weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Composite Gauss-Legendre quadrature with cell-doubling refinement, Gauss
-rules of self-similar laws built from their exact moments, the exact
+"""Gauss-Legendre over pieces, a block at a time, and on it composite
+quadrature with cell-doubling refinement; Gauss rules of self-similar laws built from their exact moments, the exact
 sinc-power band integral, and the two integrators of a kernel against the
 law of r - s: the kink integral against a piecewise-polynomial density,
 and the digit walk over a digit law, which takes a piecewise-polynomial
@@ -20,22 +20,37 @@ from .errors import AccuracyError
 
 ORDER = 64            # Gauss-Legendre nodes per cell
 MAX_DOUBLINGS = 14    # cell doublings before adaptive_gl gives up
-GL_NODES, GL_WEIGHTS = leggauss(ORDER)
-GL_NODES.flags.writeable = GL_WEIGHTS.flags.writeable = False   # shared by every caller
 SELF_SIMILAR_NODES = 8   # nodes of a self-similar law's Gauss rule
+BLOCK = 1 << 16   # values of any vectorized pass at once: bounds its memory
 legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
+
+
+def gl_pieces(f: Callable[[np.ndarray, slice], np.ndarray], left: np.ndarray,
+              right: np.ndarray, n: int) -> np.ndarray:
+    """Int f over [left_i, right_i] for every piece i of the 1-d arrays,
+    by ``n``-node Gauss-Legendre.  ``f(x, part)`` returns f at the nodes
+    x of the pieces ``part`` (a slice), a row of n per piece, at most
+    BLOCK values per call, so the pass holds O(pieces + BLOCK) values."""
+    nodes, weights = legendre(n)
+    rows = max(1, BLOCK // n)
+    out = [np.zeros(0)]
+    for first in range(0, len(left), rows):
+        part = slice(first, first + rows)
+        half = 0.5 * (right[part] - left[part])
+        x = 0.5 * (right[part] + left[part])[:, None] + half[:, None] * nodes
+        out.append(half * (f(x, part) @ weights))
+    return np.concatenate(out)
 
 
 def fixed_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
              cells: int) -> complex:
     """Composite Gauss-Legendre integral of ``f`` over [a, b] with a fixed
-    number of equal cells.  ``f`` must accept node arrays."""
+    number of equal cells of ORDER nodes.  ``f`` must accept 1-d node
+    arrays; it gets at most BLOCK nodes per call (``gl_pieces``)."""
     edges = np.linspace(a, b, cells + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
-    vals = np.asarray(f(pts)).reshape(cells, ORDER)
-    return complex(np.sum(half * (vals @ GL_WEIGHTS)))
+    parts = gl_pieces(lambda x, part: np.asarray(f(x.ravel())).reshape(x.shape),
+                      edges[:-1], edges[1:], ORDER)
+    return complex(np.sum(parts))
 
 
 def adaptive_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -114,7 +129,6 @@ def self_similar_rule(ratio: Fraction, values: tuple[Fraction, ...],
     return rule
 
 
-BLOCK = 1 << 16   # values of any vectorized pass at once: bounds its memory
 ROUNDING = np.finfo(float).eps / 2   # unit roundoff of float64: where a digit walk stops
 
 
@@ -217,8 +231,8 @@ def kink_integral(kernel: Kinked, knots, shape, degree: int) -> np.ndarray:
     Per column, the knots and the kinks split the range into pieces on
     which K_j w is a polynomial of degree kernel.degree + ``degree``, which
     Gauss-Legendre with (kernel.degree + degree) // 2 + 1 nodes integrates
-    exactly.  The pieces of every column are evaluated together, at most
-    BLOCK values at a time, as w(u) times the kernel.
+    exactly.  The pieces of every column are evaluated together by
+    ``gl_pieces``, as w(u) times the kernel.
     """
     knots = np.asarray(knots, dtype=float)
     x0, x1 = knots[0], knots[-1]
@@ -233,17 +247,11 @@ def kink_integral(kernel: Kinked, knots, shape, degree: int) -> np.ndarray:
     # the flat index of each piece's left end, row by row, is its index
     # among the row's steps plus its row
     starts = np.flatnonzero(piece)
+    column = starts // steps
     flat = pts.ravel()
-    nodes, weights = legendre((kernel.degree + degree) // 2 + 1)
-    rows = max(1, BLOCK // len(nodes))
-    parts = np.empty(len(starts))
-    for first in range(0, len(starts), rows):
-        block = slice(first, first + rows)
-        column = starts[block] // steps
-        left, right = flat[starts[block] + column], flat[starts[block] + column + 1]
-        half = 0.5 * (right - left)[:, None]
-        x = 0.5 * (right + left)[:, None] + half * nodes
-        parts[block] = half * kernel.value(x, column[:, None], shape(x)) @ weights
+    parts = gl_pieces(lambda x, part: kernel.value(x, column[part, None], shape(x)),
+                      flat[starts + column], flat[starts + column + 1],
+                      (kernel.degree + degree) // 2 + 1)
     # np.sum per column (not np.add.reduceat, which adds in another order),
     # so each column sums as it would alone
     ends = np.cumsum(np.count_nonzero(piece, axis=1))
@@ -288,22 +296,6 @@ _SINC_NEAR = 40          # sinc^n is integrated by quadrature up to x = 2 n + _S
 _SINC_TERMS = 40         # terms of each asymptotic tail series
 
 
-@lru_cache(maxsize=16)
-def _sinc_power_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constants of ``sinc_power_integral`` for one even n: composite
-    Gauss-Legendre nodes and weights on [0, 1] (n + 20 cells of 64 nodes),
-    and the a_k of sin^n x = sum_{k=0}^{n/2} a_k cos(2 k x)."""
-    cells = n + _SINC_NEAR // 2
-    nodes = ((np.arange(cells)[:, None] + 0.5 * (GL_NODES + 1.0)) / cells).ravel()
-    weights = np.tile(0.5 * GL_WEIGHTS / cells, cells)
-    m = n // 2
-    coef = np.array([comb(n, m) / 2 ** n]
-                    + [(-1) ** k * comb(n, m - k) / 2 ** (n - 1) for k in range(1, m + 1)])
-    for arr in (nodes, weights, coef):      # shared by every caller through the cache
-        arr.flags.writeable = False
-    return nodes, weights, coef
-
-
 def sinc_power_integral(n: int, a, b) -> np.ndarray:
     """Int_a^b sinc^n(x) dx, sinc(x) = sin(x) / x, for even n >= 2,
     elementwise over arrays a <= b.  The cost is bounded in n and does not
@@ -314,8 +306,9 @@ def sinc_power_integral(n: int, a, b) -> np.ndarray:
 
         Int_A^B = Q(min(A, X0), min(B, X0)) + T(max(A, X0)) - T(max(B, X0)).
 
-    Q is a fixed composite Gauss-Legendre rule on its own interval, no cell
-    wider than 2, so a piece far from 0 keeps its relative precision.  T is
+    Q is a composite Gauss-Legendre rule of n + 20 equal cells on its own
+    interval (``gl_pieces``), no cell wider than 2, so a piece far from 0
+    keeps its relative precision.  T is
     the tail Int_X^inf for X >= X0: with w = 2k,
     T(X) = a_0 X^(1-n) / (n-1) + sum_k a_k Re Int_X^inf e^(i w x) x^-n dx,
     each integral its asymptotic series
@@ -324,7 +317,9 @@ def sinc_power_integral(n: int, a, b) -> np.ndarray:
     rounding.  (Integrating by parts down to Si(2 k X) instead is exact, but
     cancels catastrophically in floating point from about n = 12.)
     """
-    nodes, weights, coef = _sinc_power_rule(n)
+    m = n // 2      # the a_k of sin^n x = sum_{k=0}^{n/2} a_k cos(2 k x)
+    coef = np.array([comb(n, m) / 2 ** n]
+                    + [(-1) ** k * comb(n, m - k) / 2 ** (n - 1) for k in range(1, m + 1)])
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape, a, b = a.shape, a.ravel(), b.ravel()
     # the pieces [lo, hi]: [min |.|, max |.|] per cell, and a cell across 0
@@ -338,12 +333,12 @@ def sinc_power_integral(n: int, a, b) -> np.ndarray:
            - _sinc_power_tail(n, coef, np.maximum(hi, x0)))
     qa, qb = np.minimum(lo, x0), np.minimum(hi, x0)
     live = np.flatnonzero(qb > qa)
-    step = max(1, BLOCK // len(nodes))
-    for first in range(0, len(live), step):
-        idx = live[first:first + step]
-        span = qb[idx] - qa[idx]
-        pts = qa[idx, None] + span[:, None] * nodes     # > 0: the nodes are interior
-        out[idx] += span * ((np.sin(pts) / pts) ** n @ weights)
+    cells = n + _SINC_NEAR // 2
+    cuts = qa[live, None] + (qb - qa)[live, None] * (np.arange(cells + 1) / cells)
+    # x > 0: the nodes are interior; pow of a negative base is about 15x slower
+    parts = gl_pieces(lambda x, part: np.abs(np.sin(x) / x) ** n,
+                      cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), ORDER)
+    out[live] += parts.reshape(len(live), cells).sum(axis=1)
     out = np.maximum(out, 0.0)      # rounding must not make a piece negative
     total = out[:a.size]
     total[across] += out[a.size:]

@@ -388,6 +388,45 @@ def test_sinc_power_band_matches_expect(weight, width):
             assert got == pytest.approx(want, rel=0, abs=1e-13)
 
 
+# recorded before the near part's cells went through ``gl_pieces``
+SINC_TIMES = (1e-2, 1.0, 145.0, 1e4, 1e7)
+SINC_BANDS = {"flat": FrequencyBand(-1.0, 1.0, 1.0), "profiled": SINC_SPEC.band}
+UNIT, TRI = Uniform(0, 1), Triangular(0, 1)
+SINC_RECORDED = {
+    ("flat", UNIT, 2): (0.9999944444694447, 0.9468659992502935, 0.014444099587557858,
+        0.0002094395102391195, 2.0943951023931947e-07),
+    ("flat", UNIT, 3): (0.9999916667249997, 0.9222092367724146, 0.01191638592697271,
+        0.00017278759594743825, 1.7278759594743823e-07),
+    ("flat", TRI, 1): (0.9999986111126733, 0.9862661136512506, 0.028888136886257722,
+        0.0004188790204754414, 4.1887902047863894e-07),
+    ("flat", TRI, 2): (0.9999972222288193, 0.9728702963415543, 0.02077199740303325,
+        0.00030119396234416383, 3.011939623441638e-07),
+    ("flat", TRI, 3): (0.9999958333484379, 0.9598026552863246, 0.017069705677472576,
+        0.00024751073232335223, 2.475107323233522e-07),
+    ("profiled", UNIT, 2): (0.6999953549727714, 0.6567938668225599, 0.012132922308908532,
+        0.00017592918859471235, 1.7592918860102833e-07),
+    ("profiled", UNIT, 3): (0.6999930324879075, 0.6376246898752035, 0.01000976381514317,
+        0.00014514158059584806, 1.451415805958481e-07),
+    ("profiled", TRI, 1): (0.6999988387367242, 0.6885996411794274, 0.02426421920176015,
+        0.0003518583771016304, 3.5185837720205666e-07),
+    ("profiled", TRI, 2): (0.6999976774782399, 0.6776542747745946, 0.017448477555093562,
+        0.0002530029283690976, 2.530029283690976e-07),
+    ("profiled", TRI, 3): (0.6999965162245475, 0.6671385495755693, 0.014338552769021181,
+        0.00020790901515161582, 2.0790901515161581e-07),
+}
+
+
+@pytest.mark.parametrize("band, weight, power", list(SINC_RECORDED),
+                         ids=[f"{b}-{type(w).__name__}-{p}" for b, w, p in SINC_RECORDED])
+def test_sinc_power_band_terms_keep_their_recorded_values(band, weight, power):
+    """Sinc powers n = 4, 6 and 4, 8, 12 keep their recorded values within
+    3e-15 relative: the recorded near part was itself up to 2.3e-15 off
+    mpmath at n = 6 (x >= 72), this one within 9e-16 for n <= 12 (at
+    t = 1e7 the flat n = 6 term is 11 pi / 40 / (t / 2) to 1.5e-16)."""
+    got = [weight.band_term(SINC_BANDS[band], t, power) for t in SINC_TIMES]
+    np.testing.assert_allclose(got, SINC_RECORDED[band, weight, power], rtol=3e-15, atol=0)
+
+
 def test_sinc_power_cost_does_not_grow_with_t(monkeypatch):
     calls = []
     monkeypatch.setattr(spectral, "adaptive_gl", lambda *a, **k: calls.append(a))
@@ -395,7 +434,7 @@ def test_sinc_power_cost_does_not_grow_with_t(monkeypatch):
     got, diff = engine._spectral_power(spectral.lebesgue_band(), Uniform(0, 1), t, 1e-8, 3)
     assert calls == [] and diff == 0.0
     # flat density 1/2 on [-1, 1]: S_6(t / 2) / (t / 2), and S_6(inf) = 11 pi / 40
-    assert got == pytest.approx(11.0 * np.pi / 40.0 / (0.5 * t), rel=1e-12)
+    assert got == pytest.approx(11.0 * np.pi / 40.0 / (0.5 * t), rel=4e-16)
     assert descent_check(spectral.lebesgue_band(), Triangular(0, 1), t=t, order=3).passed
     assert calls == []
 
@@ -1248,6 +1287,22 @@ def test_nested_interval_spectral_norm_memory_stays_within_its_blocks():
     assert value == pytest.approx(0.5025572784757295, rel=0, abs=1e-15)
 
 
+def test_expect_memory_does_not_grow_with_t():
+    """gauss-trunc has no exact band term: on the flat band at t = 3000
+    ``expect`` runs 2,866 and then 5,732 cells of 64 nodes, which as one
+    node array peaked at 36.5 MiB; through ``gl_pieces`` it stays near
+    7 MiB."""
+    l2_norm_spectral(spectral.lebesgue_band(), GAUSS, 10.0)     # caches the rules
+    tracemalloc.start()
+    try:
+        value = l2_norm_spectral(spectral.lebesgue_band(), GAUSS, 3000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert value == pytest.approx(0.03890770613309645, rel=1e-15, abs=0)
+
+
 def test_probe_builds_once_and_counts_calls(monkeypatch):
     counts = {"density": 0, "mass": 0, "sample": 0}
     build, mass = engine.difference_density, engine.PiecewiseLinearDensity.mass
@@ -1459,7 +1514,7 @@ def test_walk_mass_at_a_heavy_kink_stops_with_its_bound():
     law = DigitLaw(Fraction(1, 3), (Fraction(-2, 3), Fraction(0), Fraction(2, 3)),
                    (p, 1 - 2 * p, p))
     exact = float(digit_cdf(law, Fraction(1, 2)) - digit_cdf(law, Fraction(0)))
-    view = measures.DigitPairs(law)
+    view = measures.DigitPairs(law, 52)
     start = time.perf_counter()
     bins, error = quadrature.digit_walk(law, *view._mass_walk(np.array([0.0, 0.5])))
     assert time.perf_counter() - start < 5.0

@@ -340,6 +340,7 @@ def test_digit_law_powers_merge_equal_sums_exactly():
         tuple(k * sixteenth for k in (1, 4, 6, 4, 1)))
     assert len(CANTOR_DIGITS.power(3).values) == 7
     assert CANTOR_DIGITS.power(3) is CANTOR_DIGITS.power(3)      # built once per (law, p)
+    assert CANTOR_DIGITS.plus(CANTOR_DIGITS.power(2)) == CANTOR_DIGITS.power(3)
     # dyadic digits {0, 1/2} and {0, 1/4}: r - s has three digits either way
     for m, step in ((DYADIC_ODD, Fraction(1, 2)), (DYADIC_EVEN, Fraction(1, 4))):
         law = m.pair_view().law
@@ -347,6 +348,13 @@ def test_digit_law_powers_merge_equal_sums_exactly():
     # weights summing to 1 only within 1e-12 are normalized exactly
     near = SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)).pair_view()
     assert sum(near.law.weights) == 1
+
+
+@pytest.mark.parametrize("factor", [1e-3, 0.7, 1000.0])
+def test_scaled_self_similar_walk_budget_is_the_inner_samplers(factor):
+    """A scaled weight draws by the inner chaos game, 26 maps deep for
+    Cantor at any factor, so its walk budget is 2 x 26 map choices a pair."""
+    assert Scaled(factor, CANTOR).pair_view().pair_work == 2 * CANTOR._depth() == 52
 
 
 @pytest.mark.parametrize("ratios, xi", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from homavg import quadrature
 from homavg.quadrature import adaptive_gl
@@ -38,3 +39,21 @@ def test_piece_aligned_cells_integrate_a_step_exactly():
     value, diff = adaptive_gl(step, 0.0, 3.0, 1e-14, pieces=3)
     assert value.real == pytest.approx(7.0, rel=0, abs=1e-13) and diff < 1e-14
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 64])
+def test_gl_pieces_matches_each_piece_alone(monkeypatch, n):
+    """Twenty pieces in blocks of three: each piece's integral is that of
+    its own n-node leggauss rule, and f never sees more than a block."""
+    monkeypatch.setattr(quadrature, "BLOCK", 3 * n)
+    rng = np.random.default_rng(27)
+    left = rng.uniform(-3.0, 3.0, 20)
+    right = left + rng.uniform(0.01, 2.0, 20)
+    f = lambda x: np.exp(np.sin(3.0 * x))
+    sizes = []
+    got = quadrature.gl_pieces(lambda x, part: sizes.append(x.size) or f(x), left, right, n)
+    nodes, weights = leggauss(n)
+    want = [0.5 * (b - a) * (weights @ f(0.5 * (a + b) + 0.5 * (b - a) * nodes))
+            for a, b in zip(left, right)]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    assert len(sizes) == 7 and max(sizes) <= 3 * n
