@@ -33,13 +33,13 @@ def gl_pieces(f: Callable[[np.ndarray, slice], np.ndarray], left: np.ndarray,
     BLOCK values per call, so the pass holds O(pieces + BLOCK) values."""
     nodes, weights = legendre(n)
     rows = max(1, BLOCK // n)
-    out = [np.zeros(0)]
+    out = np.empty(len(left))
     for first in range(0, len(left), rows):
         part = slice(first, first + rows)
         half = 0.5 * (right[part] - left[part])
         x = 0.5 * (right[part] + left[part])[:, None] + half[:, None] * nodes
-        out.append(half * (f(x, part) @ weights))
-    return np.concatenate(out)
+        out[part] = half * (f(x, part) @ weights)
+    return out
 
 
 def fixed_gl(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -242,19 +242,18 @@ def kink_integral(kernel: Kinked, knots, shape, degree: int) -> np.ndarray:
     pts = np.concatenate((np.broadcast_to(knots, (len(cuts), len(knots))), cuts), axis=1)
     np.clip(pts, x0, x1, out=pts)
     pts.sort(axis=1)
-    steps = pts.shape[1] - 1
     piece = pts[:, 1:] > pts[:, :-1]
-    # the flat index of each piece's left end, row by row, is its index
-    # among the row's steps plus its row
-    starts = np.flatnonzero(piece)
-    column = starts // steps
-    flat = pts.ravel()
-    parts = gl_pieces(lambda x, part: kernel.value(x, column[part, None], shape(x)),
-                      flat[starts + column], flat[starts + column + 1],
-                      (kernel.degree + degree) // 2 + 1)
+    ends = np.cumsum(np.count_nonzero(piece, axis=1))   # column j's pieces end at ends[j]
+    left, right = pts[:, :-1][piece], pts[:, 1:][piece]
+    del pts, piece      # the pass holds the pieces' ends and one block's columns
+
+    def value(x, part):
+        column = ends.searchsorted(np.arange(part.start, part.start + len(x)), side="right")
+        return kernel.value(x, column[:, None], shape(x))
+
+    parts = gl_pieces(value, left, right, (kernel.degree + degree) // 2 + 1)
     # np.sum per column (not np.add.reduceat, which adds in another order),
     # so each column sums as it would alone
-    ends = np.cumsum(np.count_nonzero(piece, axis=1))
     return np.array([np.sum(parts[i:j]) for i, j in zip(np.append(0, ends[:-1]), ends)])
 
 

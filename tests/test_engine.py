@@ -336,13 +336,17 @@ def sinc_power_oracle(n, x, dps=40):
         return (ends + (-1) ** m * si) / mp.factorial(n - 1)
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 16])
 def test_sinc_power_integral_matches_mpmath(n):
     switch = 2 * n + quadrature._SINC_NEAR     # quadrature below, tail series above
-    xs = np.array([0.3, 1.0, 7.5, switch - 0.5, switch, switch + 0.5, 300.0, 2000.0])
+    xs = np.array([0.3, 1.0, 7.5, switch - 0.5, switch, switch + 0.5, switch + 20.5,
+                   300.0, 2000.0, 5e6])
     want = np.array([float(sinc_power_oracle(n, x)) for x in xs])
     got = quadrature.sinc_power_integral(n, 0.0, xs)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    # relative precision too, also past the switch, where each value holds
+    # the whole near part: within 1e-15 for n <= 12 (9e-16 at n = 12)
+    np.testing.assert_allclose(got, want, rtol=1e-15 if n <= 12 else 2e-15, atol=0)
     assert np.array_equal(quadrature.sinc_power_integral(n, -xs, 0.0), got)
     # a cell away from 0 keeps its relative precision, on either side of the switch
     for a, b in ((40.1, 41.8), (switch - 3.0, switch + 2.0), (1e3, 1e3 + 1.5)):
@@ -420,9 +424,10 @@ SINC_RECORDED = {
                          ids=[f"{b}-{type(w).__name__}-{p}" for b, w, p in SINC_RECORDED])
 def test_sinc_power_band_terms_keep_their_recorded_values(band, weight, power):
     """Sinc powers n = 4, 6 and 4, 8, 12 keep their recorded values within
-    3e-15 relative: the recorded near part was itself up to 2.3e-15 off
-    mpmath at n = 6 (x >= 72), this one within 9e-16 for n <= 12 (at
-    t = 1e7 the flat n = 6 term is 11 pi / 40 / (t / 2) to 1.5e-16)."""
+    3e-15 relative: the recorded values were up to 2.3e-15 off mpmath at
+    n = 6 (x >= 72), while ``sinc_power_integral`` is within 1e-15 of it for
+    n <= 12 (test_sinc_power_integral_matches_mpmath; at t = 1e7 the flat
+    n = 6 term is 11 pi / 40 / (t / 2) to 1.5e-16)."""
     got = [weight.band_term(SINC_BANDS[band], t, power) for t in SINC_TIMES]
     np.testing.assert_allclose(got, SINC_RECORDED[band, weight, power], rtol=3e-15, atol=0)
 

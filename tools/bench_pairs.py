@@ -6,7 +6,8 @@ tree's src/, bench/ and BENCHMARK.json.  Each run starts from a fresh copy
 of its side under .bench_build/pairs/, so no run sees another's
 .bench_out/.  Pair k runs seed S + (k - first pair of this call) on both
 sides, the parent first when k is even.  Every run is kept, one that exits
-non-zero or prints no result line too, with its exit code.
+non-zero or prints no result line too, with its exit code.  Each run lasts
+BENCHMARK.json's run_seconds, as in bench/record_baseline.py.
 
 Runs accumulate across calls in BENCH_<N>.json, and its summary is
 recomputed from all of them: per workload, the pairs in which both sides
@@ -144,7 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of this call's first pair")
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
 
     out = ROOT / f"BENCH_{args.pr}.json"
@@ -152,6 +152,7 @@ def main(argv=None) -> int:
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                             capture_output=True, text=True, check=True).stdout.strip()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     trees = _sides(args.parent)
     first = 1 + max((run["pair"] for run in doc["runs"] if run["workload"] == args.workload),
                     default=-1)
@@ -159,9 +160,9 @@ def main(argv=None) -> int:
         seed = args.seed + k - first
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
-            code, result = _run(trees[side], args.workload, seed, args.seconds)
+            code, result = _run(trees[side], args.workload, seed, seconds)
             doc["runs"].append({"workload": args.workload, "seed": seed, "side": side,
-                                "pair": k, "order": position, "seconds": args.seconds,
+                                "pair": k, "order": position, "seconds": seconds,
                                 "nproc": os.cpu_count(), "exit_code": code,
                                 "result": result})
             print(f"{args.workload} pair {k} seed {seed} {side}: exit {code}"
