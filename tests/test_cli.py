@@ -148,6 +148,27 @@ def test_probe_config(tmp_path):
     assert values[-1] < values[0]
 
 
+def test_dense_inline_probe_meta_is_the_stdlib_encoding(tmp_path):
+    count = 5001
+    cfg = {
+        "kind": "almost-mixing-probe",
+        "measure": "uniform[0.5,1.5]",
+        "correlation": {"type": "spike", "baseline": 0.25,
+                        "centers": [float(j + 1) for j in range(count)],
+                        "halfwidths": [0.25] * count, "heights": [1.0] * count,
+                        "growth": count / (count - 1.0) * (1.0 - 1e-12)},
+        "grid": {"start": 100, "factor": 10, "count": 2},
+        "seed": 11,
+    }
+    path = write_config(tmp_path, "dense.json", cfg)
+    out = tmp_path / "dense"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    text = out.with_suffix(".meta").read_text()
+    doc = json.loads(text)
+    assert doc["config"] == cfg
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_adversary_config(tmp_path):
     cfg = {
         "kind": "adversary",

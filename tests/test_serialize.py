@@ -1,7 +1,11 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homavg import (BochnerCorrelation, BoxAutocorrelation, BoxIndicator,
                     BoxSet, FrequencyBand, NestedIntervals, PointMass,
@@ -102,6 +106,107 @@ def test_plan_round_trip_with_exact_fields():
 def test_dumps_is_stable():
     doc = {"b": 1, "a": [1.5, 2.25]}
     assert ser.dumps(doc) == ser.dumps(dict(reversed(doc.items())))
+
+
+# -- dumps against stdlib's indent=2 encoder ------------------------------------
+
+def stdlib_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def refuse_python_encoder(*args, **kwargs):
+    raise AssertionError("json.encoder._make_iterencode ran")
+
+
+def no_python_encoder():
+    return mock.patch.object(json.encoder, "_make_iterencode",
+                             refuse_python_encoder)
+
+
+TEXT = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
+    ['"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9 \u2603 \U0001f600"])
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), TEXT, FLOATS,
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    FLOATS.map(np.float64))
+NUMBER_LISTS = st.lists(st.one_of(FLOATS, st.integers(), st.booleans()),
+                        min_size=8, max_size=40)
+
+
+def containers(children):
+    """Lists, tuples and dicts of children, each key type as stdlib maps it."""
+    keys = [TEXT, st.integers() | st.booleans() | st.floats(), st.none()]
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        *[st.dictionaries(k, children, max_size=5) for k in keys],
+        st.tuples(st.lists(SCALARS, min_size=8, max_size=20), st.integers(0, 20),
+                  children).map(lambda p: p[0][:p[1]] + [p[2]] + p[0][p[1]:]))
+
+
+TREES = st.recursive(
+    st.one_of(SCALARS, NUMBER_LISTS, st.lists(SCALARS, min_size=8, max_size=20),
+              st.dictionaries(TEXT, SCALARS, min_size=8, max_size=20),
+              st.just([]), st.just({}), st.just(())),
+    containers, max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_dumps_matches_stdlib_indent_2(tree):
+    for doc in (tree, {"outer": [({"inner": [tree]},)]}):
+        expected = stdlib_dumps(doc)
+        with no_python_encoder():
+            assert ser.dumps(doc) == expected
+
+
+class Opaque:
+    pass
+
+
+BAD_DOCS = {
+    "set in a long leaf list": {"a": [0.5] * 10 + [{1, 2}]},
+    "set in a short list": {"a": [{1, 2}, [1]]},
+    "object as a dict value": {"a": {"b": Opaque(), "c": [1]}},
+    "object at the top": Opaque(),
+    "numpy int in a leaf": [np.int64(3)] * 9,
+    "mixed keys in a leaf dict": {"a": dict.fromkeys([1, "b", *"cdefghij"], 0)},
+    "mixed keys above a container": {1: [1], "b": [2]},
+    "tuple key": {(1, 2): [1]},
+    "tuple key in a leaf dict": [{(1, 2): 1}],
+}
+
+
+@pytest.mark.parametrize("doc", BAD_DOCS.values(), ids=list(BAD_DOCS))
+def test_dumps_raises_what_stdlib_raises(doc):
+    with pytest.raises(Exception) as stdlib_error:
+        stdlib_dumps(doc)
+    with pytest.raises(stdlib_error.type):
+        ser.dumps(doc)
+
+
+def test_dumps_never_runs_the_python_indenter():
+    doc = {"config": {"kind": "almost-mixing-probe", "correlation": {
+        "centers": [j / 7 for j in range(50_001)], "growth": 1.25}},
+        "versions": ser.versions()}
+    expected = stdlib_dumps(doc)
+    with no_python_encoder():
+        with pytest.raises(AssertionError):  # the guard bites stdlib's indenter
+            stdlib_dumps(doc)
+        assert ser.dumps(doc) == expected
+
+
+def test_write_outputs_encodes_the_meta_before_writing(tmp_path):
+    meta = {"config": {"kind": "probe"}, "values": [0.1] * 9}
+    csv_path, meta_path = ser.write_outputs(str(tmp_path / "out" / "run"),
+                                            "t,value\n", meta)
+    assert (csv_path.name, meta_path.name) == ("run.csv", "run.meta")
+    assert meta_path.read_text() == stdlib_dumps(meta)
+    with pytest.raises(TypeError):
+        ser.write_outputs(str(tmp_path / "bad" / "run"), "t,value\n",
+                          {"config": {"bad": {1, 2}}})
+    assert not list((tmp_path / "bad").glob("run.*"))
 
 
 def test_unknown_documents_rejected():
