@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, isqrt
 
 import numpy as np
 
 from . import rng
 from .flows import (BoxSet, TorusWinding, _exact_distance, _exact_shifts,
-                    arc_correlation_exact, arc_overlap, overlap_kernel, rigidity_times)
+                    arc_correlation_exact, box_overlap, overlap_kernel, rigidity_times)
 from .measures import NestedIntervals
 from .quadrature import kink_integral
 
@@ -109,8 +110,10 @@ class AdversaryPlan:
         return len(self.levels)
 
     def measure(self) -> NestedIntervals:
-        """The uniform nested-interval weight carried by the plan."""
-        return NestedIntervals([lev.intervals for lev in self.levels])
+        """The uniform nested-interval weight carried by the plan, built once."""
+        return self._weight
+
+    _weight = cached_property(lambda self: NestedIntervals([lev.intervals for lev in self.levels]))
 
     def check_invariants(self) -> None:
         """Re-verify nesting/disjointness/mass structure and the midpoint
@@ -237,16 +240,13 @@ class LevelEstimate:
 
 
 def _leaf_bases(plan: AdversaryPlan, scale_n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact per-leaf shift bases of T_{scale_n * leaf center} plus the
-    float shift amplitude contributed by the leaf half-width."""
-    last = plan.levels[-1]
-    ks = [p + r for p in last.p_values for r in (0, 1)]
-    base = np.empty((2, len(ks)))
-    for j, k in enumerate(ks):
-        num = scale_n * k
-        base[:, j] = _exact_shifts(plan.flow, num, last.multiplier)
-    amp = float(Fraction(scale_n) * last.delta / last.scale)
-    return base, np.asarray(plan.flow.alpha), amp
+    """The exact shifts of T_{scale_n c}, one column per leaf center c of the plan's weight,
+    the winding's alpha, and the float shift amplitude scale_n h for the leaves' half-width h."""
+    centers, halves, _ = plan.measure()._exact       # the weight's intervals(), computed once
+    (half,) = set(halves)
+    base = np.array([_exact_shifts(plan.flow, scale_n * c.numerator, c.denominator)
+                     for c in centers]).T
+    return base, np.asarray(plan.flow.alpha), float(scale_n * half)
 
 
 def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
@@ -271,8 +271,8 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
             0, base.shape[1], size=n_samples)
         eta = rng.generator(seed, rng.LEAF_OFFSET, lev_idx).uniform(
             -1.0, 1.0, size=n_samples)
-        corr = np.prod([arc_overlap(a, a, np.mod(b[leaf] + (eta * amp) * al, 1.0))
-                        for a, b, al in zip(box.sides, base, alpha)], axis=0)
+        corr = box_overlap(box.sides, box.sides,
+                           [b[leaf] + (eta * amp) * al for b, al in zip(base, alpha)])
         mc = float(corr.mean())
         mc_err = float(corr.std() / np.sqrt(n_samples))
         quad = _quadrature_level_value(box, base, alpha, amp)

@@ -202,6 +202,14 @@ def arc_overlap(a: float, b: float, shift) -> np.ndarray:
     return first + wrapped
 
 
+def box_overlap(a_sides, b_sides, shifts, factor=1.0):
+    """``factor`` prod_k arc_overlap(a_k, b_k, shift_k), multiplied in order of k:
+    mu(A intersect T B) for boxes of sides a, b and T the translation by ``shifts``."""
+    for a, b, s in zip(a_sides, b_sides, shifts):
+        factor = factor * arc_overlap(a, b, s)
+    return factor
+
+
 def overlap_kernel(sides, bases, slope, reach: float) -> Kinked:
     """prod_k arc_overlap(a_k, a_k, base_k + u slope_k) over |u| <= reach as
     a kink description, one column per column of the (d, L) ``bases`` (a
@@ -218,9 +226,7 @@ def overlap_kernel(sides, bases, slope, reach: float) -> Kinked:
     lipschitz = float(sum(abs(s) * np.prod(np.delete(a, k)) for k, s in enumerate(slope)))
 
     def value(u, column=0, factor=1.0):
-        for side, b, s in zip(sides, bases, slope):
-            factor = factor * arc_overlap(side, side, b[column] + u * s)
-        return factor
+        return box_overlap(sides, sides, [b[column] + u * s for b, s in zip(bases, slope)], factor)
 
     return Kinked(kinks, value, len(sides), lipschitz, float(np.prod(a)))
 
@@ -247,9 +253,7 @@ def arc_correlation(flow: TorusWinding, a: BoxSet, b: BoxSet, t) -> np.ndarray |
     if len(a.sides) != flow.dimension or len(b.sides) != flow.dimension:
         raise ValueError("box dimension must match the winding")
     t = np.asarray(t, dtype=float)
-    out = np.ones(t.shape)
-    for ak, bk, alk in zip(a.sides, b.sides, flow.alpha):
-        out = out * arc_overlap(ak, bk, t * alk)
+    out = box_overlap(a.sides, b.sides, [t * alk for alk in flow.alpha])
     return float(out) if out.ndim == 0 else out
 
 
@@ -267,11 +271,7 @@ def arc_correlation_exact(flow: TorusWinding, a: BoxSet, b: BoxSet,
                           num: int, den: int = 1) -> float:
     """arc_correlation at the rational time num/den, evaluated through the
     exact slope so arbitrarily large times keep full precision."""
-    shifts = _exact_shifts(flow, num, den)
-    out = 1.0
-    for ak, bk, s in zip(a.sides, b.sides, shifts):
-        out *= float(arc_overlap(ak, bk, s))
-    return out
+    return float(box_overlap(a.sides, b.sides, _exact_shifts(flow, num, den)))
 
 
 def rigidity_times(flow: TorusWinding, count: int):

@@ -70,7 +70,7 @@ def interval_transform(x, centers, half, masses, real: bool = False) -> np.ndarr
 
 
 class WeightMeasure:
-    """Base class; subclasses implement the two queries plus support()."""
+    """Base class of the four queries; subclasses implement ``_char``, ``_sample`` and support()."""
 
     atomless: bool = True
 
@@ -106,6 +106,43 @@ class WeightMeasure:
     def pair_view(self) -> PiecewiseLinearDensity | DigitPairs | None:
         """The exact view of r - s for independent r, s ~ the weight."""
         return None
+
+
+class IntervalMixture(WeightMeasure):
+    """A mixture of uniform laws on intervals and of atoms whose ``intervals()``, computed
+    once per weight, are the one exact source of its float view, transform, support and equality."""
+
+    def intervals(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """(centers, half-widths, masses) as Fractions, the masses summing to 1."""
+        raise NotImplementedError
+
+    _exact = cached_property(lambda self: self.intervals())
+
+    @cached_property
+    def _floats(self) -> tuple:
+        """(centers, half-widths, masses, lower ends, upper ends): read-only
+        float64 arrays rounded once from the exact values, the half-widths one
+        float where all are equal, so ``interval_transform`` factors its sinc out."""
+        centers, halves, masses = self._exact
+        ends = zip(*((c - h, c + h) for c, h in zip(centers, halves)))
+        view = [np.array([float(v) for v in values]) for values in (centers, halves, masses, *ends)]
+        for a in view:      # shared by every caller of the weight
+            a.flags.writeable = False
+        if len(set(halves)) == 1:
+            view[1] = float(halves[0])
+        return tuple(view)
+
+    def _char(self, xi):
+        return interval_transform(xi, *self._floats[:3])
+
+    def support(self):
+        return (float(self._floats[3].min()), float(self._floats[4].max()))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._exact == self._exact
+
+    def __hash__(self):
+        return hash(self._exact)
 
 
 class PiecewiseLinearDensity:
@@ -394,8 +431,8 @@ class DensityMeasure(WeightMeasure):
         return PiecewiseLinearDensity(*self._pairs())
 
 
-@dataclass(frozen=True)
-class Uniform(DensityMeasure):
+@dataclass(frozen=True, eq=False)
+class Uniform(IntervalMixture, DensityMeasure):
     a: float = 0.0
     b: float = 1.0
 
@@ -404,14 +441,12 @@ class Uniform(DensityMeasure):
         if not self.b > self.a:
             raise InvalidMeasureError("uniform needs a < b")
 
-    def _char(self, xi):
-        return interval_transform(xi, [0.5 * (self.a + self.b)], 0.5 * (self.b - self.a), [1.0])
+    def intervals(self):
+        a, b = Fraction(float(self.a)), Fraction(float(self.b))
+        return ((a + b) / 2,), ((b - a) / 2,), (Fraction(1),)
 
     def ppf(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
-
-    def support(self):
-        return (self.a, self.b)
 
     def band_term(self, band, t, power):
         """The Si form of its piecewise-linear r - s at power 1, a sinc power
@@ -601,18 +636,16 @@ def _gauss_term(b, s, shift):
     return np.exp(shift - 0.5 * s * s) - 0.5 * phase * wofz((s + 1j * b) / np.sqrt(2.0))
 
 
-class TableDensity(DensityMeasure):
+class TableDensity(IntervalMixture, DensityMeasure):
     """Piecewise-constant density on an equispaced grid over [lo, hi].
 
     The characteristic function is the exact mixture of per-cell uniforms
     (``interval_transform``, one shared width), so no quadrature error
-    enters.  Cell masses are normalized on input.
+    enters.  ``intervals()`` normalizes the given ``masses`` exactly.
     """
 
-    atomless = True
-
     def __init__(self, lo: float, hi: float, masses):
-        masses = np.asarray(masses, dtype=float)
+        masses = np.array(masses, dtype=float)
         _require_finite("table", lo, hi)
         if not hi > lo:
             raise InvalidMeasureError("table needs lo < hi")
@@ -620,25 +653,20 @@ class TableDensity(DensityMeasure):
             raise InvalidMeasureError("table needs a 1-d mass vector")
         if np.any(~np.isfinite(masses)) or np.any(masses < 0):
             raise InvalidMeasureError("table masses must be finite and nonnegative")
-        total = masses.sum()
-        if not total > 0:
+        if not np.any(masses > 0):
             raise InvalidMeasureError("table masses must have positive sum")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.masses = masses / total
+        self.lo, self.hi, self.masses = float(lo), float(hi), masses
         self.edges = np.linspace(self.lo, self.hi, len(masses) + 1)
-        self._cum = np.concatenate(([0.0], np.cumsum(self.masses)))
-        self._cum[-1] = 1.0
 
-    def _char(self, xi):
-        return interval_transform(xi, 0.5 * (self.edges[:-1] + self.edges[1:]),
-                                  0.5 * (self.hi - self.lo) / len(self.masses), self.masses)
+    def intervals(self):
+        lo, n, total = Fraction(self.lo), len(self.masses), sum(map(Fraction, self.masses))
+        half = (Fraction(self.hi) - lo) / (2 * n)
+        return (tuple(lo + (2 * j + 1) * half for j in range(n)), (half,) * n,
+                tuple(Fraction(m) / total for m in self.masses))
 
     def ppf(self, u):
-        return np.interp(u, self._cum, self.edges)
-
-    def support(self):
-        return (self.lo, self.hi)
+        cum = np.cumsum(self._floats[2])
+        return np.interp(u, np.concatenate(([0.0], cum[:-1], [1.0])), self.edges)
 
     def band_term(self, band, t, power):
         """The Si form of its piecewise-linear r - s at power 1."""
@@ -648,14 +676,7 @@ class TableDensity(DensityMeasure):
         return _si_band_term(band, t, knots, shape(knots))
 
     def _pairs(self):
-        return _cell_pairs(self.masses, (self.hi - self.lo) / len(self.masses))
-
-    def __eq__(self, other):
-        return (isinstance(other, TableDensity) and self.lo == other.lo
-                and self.hi == other.hi and np.array_equal(self.masses, other.masses))
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, len(self.masses)))
+        return _cell_pairs(self._floats[2], (self.hi - self.lo) / len(self.masses))
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +855,7 @@ def _self_similar_difference(ratio: float, shifts: tuple[float, ...],
 # nested-interval (Cantor-tree) measures
 # ---------------------------------------------------------------------------
 
-class NestedIntervals(WeightMeasure):
+class NestedIntervals(IntervalMixture):
     """Uniform measure on a binary tree of closed intervals inside [0, 1].
 
     ``levels[n-1]`` lists the 2**n level-n intervals as exact Fractions,
@@ -843,17 +864,9 @@ class NestedIntervals(WeightMeasure):
     intervals the mass is spread uniformly.
     """
 
-    atomless = True
-
     def __init__(self, levels):
-        norm = []
-        for lev in levels:
-            norm.append(tuple((Fraction(a), Fraction(b)) for a, b in lev))
-        self.levels = tuple(norm)
+        self.levels = tuple(tuple((Fraction(a), Fraction(b)) for a, b in lev) for lev in levels)
         self._validate()
-        leaves = self.levels[-1] if self.levels else ((Fraction(0), Fraction(1)),)
-        self._leaf_lo = np.array([float(a) for a, _ in leaves])
-        self._leaf_hi = np.array([float(b) for _, b in leaves])
 
     def _validate(self):
         parents = ((Fraction(0), Fraction(1)),)
@@ -868,41 +881,31 @@ class NestedIntervals(WeightMeasure):
             for (a1, b1), (a2, b2) in zip(level, level[1:]):
                 if not b1 < a2:
                     raise InvalidMeasureError(f"level {n} intervals overlap")
-            if not (level[0][0] >= 0 and level[-1][1] <= 1):
-                raise InvalidMeasureError("support must stay inside [0, 1]")
             parents = level
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
-    def support(self):
-        return (float(self._leaf_lo.min()), float(self._leaf_hi.max()))
-
-    def _char(self, xi):
-        n = len(self._leaf_lo)
-        return interval_transform(xi, 0.5 * (self._leaf_lo + self._leaf_hi),
-                                  0.5 * (self._leaf_hi - self._leaf_lo), np.full(n, 1.0 / n))
+    def intervals(self):
+        leaves = self.levels[-1] if self.levels else ((Fraction(0), Fraction(1)),)
+        return (tuple((a + b) / 2 for a, b in leaves), tuple((b - a) / 2 for a, b in leaves),
+                (Fraction(1, len(leaves)),) * len(leaves))
 
     def _sample(self, count, master, path):
         rng = generator(master, *path)
-        idx = rng.integers(0, len(self._leaf_lo), size=count)
+        lo, hi = self._floats[3:]
+        idx = rng.integers(0, len(lo), size=count)
         u = rng.random(count)
-        return self._leaf_lo[idx] + u * (self._leaf_hi[idx] - self._leaf_lo[idx])
-
-    def __eq__(self, other):
-        return isinstance(other, NestedIntervals) and self.levels == other.levels
-
-    def __hash__(self):
-        return hash(self.levels)
+        return lo[idx] + u * (hi[idx] - lo[idx])
 
 
 # ---------------------------------------------------------------------------
 # algebra: convolution, rescaling, point masses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointMass(WeightMeasure):
+@dataclass(frozen=True, eq=False)
+class PointMass(IntervalMixture):
     """Dirac mass; a convolution-identity utility, never a valid weight for
     averaging (every averaging entry point rejects non-atomless measures)."""
 
@@ -912,14 +915,11 @@ class PointMass(WeightMeasure):
     def __post_init__(self):
         _require_finite("point mass", self.at)
 
-    def _char(self, xi):
-        return interval_transform(xi, [self.at], 0.0, [1.0])
+    def intervals(self):
+        return (Fraction(float(self.at)),), (Fraction(0),), (Fraction(1),)
 
     def _sample(self, count, master, path):
         return np.full(count, self.at)
-
-    def support(self):
-        return (self.at, self.at)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from homavg import (AdversaryPlan, BoxSet, arc_correlation,
                     verify_non_almost_mixing)
 from homavg import adversary, rng
 from homavg.adversary import MULTIPLIER_CAP, correlation_deviation
-from homavg.flows import arc_overlap
+from homavg.flows import _exact_shifts, arc_overlap
 
 GOLDEN_FLOW = golden_winding()
 HALF_BOX = BoxSet((0.5, 0.5))
@@ -161,6 +161,41 @@ def test_depth_six_plan_builds_and_verifies(flow):
         assert abs(e.mc_value - e.quad_value) <= 3.0 * e.mc_std_error
         assert e.mc_value > e.mixing_value
         assert e.quad_value > e.mixing_value
+
+
+def record_leaf_bases(plan, scale_n):
+    """The leaf shifts and amplitude as derived from the last level's record:
+    centers p / m and (p + 1) / m, half-width delta / s."""
+    last = plan.levels[-1]
+    ks = [p + r for p in last.p_values for r in (0, 1)]
+    base = np.array([_exact_shifts(plan.flow, scale_n * k, last.multiplier) for k in ks]).T
+    return base, float(Fraction(scale_n) * last.delta / last.scale)
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+@pytest.mark.parametrize("flow", [GOLDEN_FLOW, pell_winding()], ids=["golden", "pell"])
+def test_leaf_bases_read_the_weight_bit_for_bit(flow, depth):
+    """The weight's reduced leaf centers k / m give the shifts and amplitude
+    of the level record's own layout, though ``_fixed`` runs at another
+    width."""
+    plan = build_adversarial_measure(flow, HALF_BOX, depth)
+    for lev in plan.levels:
+        base, alpha, amp = adversary._leaf_bases(plan, lev.scale)
+        want_base, want_amp = record_leaf_bases(plan, lev.scale)
+        assert np.array_equal(base, want_base) and amp == want_amp
+        assert np.array_equal(alpha, flow.alpha)
+
+
+def test_verification_keeps_its_recorded_values():
+    # recorded before the Monte Carlo product went through flows.box_overlap
+    plan = build_adversarial_measure(GOLDEN_FLOW, HALF_BOX, 4)
+    got = [(e.mc_value, e.mc_std_error, e.quad_value)
+           for e in verify_non_almost_mixing(plan, n_samples=20_000, seed=0)]
+    assert got == [
+        (0.12229225558167155, 0.00028790750939039885, 0.12290235860627666),
+        (0.18687240711140665, 0.00012573221956683914, 0.18700856645370859),
+        (0.20920746059342782, 8.801598863014134e-05, 0.20918966779876952),
+        (0.2134839234576182, 0.0001459029431750776, 0.21325141619793306)]
 
 
 def test_level_quadrature_matches_fine_grid():

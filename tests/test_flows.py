@@ -5,7 +5,7 @@ from homavg import (BoxSet, QuadraticIrrational, TorusWinding,
                     arc_correlation, arc_correlation_exact, golden_winding,
                     lattice_distance, pell_winding, periodic_winding,
                     rigidity_times)
-from homavg.flows import GOLDEN, PELL
+from homavg.flows import GOLDEN, PELL, arc_overlap, box_overlap
 
 HALF_BOX = BoxSet((0.5, 0.5))
 
@@ -77,6 +77,19 @@ def test_measure_preservation_monte_carlo():
         pts = np.mod(rng.random((n, 2)) + t * np.asarray(w.alpha), 1.0)
         est = np.all(pts < np.asarray(box.sides), axis=1).mean()
         assert abs(est - box.volume) < 3.0 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.25])
+def test_box_overlap_is_the_per_coordinate_product(factor):
+    rng = np.random.default_rng(11)
+    shifts = rng.uniform(-3.0, 3.0, (3, 50))
+    a_sides, b_sides = (0.5, 0.2, 0.9), (0.3, 0.7, 0.05)
+    want = factor
+    for a, b, s in zip(a_sides, b_sides, shifts):
+        want = want * arc_overlap(a, b, s)
+    assert np.array_equal(box_overlap(a_sides, b_sides, shifts, factor), want)
+    single = box_overlap(a_sides[:1], b_sides[:1], [0.1], factor)
+    assert single == factor * arc_overlap(0.5, 0.3, 0.1)
 
 
 def test_exact_correlation_matches_float_path():

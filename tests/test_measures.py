@@ -182,6 +182,73 @@ def test_interval_transform_matches_per_interval_sum(monkeypatch, half, real):
     assert interval_transform(x[:0], INTERVAL_CENTERS, half, INTERVAL_MASSES, real).shape == (0,)
 
 
+# -- interval mixtures: one exact source --------------------------------------
+
+NESTED_LEVELS = [[("0/1", "2/5"), ("1/2", "1/1")],
+                 [("0/1", "1/10"), ("3/10", "2/5"), ("1/2", "11/20"), ("4/5", "1/1")]]
+
+
+def golden_weight(depth):
+    """The golden adversary weight on the box (0.5, 0.5), built afresh."""
+    return homavg.build_adversarial_measure(homavg.golden_winding(), homavg.BoxSet((0.5, 0.5)),
+                                            depth).measure()
+
+
+def test_interval_mixture_transforms_keep_their_float_formulas():
+    """The transforms read from the exact intervals equal the float formulas
+    they replace bit for bit, and the nested sampler rounds the same leaf
+    ends as before."""
+    xi = np.linspace(0.0, 1e4, 2001)
+    a, b, at, edges, masses = 0.25, 1.25, 0.3, np.linspace(0.0, 1.5, 4), np.array([1.0, 3.0, 2.0])
+    cases = [(Uniform(a, b), [0.5 * (a + b)], 0.5 * (b - a), [1.0]),
+             (PointMass(at), [at], 0.0, [1.0]),
+             (TableDensity(0, 1.5, masses), 0.5 * (edges[:-1] + edges[1:]), 0.5 * 1.5 / 3,
+              masses / masses.sum())]
+    for measure, centers, half, weights in cases:
+        assert np.array_equal(measure.char_fn(xi), interval_transform(xi, centers, half, weights))
+    for weight in (NestedIntervals(NESTED_LEVELS), golden_weight(4)):
+        lo = np.array([float(a) for a, _ in weight.levels[-1]])
+        hi = np.array([float(b) for _, b in weight.levels[-1]])
+        rng = generator(9)
+        idx, u = rng.integers(0, len(lo), size=1000), rng.random(1000)
+        assert np.array_equal(weight.sample(1000, 9), lo[idx] + u * (hi[idx] - lo[idx]))
+
+
+def test_intervals_run_once_per_weight(monkeypatch):
+    """Transform, support, sampling and equality read one computation of
+    ``intervals()``, also through the spectral channel, which asks for the
+    support at every grid point."""
+    calls = []
+    for cls in (Uniform, TableDensity, NestedIntervals, PointMass):
+        monkeypatch.setattr(cls, "intervals",
+                            lambda self, f=cls.intervals: calls.append(self) or f(self))
+    weights = [Uniform(0, 1), TableDensity(0, 1, [1, 2]), NestedIntervals(NESTED_LEVELS),
+               golden_weight(4), PointMass(0.3)]
+    spectrum = homavg.SpectralModel(atoms=((0.5, 0.5),), band=FrequencyBand(-1.0, 1.0, 0.5))
+    for weight in weights:
+        for _ in range(2):
+            weight.char_fn(np.linspace(-50.0, 50.0, 11))
+            weight.support()
+            weight.sample(10, 1)
+            assert weight == weight and hash(weight) == hash(weight)
+            if weight.atomless:
+                for t in (1.0, 2.0, 5.0):
+                    homavg.l2_norm_spectral(spectrum, weight, t)
+        assert sum(call is weight for call in calls) == 1
+    assert len(calls) == len(weights)
+    half = weights[3]._floats[1]        # 7.0e-52, where the float leaf ends coincide
+    assert half == float(weights[3].intervals()[1][0]) and half > 0
+
+
+def test_interval_mixtures_are_equal_when_their_intervals_are():
+    assert TableDensity(0, 1, [1, 2]) == TableDensity(0, 1, [2, 4])
+    assert hash(TableDensity(0, 1, [1, 2])) == hash(TableDensity(0, 1, [2, 4]))
+    assert TableDensity(0, 1, [1, 2]) != TableDensity(0, 1, [2, 1])
+    assert Uniform(0, 1) != TableDensity(0, 1, [1])
+    assert Uniform(0, 1) == Uniform(0.0, 1.0) and PointMass(0.3) != PointMass(0.30000000000000004)
+    assert NestedIntervals(NESTED_LEVELS) == NestedIntervals(NESTED_LEVELS)
+
+
 # -- convolution algebra ------------------------------------------------------
 
 def test_convolve_char_is_product():

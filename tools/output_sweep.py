@@ -2,16 +2,18 @@
 template and of a law matrix, through ``homavg.cli.main`` at ``--threads 1``
 and ``2``, for ``--compare`` between two trees.  Templates run at seeds 1 and
 2001, rounds 0-2 and the top round (round 0 and the top round for
-rigidity-adversary).  The law matrix runs fifteen weights, covering every
+rigidity-adversary).  The law matrix runs sixteen weights, covering every
 exact band term and pair view, two more truncated Gaussians whose pair views
 place their knots where the mass lives (``gauss-narrow``, sigma 0.05, and
 ``gauss-tail``, the mean 3 above [0, 1]), a self-similar weight too dense
 for the digit walk (``bernoulli``, M ratio > 1) and one of unequal ratios with no digit
 law (``uniform-split``: Uniform(0, 1) as the maps of ratios 1/2, 1/4, 1/4,
 so its spectral rows match ``uniform``'s within the ``expect`` tolerance,
-a shift keeping |nu_hat|), and a nested-interval weight with unequal
+a shift keeping |nu_hat|), a nested-interval weight with unequal
 widths at one level (``nested``), whose transform takes one width per
-interval, on three spectra as ``spectral-scan``
+interval, and the depth-4 golden adversary weight on the box (0.5, 0.5)
+(``golden-adversary``), whose leaf widths, 7.0e-52, are far below the
+rounding of its leaf ends, on three spectra as ``spectral-scan``
 and ``convolution-root`` at powers 2 and 3, plus one probe per weight and
 a 500-spike arithmetic probe on ``cantor-thirds`` at t = 2 ... 50, where
 the kink walk meets many kinks.  The weights with a digit law also take a
@@ -41,7 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-from homavg import BoxAutocorrelation, BoxSet, cli, golden_winding, presets  # noqa: E402
+from homavg import (BoxAutocorrelation, BoxSet, build_adversarial_measure, cli,  # noqa: E402
+                    golden_winding, presets, serialize)
 from homavg.engine import difference_density, pair_correlation_integral  # noqa: E402
 import workloads  # noqa: E402
 
@@ -65,6 +68,8 @@ WEIGHTS = {
     "nested": {"type": "nested-intervals", "levels": [
         [["0/1", "2/5"], ["1/2", "1/1"]],
         [["0/1", "1/10"], ["3/10", "2/5"], ["1/2", "11/20"], ["4/5", "1/1"]]]},
+    "golden-adversary": serialize.measure_to_doc(
+        build_adversarial_measure(golden_winding(), BoxSet((0.5, 0.5)), 4).measure()),
 }
 SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
            "golden-atoms": {"flow": "winding-golden", "observable": "cos-x2"},
