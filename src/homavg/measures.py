@@ -124,11 +124,16 @@ class IntervalMixture(WeightMeasure):
         float64 arrays rounded once from the exact values, the half-widths one
         float where all are equal, so ``interval_transform`` factors its sinc out."""
         centers, halves, masses = self._exact
-        ends = zip(*((c - h, c + h) for c, h in zip(centers, halves)))
-        view = [np.array([float(v) for v in values]) for values in (centers, halves, masses, *ends)]
+        # c -+ h rounded once as one int / int division (correctly rounded, as
+        # float() of a Fraction is), without normalizing the Fraction c -+ h
+        ends = ([(c.numerator * h.denominator + sign * h.numerator * c.denominator)
+                 / (c.denominator * h.denominator) for c, h in zip(centers, halves)]
+                for sign in (-1, 1))
+        view = [np.array([float(v) for v in values]) for values in (centers, halves, masses)]
+        view += [np.array(values) for values in ends]
         for a in view:      # shared by every caller of the weight
             a.flags.writeable = False
-        if len(set(halves)) == 1:
+        if all(h == halves[0] for h in halves):     # no Fraction hashing
             view[1] = float(halves[0])
         return tuple(view)
 
@@ -610,9 +615,13 @@ def _erfcx_drop(x, w):
 
 
 def _log_sum(log_p, log_q):
-    """log(p + q) elementwise; ``log_p`` may be a scalar."""
-    log_p, log_q = np.broadcast_arrays(log_p, log_q)
-    return logsumexp([log_p, log_q], axis=0)
+    """log(p + q) elementwise; ``log_p`` may be a scalar.  The arithmetic of
+    ``scipy.special.logsumexp`` on the pair, log1p(e^(lo - hi)) + hi, without
+    its stacking, masking and second pass."""
+    hi, lo = np.maximum(log_p, log_q), np.minimum(log_p, log_q)
+    with np.errstate(invalid="ignore"):     # lo - hi is NaN where both are infinite
+        out = np.log1p(np.exp(lo - hi)) + hi
+    return np.where(np.isinf(hi), hi, out)
 
 
 def _log_gauss_mass(a: float, b: float) -> float:
@@ -634,6 +643,14 @@ def _gauss_term(b, s, shift):
     if b <= 0:
         return 0.5 * phase * wofz((-s - 1j * b) / np.sqrt(2.0))
     return np.exp(shift - 0.5 * s * s) - 0.5 * phase * wofz((s + 1j * b) / np.sqrt(2.0))
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """Floats as integer numerators over their largest denominator, which every
+    other one divides (all are powers of two)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(b for _, b in ratios)
+    return [a * (den // b) for a, b in ratios], den
 
 
 class TableDensity(IntervalMixture, DensityMeasure):
@@ -659,10 +676,14 @@ class TableDensity(IntervalMixture, DensityMeasure):
         self.edges = np.linspace(self.lo, self.hi, len(masses) + 1)
 
     def intervals(self):
-        lo, n, total = Fraction(self.lo), len(self.masses), sum(map(Fraction, self.masses))
-        half = (Fraction(self.hi) - lo) / (2 * n)
-        return (tuple(lo + (2 * j + 1) * half for j in range(n)), (half,) * n,
-                tuple(Fraction(m) / total for m in self.masses))
+        """The centers (2 n lo + (2 j + 1)(hi - lo)) / (2 n) and the masses
+        m_j / sum m from integer numerators over one common denominator, one
+        Fraction per value and no Fraction arithmetic."""
+        (lo, hi), q = _numerators((self.lo, self.hi))
+        nums, _ = _numerators(self.masses.tolist())
+        n, den, total = len(nums), 2 * len(nums) * q, sum(nums)
+        return (tuple(Fraction(2 * n * lo + (2 * j + 1) * (hi - lo), den) for j in range(n)),
+                (Fraction(hi - lo, den),) * n, tuple(Fraction(m, total) for m in nums))
 
     def ppf(self, u):
         cum = np.cumsum(self._floats[2])

@@ -14,8 +14,9 @@ plus narrow triangular bumps at sparsely spaced centers).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -155,6 +156,15 @@ class Observable:
     def __call__(self, points):
         raise NotImplementedError
 
+    def orbit_mean(self, x, shifts, alpha) -> np.ndarray:
+        """The mean over each row i of f(x_i + shifts[i, j] alpha mod 1), for
+        points ``x`` of shape (n, d) and ``shifts`` of shape (n, m): the inner
+        average of (A_t f)(x_i) from m draws of t r.  This body builds the
+        (n, m, d) point cloud; an observable may answer it coordinate by
+        coordinate instead."""
+        pts = np.mod(x[:, None, :] + shifts[:, :, None] * np.asarray(alpha), 1.0)
+        return self(pts).mean(axis=1)
+
 
 class FourierObservable(Observable):
     """Finite combination sum_k c_k e^{2 pi i k.x} over integer vectors k.
@@ -180,6 +190,16 @@ class FourierObservable(Observable):
         self.dimension = dims.pop()
         self._K = np.array(list(self.coefficients.keys()), dtype=float)
         self._C = np.array(list(self.coefficients.values()))
+        # c_k e^{i theta} + c_{-k} e^{-i theta} = (Re c_k + Re c_{-k}) cos theta
+        # - (Im c_k - Im c_{-k}) sin theta, theta = 2 pi k.x, once for each k > -k;
+        # the mirror need not be the exact conjugate
+        self._pairs = []
+        for k, c in self.coefficients.items():
+            mirror = tuple(-v for v in k)
+            if k > mirror:
+                m = self.coefficients[mirror]
+                self._pairs.append((tuple((d, v) for d, v in enumerate(k) if v),
+                                    c.real + m.real, c.imag - m.imag))
         self.mean = 0.0
         self.sup_norm = float(np.sum(np.abs(self._C)))
         self.l2_norm = float(np.sqrt(np.sum(np.abs(self._C) ** 2)))
@@ -188,6 +208,21 @@ class FourierObservable(Observable):
         pts = np.asarray(points, dtype=float)
         phases = np.exp(2j * np.pi * (pts @ self._K.T))
         return np.real(phases @ self._C)
+
+    def orbit_mean(self, x, shifts, alpha) -> np.ndarray:
+        """One real cos per pair of mirrored modes (and a sin where their
+        imaginary parts do not cancel), on only the coordinates some mode uses."""
+        y = {d: np.mod(x[:, d, None] + shifts * alpha[d], 1.0)
+             for d in {d for modes, _, _ in self._pairs for d, _ in modes}}
+        total = None
+        for modes, cos_coef, sin_coef in self._pairs:
+            phase = reduce(operator.add, (y[d] if v == 1 else v * y[d] for d, v in modes))
+            theta = (2.0 * np.pi) * phase
+            term = cos_coef * np.cos(theta)
+            if sin_coef:
+                term -= sin_coef * np.sin(theta)
+            total = term if total is None else np.add(total, term, out=total)
+        return total.mean(axis=1)
 
 
 def cos_mode(dimension: int, axis: int) -> FourierObservable:
@@ -208,6 +243,13 @@ class BoxIndicator(Observable):
 
     def __call__(self, points):
         return self.box.contains(points).astype(float)
+
+    def orbit_mean(self, x, shifts, alpha) -> np.ndarray:
+        """The share of each row inside the box, one arc test per coordinate."""
+        inside = np.ones(shifts.shape, dtype=bool)
+        for d, a in enumerate(self.box.sides):
+            inside &= np.mod(x[:, d, None] + shifts * alpha[d], 1.0) < a
+        return np.count_nonzero(inside, axis=1) / shifts.shape[1]
 
 
 def spectrum_of_observable(flow: TorusWinding, obs: FourierObservable,

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import sici
 
-from homavg import engine, measures, quadrature, spectral
+from homavg import engine, measures, presets, quadrature, spectral
 from homavg import (BochnerCorrelation, DecayCurve, FrequencyBand,
                     InvalidMeasureError, Observable, PointMass,
                     SpectralModel, SpikeCorrelation, Uniform,
@@ -100,6 +100,81 @@ def test_l1_deviation_constant_is_zero():
     dev = l1_deviation(golden_winding(), ConstantOne(), Uniform(0, 1), 100.0,
                        n_x=200, n_r=50, seed=4)
     assert dev.value == 0.0
+
+
+# l1_deviation (n_x 300, n_r 700, seed 11) and l2_deviation_mc (n_x 200,
+# n_r 300, seed 12) on the golden winding, (value, std_error, value, error)
+# as the point-cloud inner average wrote them
+MC_PINS = {
+    ("uniform[0,1]", "cos", 3.0):
+        ("0x1.2951e075044b9p-4", "0x1.52fc1f0449c31p-9",
+         "0x1.2dbbdd3e1c00dp-4", "0x1.de0e34e037165p-9"),
+    ("uniform[0,1]", "cos", 100.0):
+        ("0x1.e728ab74aed2ep-6", "0x1.4a93e50744712p-10",
+         "0x1.4a8e53642a96ep-6", "0x1.824f5394c6d72p-8"),
+    ("uniform[0,1]", "box", 3.0):
+        ("0x1.14bbcab6868b3p-5", "0x1.1f44d89466ebbp-10",
+         "0x1.234e52f77aa27p-5", "0x1.8639cd6f30621p-10"),
+    ("uniform[0,1]", "box", 100.0):
+        ("0x1.69625ccdbc797p-7", "0x1.ef1251e90e5dcp-12",
+         "0x0.0p+0", "0x1.86e7fde8c5ab2p-8"),
+    ("gauss-trunc[0.5,0.2,0,1]", "cos", 3.0):
+        ("0x1.d1dc7742bc8acp-5", "0x1.29a5640e9f370p-9",
+         "0x1.d812c40623f00p-5", "0x1.0c013e709030cp-8"),
+    ("gauss-trunc[0.5,0.2,0,1]", "cos", 100.0):
+        ("0x1.ed22223eda480p-6", "0x1.5cb1e0340e325p-10",
+         "0x0.0p+0", "0x1.e24e9ff02d3bap-7"),
+    ("gauss-trunc[0.5,0.2,0,1]", "box", 3.0):
+        ("0x1.a2ce663e74499p-5", "0x1.2d6bd647d15c9p-9",
+         "0x1.1c223a9d66f63p-4", "0x1.9c43de7e8c0f5p-9"),
+    ("gauss-trunc[0.5,0.2,0,1]", "box", 100.0):
+        ("0x1.5e2644b21e138p-7", "0x1.d8164ef36b041p-12",
+         "0x1.6c3c07e2c906cp-9", "0x1.671fc536fae39p-8"),
+    ("cantor-thirds", "cos", 3.0):
+        ("0x1.44d8dd2355841p-3", "0x1.4129ec4554f8bp-8",
+         "0x1.7ec64344d5ecdp-3", "0x1.46c1fd3347180p-8"),
+    ("cantor-thirds", "cos", 100.0):
+        ("0x1.e1a1b3b64996fp-6", "0x1.511ed6c8ff5f9p-10",
+         "0x0.0p+0", "0x1.dc06ba38bf938p-7"),
+    ("cantor-thirds", "box", 3.0):
+        ("0x1.5d6886a92f2eap-4", "0x1.a99ffc99622b7p-9",
+         "0x1.76ad7ba602d8bp-4", "0x1.fb4b03c01e6b9p-9"),
+    ("cantor-thirds", "box", 100.0):
+        ("0x1.ef6bc389055d0p-7", "0x1.565381a17df3bp-11",
+         "0x1.d6c0c4428c5a6p-7", "0x1.85bd47cf102cbp-10"),
+}
+PIN_OBSERVABLES = {"cos": cos_mode(2, 1), "box": BoxIndicator(BoxSet((0.5, 0.3)))}
+
+
+@pytest.mark.parametrize("weight,obs,t", list(MC_PINS))
+def test_nested_mc_keeps_its_bits(weight, obs, t):
+    """The chunked orbit means give the point cloud's deviations bit for bit,
+    the gauss-trunc draws through ``_log_sum`` included."""
+    flow, w, f = golden_winding(), presets.resolve_measure(weight), PIN_OBSERVABLES[obs]
+    one = l1_deviation(flow, f, w, t, n_x=300, n_r=700, seed=11)
+    two = l2_deviation_mc(flow, f, w, t, n_x=200, n_r=300, seed=12)
+    got = [one.value, one.std_error, two.value, two.std_error]
+    assert [v.hex() for v in got] == list(MC_PINS[weight, obs, t])
+
+
+def test_l1_deviation_chunks_rows_longer_than_a_block():
+    """n_r above ``quadrature.BLOCK`` takes one row per chunk, same bits."""
+    dev = l1_deviation(golden_winding(), cos_mode(2, 1), Uniform(0, 1), 7.0,
+                       n_x=30, n_r=70_000, seed=3)
+    assert quadrature.BLOCK < 70_000 and dev.value.hex() == "0x1.051eb51a5574dp-4"
+
+
+def test_l1_deviation_memory_stays_chunk_sized():
+    """cos-x2 with Uniform(0, 1) at n_x 800, n_r 1000: the draws (6.1 MiB) and
+    chunk-sized temporaries; the point cloud and its complex phases took 67 MiB."""
+    tracemalloc.start()
+    try:
+        l1_deviation(golden_winding(), cos_mode(2, 1), Uniform(0, 1), 100.0,
+                     n_x=800, n_r=1000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_l1_deviation_decays_over_decades():

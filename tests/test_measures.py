@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import log_ndtr, logsumexp
 
 import homavg
 from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
@@ -238,6 +241,68 @@ def test_intervals_run_once_per_weight(monkeypatch):
     assert len(calls) == len(weights)
     half = weights[3]._floats[1]        # 7.0e-52, where the float leaf ends coincide
     assert half == float(weights[3].intervals()[1][0]) and half > 0
+
+
+def table_by_fractions(lo, hi, masses):
+    """A table's exact intervals by Fraction arithmetic per cell, and their
+    float view rounded from those Fractions."""
+    low, n, total = Fraction(lo), len(masses), sum(map(Fraction, masses))
+    half = (Fraction(hi) - low) / (2 * n)
+    exact = (tuple(low + (2 * j + 1) * half for j in range(n)), (half,) * n,
+             tuple(Fraction(m) / total for m in masses))
+    ends = [[float(c + sign * half) for c in exact[0]] for sign in (-1, 1)]
+    return exact, [[float(v) for v in exact[0]], float(half), [float(v) for v in exact[2]], *ends]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-9, 1e6),
+       masses=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40).filter(any))
+def test_table_intervals_over_one_denominator_keep_the_fraction_values(lo, width, masses):
+    """The integer numerators give the Fractions of per-cell arithmetic, the
+    float view their bytes (int / int is correctly rounded), and the
+    transform its bits."""
+    hi = lo + width
+    if not hi > lo:
+        return
+    weight = TableDensity(lo, hi, masses)
+    exact, floats = table_by_fractions(lo, hi, masses)
+    assert weight._exact == exact
+    view = weight._floats
+    assert view[1] == floats[1]
+    for got, want in zip(view[:1] + view[2:], floats[:1] + floats[2:]):
+        assert np.array_equal(got, want)
+    xi = np.linspace(-1e3, 1e3, 41) / width
+    assert np.array_equal(weight.char_fn(xi),
+                          interval_transform(xi, floats[0], floats[1], floats[2]))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_log_sum_is_scipys_logsumexp_bit_for_bit():
+    """On ties, gaps past exp underflow (> 745), infinities, NaN, a scalar
+    first term, and the pairs that both of the truncated Gaussian's ppf
+    tails take."""
+    rng = np.random.default_rng(7)
+    p = rng.uniform(-1e3, 0.0, 4000)
+    nan, inf = np.nan, np.inf
+    cases = [(p, p), (p, p - rng.uniform(745.0, 2e3, p.size)),
+             (p, p + rng.normal(0.0, 30.0, p.size)),
+             (p, p + rng.normal(0.0, 1e-14, p.size)), (-3.5, p),
+             (np.array([-inf, -inf, 2.0, -inf, nan, 1.0, nan, -0.0]),
+              np.array([-inf, 2.0, -inf, 0.0, 1.0, nan, -inf, -0.0]))]
+    for mu, sigma, lo, hi in [(0.5, 0.2, 0.0, 1.0), (3.0, 0.5, 0.0, 1.0),
+                              (-1.0, 0.5, 0.0, 1.0), (0.3, 0.05, 0.0, 1.0)]:
+        al, be = (lo - mu) / sigma, (hi - mu) / sigma
+        u, log_mass = generator(5).random(4000), measures._log_gauss_mass(al, be)
+        cases += [(log_ndtr(al), np.log(u) + log_mass), (log_ndtr(-be), np.log1p(-u) + log_mass)]
+    for log_p, log_q in cases:
+        want = logsumexp(list(np.broadcast_arrays(log_p, log_q)), axis=0)
+        assert same_bits(measures._log_sum(log_p, log_q), want)
+        assert same_bits(measures._log_sum(log_q, log_p), want)
 
 
 def test_interval_mixtures_are_equal_when_their_intervals_are():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homavg import (BochnerCorrelation, BoxAutocorrelation, BoxIndicator,
-                    BoxSet, FourierObservable, FrequencyBand, SpectralModel,
+                    BoxSet, FourierObservable, FrequencyBand, Observable, SpectralModel,
                     SpikeCorrelation, TorusWinding, arithmetic_spikes,
                     cos_mode, geometric_spikes, golden_winding,
                     spectrum_of_observable)
@@ -24,6 +24,105 @@ def test_single_mode_gives_one_atom():
     expected = 2 * np.pi * (2 * 1.0 - 1 * w.alpha[1])
     assert freqs == pytest.approx([-expected, expected])
     assert all(m == pytest.approx(0.5) for _, m in model.atoms)
+
+
+# -- orbit means ----------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def point_cloud_mean(obs, x, shifts, alpha):
+    """The mean over each row of f at the explicit (n, m, d) point cloud."""
+    pts = np.mod(x[:, None, :] + shifts[:, :, None] * np.asarray(alpha), 1.0)
+    return obs(pts).mean(axis=1)
+
+
+@st.composite
+def orbit_blocks(draw, d):
+    """(x, shifts, alpha): a few points, shifts t r up to 1e4, a winding in d."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    x = np.array(draw(st.lists(unit, min_size=n * d, max_size=n * d))).reshape(n, d)
+    shifts = np.array(draw(st.lists(st.floats(-1e4, 1e4), min_size=n * m, max_size=n * m)))
+    alpha = (1.0, *draw(st.lists(st.floats(0.01, 3.0), min_size=d - 1, max_size=d - 1)))
+    return x, shifts.reshape(n, m), alpha
+
+
+@st.composite
+def fourier_cases(draw):
+    """A real Fourier observable in d = 1-3 with off-axis modes, complex
+    coefficients, its mirrors conjugate only to within 5e-13, and a block."""
+    d = draw(st.integers(1, 3))
+    wave = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    part = st.floats(-2.0, 2.0)
+    coeffs = {}
+    for k in draw(st.lists(wave.map(tuple), min_size=1, max_size=4)):
+        c = complex(draw(part), draw(part))
+        slip = complex(draw(st.floats(-2.5e-13, 2.5e-13)), draw(st.floats(-2.5e-13, 2.5e-13)))
+        mirror = tuple(-v for v in k)
+        if k != mirror and mirror not in coeffs:
+            coeffs[k], coeffs[mirror] = c, c.conjugate() + slip
+    return FourierObservable(coeffs), draw(orbit_blocks(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fourier_cases())
+def test_fourier_orbit_mean_matches_the_point_cloud(case):
+    """One cos (and sin) per mirrored pair equals the complex sum over every
+    mode at the explicit point cloud to a few ulp of sup|f| for each unit of
+    |k|_1, the size of the phase whose rounding the two paths share."""
+    obs, (x, shifts, alpha) = case
+    reach = max(sum(map(abs, k)) for k in obs.coefficients)
+    got = obs.orbit_mean(x, shifts, alpha)
+    assert got.shape == (len(x),)
+    np.testing.assert_allclose(got, point_cloud_mean(obs, x, shifts, alpha),
+                               rtol=0, atol=2 * reach * EPS * obs.sup_norm)
+
+
+@st.composite
+def box_cases(draw):
+    """A box in d = 1-3 and a block whose points are often exactly on a side."""
+    d = draw(st.integers(1, 3))
+    sides = tuple(draw(st.lists(st.sampled_from([0.25, 0.5, 0.3, 0.75, 0.1]),
+                                min_size=d, max_size=d)))
+    x, shifts, alpha = draw(orbit_blocks(d))
+    on_side = np.array(draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+    x = np.where(on_side.reshape(x.shape), np.broadcast_to(sides, x.shape), x)
+    zero = np.array(draw(st.lists(st.booleans(), min_size=shifts.size, max_size=shifts.size)))
+    shifts = np.where(zero.reshape(shifts.shape), 0.0, shifts)
+    return BoxIndicator(BoxSet(sides)), (x, shifts, alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=box_cases())
+def test_box_orbit_mean_equals_the_point_cloud_exactly(case):
+    """The arc tests' count over n_r is the mean of the 0/1 point cloud, bit
+    for bit, with points exactly on a side outside (the test is <)."""
+    obs, (x, shifts, alpha) = case
+    got = obs.orbit_mean(x, shifts, alpha)
+    assert np.array_equal(got, point_cloud_mean(obs, x, shifts, alpha))
+
+
+def test_box_orbit_mean_excludes_the_sides():
+    obs = BoxIndicator(BoxSet((0.5, 0.25)))
+    x = np.array([[0.5, 0.1], [0.1, 0.25], [0.4999999999999999, 0.2]])
+    assert obs.orbit_mean(x, np.zeros((3, 2)), (1.0, 0.7)).tolist() == [0.0, 0.0, 1.0]
+
+
+def test_observable_base_answers_its_orbit_mean_from_the_point_cloud():
+    """An observable with only ``__call__`` gets the point-cloud body: the
+    mean of f along each point's orbit under the winding."""
+
+    class Product(Observable):
+        mean, sup_norm = 0.25, 1.0
+
+        def __call__(self, points):
+            return points[..., 0] * points[..., 1] ** 2
+
+    flow = TorusWinding((1.0, 0.4))
+    x, shifts = np.array([[0.2, 0.9], [0.6, 0.1]]), np.array([[0.0, 1.5, 0.25], [3.25, -7.0, 2.0]])
+    orbits = [np.mean(Product()(flow.advance(xi, si))) for xi, si in zip(x, shifts)]
+    assert np.array_equal(Product().orbit_mean(x, shifts, flow.alpha), orbits)
 
 
 def test_cos_mode_masses():

@@ -16,7 +16,11 @@ interval, and the depth-4 golden adversary weight on the box (0.5, 0.5)
 rounding of its leaf ends, on three spectra as ``spectral-scan``
 and ``convolution-root`` at powers 2 and 3, plus one probe per weight and
 a 500-spike arithmetic probe on ``cantor-thirds`` at t = 2 ... 50, where
-the kink walk meets many kinks.  The weights with a digit law also take a
+the kink walk meets many kinks.  Each weight also takes two ``avg-scan``
+``l1-mc`` rows that no benchmark template reaches: an inline Fourier
+observable of three complex mode pairs, two of them off the axes, on the
+golden winding (``fourier-l1``), and an indicator on an inline d = 3
+winding (``box3-l1``).  The weights with a digit law also take a
 wide ``spectral-scan`` on the flat and the atom-profiled spectrum, t = 2 ...
 1250, where the digit walk runs up to 8 levels.  Two depth-6 adversary runs
 (golden and Pell windings, box (0.5, 0.5)) reach scales near 10^465.
@@ -76,6 +80,15 @@ SPECTRA = {"flat": {"spectral": "spectral-lebesgue"},
            "atom-profiled": {"spectral": {"type": "spectral", "atoms": [[2.0, 0.3]], "band": {
                "lo": -1.5, "hi": 1.0, "mass": 0.7, "profile": [1.0, 3.0, 2.0]}}}}
 GRID = {"start": 2.0, "factor": 5.0, "count": 3}
+MC_ROWS = {
+    "fourier-l1": {"flow": "winding-golden", "observable": {"type": "fourier", "coefficients": [
+        [[1, 2], 0.3, 0.2], [[-1, -2], 0.3, -0.2], [[2, -1], -0.15, 0.1], [[-2, 1], -0.15, -0.1],
+        [[0, 1], 0.25, -0.4], [[0, -1], 0.25, 0.4]]}},
+    "box3-l1": {"flow": {"type": "torus-winding", "alpha": [1.0, 0.6180339887498949,
+                                                          0.41421356237309503]},
+                "observable": "indicator[0.5,0.3,0.7]"},
+}
+MC_SAMPLES = {"n_x": 200, "n_r": 500}
 WIDE = ("cantor", "dyadic-odd", "dyadic-even", "scaled-cantor")
 WIDE_GRID = {"start": 2.0, "factor": 5.0, "count": 5}
 PAIR_TIMES = (0.0, 2.0, 10.0, 50.0)
@@ -105,6 +118,10 @@ def configs():
             if name in WIDE and label != "golden-atoms":
                 yield f"laws/{name}-{label}-wide", {"kind": "spectral-scan", **base,
                                                     "grid": WIDE_GRID}
+        for label, body in MC_ROWS.items():
+            yield f"laws/{name}-{label}", {"kind": "avg-scan", "evaluator": "l1-mc",
+                                           "measure": weight, "grid": GRID,
+                                           "samples": MC_SAMPLES, "seed": 5, **body}
         yield f"laws/{name}-probe", {"kind": "almost-mixing-probe", "measure": weight,
                                      "correlation": "spike(10,0.25,1)", "grid": GRID,
                                      "samples": {"n_pairs": 2000}, "seed": 5}
