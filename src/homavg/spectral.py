@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .flows import BoxSet, TorusWinding, arc_correlation, overlap_kernel
+from .flows import BoxSet, TorusWinding, arc_correlation, overlap_kernel, wrap
 from .measures import interval_transform
 from .quadrature import Kinked, adaptive_gl
 
@@ -162,7 +162,7 @@ class Observable:
         average of (A_t f)(x_i) from m draws of t r.  This body builds the
         (n, m, d) point cloud; an observable may answer it coordinate by
         coordinate instead."""
-        pts = np.mod(x[:, None, :] + shifts[:, :, None] * np.asarray(alpha), 1.0)
+        pts = wrap(x[:, None, :] + shifts[:, :, None] * np.asarray(alpha))
         return self(pts).mean(axis=1)
 
 
@@ -212,7 +212,7 @@ class FourierObservable(Observable):
     def orbit_mean(self, x, shifts, alpha) -> np.ndarray:
         """One real cos per pair of mirrored modes (and a sin where their
         imaginary parts do not cancel), on only the coordinates some mode uses."""
-        y = {d: np.mod(x[:, d, None] + shifts * alpha[d], 1.0)
+        y = {d: wrap(x[:, d, None] + shifts * alpha[d])
              for d in {d for modes, _, _ in self._pairs for d, _ in modes}}
         total = None
         for modes, cos_coef, sin_coef in self._pairs:
@@ -248,7 +248,7 @@ class BoxIndicator(Observable):
         """The share of each row inside the box, one arc test per coordinate."""
         inside = np.ones(shifts.shape, dtype=bool)
         for d, a in enumerate(self.box.sides):
-            inside &= np.mod(x[:, d, None] + shifts * alpha[d], 1.0) < a
+            inside &= wrap(x[:, d, None] + shifts * alpha[d]) < a
         return np.count_nonzero(inside, axis=1) / shifts.shape[1]
 
 

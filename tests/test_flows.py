@@ -5,7 +5,7 @@ from homavg import (BoxSet, QuadraticIrrational, TorusWinding,
                     arc_correlation, arc_correlation_exact, golden_winding,
                     lattice_distance, pell_winding, periodic_winding,
                     rigidity_times)
-from homavg.flows import GOLDEN, PELL, arc_overlap, box_overlap
+from homavg.flows import GOLDEN, PELL, arc_overlap, box_overlap, wrap
 
 HALF_BOX = BoxSet((0.5, 0.5))
 
@@ -77,6 +77,72 @@ def test_measure_preservation_monte_carlo():
         pts = np.mod(rng.random((n, 2)) + t * np.asarray(w.alpha), 1.0)
         est = np.all(pts < np.asarray(box.sides), axis=1).mean()
         assert abs(est - box.volume) < 3.0 / np.sqrt(n)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_wrap_is_np_mod_bit_for_bit_on_random_floats():
+    rng = np.random.default_rng(33)
+    bits = rng.integers(0, 1 << 64, size=1 << 20, dtype=np.uint64, endpoint=False).view(float)
+    bits = bits[np.isfinite(bits)]       # both signs, every exponent
+    scaled = rng.standard_normal(1 << 20) * 10.0 ** rng.uniform(-20, 20, 1 << 20)
+    for x in (bits, scaled):
+        assert same_bits(wrap(x), np.mod(x, 1.0))
+
+
+def test_wrap_is_np_mod_bit_for_bit_on_edges():
+    edges = np.array([0.0, -0.0, 1.0, -1.0, 7.0, -7.0, 0.5, -0.5, 2.0 ** 52, -2.0 ** 52,
+                      2.0 ** 53, -2.0 ** 53, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53),
+                      -2.0 ** -1074, 2.0 ** -1074, -1e-300, 1e300, -1e300])
+    assert same_bits(wrap(edges), np.mod(edges, 1.0))
+    assert wrap(-1e-300) == 1.0       # -1e-300 + 1 rounds to 1, as np.mod has it
+    assert np.signbit(wrap(edges)).sum() == 0
+    for x in edges:                   # a 0-d input gives the same numpy scalar
+        got, want = wrap(x), np.mod(np.asarray(x), 1.0)
+        assert type(got) is type(want) and same_bits(got, want)
+    assert np.isnan(wrap(np.nan)) and np.isnan(np.mod(np.nan, 1.0))
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf])
+def test_wrap_warns_as_np_mod_on_infinities(x):
+    # the suite turns RuntimeWarning into an error
+    for fn in (wrap, lambda v: np.mod(v, 1.0)):
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            fn(np.array([x]))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(fn(np.array([x]))).all()
+
+
+def expression_arc_overlap(a, b, shift):
+    """arc_overlap as one expression of fresh arrays: the reference for its bits."""
+    s = np.mod(np.asarray(shift, dtype=float), 1.0)
+    first = np.maximum(0.0, np.minimum(np.minimum(s + b, 1.0), a) - s)
+    wrapped = np.maximum(0.0, np.minimum(s + b - 1.0, a))
+    return first + wrapped
+
+
+def test_arc_overlap_in_place_keeps_the_expression_bits():
+    rng = np.random.default_rng(5)
+    shifts = np.concatenate((rng.uniform(-40.0, 40.0, 5000), [0.0, -0.0, 0.5, -0.5, 1.0, 3.0]))
+    column = rng.uniform(0.05, 0.95, (7, 1))
+    for a, b, s in [(0.5, 0.5, shifts), (0.3, 0.9, shifts), (column, 0.4, shifts),
+                    (0.4, column, shifts[:50]), (column, column.T, 0.25),
+                    (np.array([0.2, 0.5]), np.array([0.7, 0.5]), np.array(-2.3))]:
+        got, want = arc_overlap(a, b, s), expression_arc_overlap(a, b, s)
+        assert same_bits(got, want)
+    shift = shifts.copy()
+    arc_overlap(0.5, 0.5, shift)
+    assert same_bits(shift, shifts)   # the caller's shifts are left as they were
+
+
+@pytest.mark.parametrize("shift", [0.1, -0.7, np.float64(2.25), np.array(-0.0)])
+def test_arc_overlap_of_a_0d_shift_is_a_numpy_scalar(shift):
+    got, want = arc_overlap(0.5, 0.3, shift), expression_arc_overlap(0.5, 0.3, shift)
+    assert type(got) is type(want) is np.float64
+    assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("factor", [1.0, 0.25])

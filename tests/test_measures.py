@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from homavg import (Convolution, InvalidMeasureError, NestedIntervals,
 from homavg import measures, quadrature
 from homavg.measures import (DigitLaw, DigitPairs, PiecewiseLinearDensity,
                              interval_transform, require_atomless)
+from homavg.presets import resolve_measure
 from homavg.rng import generator
 from homavg.spectral import FrequencyBand
 
@@ -554,6 +556,43 @@ def test_self_similar_sampler_bytes_match_per_level_choice(measure):
             assert got.tobytes() == choice_chaos_game(measure, count, seed, (5,)).tobytes()
 
 
+def edge_count_chaos_game(measure, count, master, path):
+    """The self-similar sampler as it was before it reused its buffers: a
+    fresh uniform and index array per level and x = c[idx] + r[idx] * x."""
+    lo, hi = measure.support()
+    rng = generator(master, *path)
+    r, c = np.array(measure.ratios), np.array(measure.shifts)
+    cdf = np.cumsum(measure.weights)
+    cdf /= cdf[-1]
+    x = np.full(count, 0.5 * (lo + hi))
+    for _ in range(measure._depth()):
+        u = rng.random(count)
+        idx = np.zeros(count, dtype=np.intp)
+        for edge in cdf[:-1]:
+            idx += u >= edge
+        x = c[idx] + r[idx] * x
+    return x
+
+
+@pytest.mark.parametrize("measure", [
+    CANTOR,
+    SelfSimilar((0.25, 0.25, 0.25), (0.0, 0.4, 0.75), (0.2, 0.5, 0.3)),
+    THREE_RATIOS,
+], ids=["cantor", "three-maps-equal-ratio", "unequal-ratios"])
+def test_self_similar_sampler_keeps_the_bytes_of_the_fresh_buffer_game(measure):
+    for count in (1, 3, quadrature.BLOCK + 1):
+        got = measure._sample(count, 21, (2,))
+        assert got.tobytes() == edge_count_chaos_game(measure, count, 21, (2,)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["gauss-trunc", "triangular"])
+def test_density_draws_in_blocks_equal_one_whole_ppf_call(name):
+    m = resolve_measure(name)
+    count = quadrature.BLOCK + 1
+    want = m.ppf(generator(9).random(count))
+    assert m.sample(count, 9).tobytes() == want.tobytes()
+
+
 def test_uniform_sample_mean_clt():
     draws = Uniform(0, 1).sample(10 ** 6, 11)
     assert abs(draws.mean() - 0.5) < 0.002  # 3 sigma = 3 / (sqrt(12) 10^3)
@@ -650,6 +689,16 @@ def test_truncated_gaussian_cdf_ppf_bit_identical_to_scipy(params):
     for ours, ref in ((g.ppf(0.3), frozen.ppf(0.3)), (g.ppf(0.0), frozen.ppf(0.0))):
         assert type(ours) is type(ref) is np.float64 and ours == ref
     assert g.ppf(0.0) == lo and g.ppf(1.0) == hi
+
+
+def test_package_reduces_mod_1_only_through_flows_wrap():
+    # a torus reduction goes through flows.wrap, x - floor(x), which is
+    # bit for bit numpy's mod by 1 at a fraction of its cost
+    pattern = re.compile(r"np\.(mod|remainder|fmod)\(")
+    package = Path(homavg.__file__).resolve().parent
+    found = [f"{path.name}:{n}" for path in sorted(package.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert not found, found
 
 
 def test_package_never_imports_scipy_stats():
