@@ -209,25 +209,11 @@ def wrap(x):
 
 
 def arc_overlap(a: float, b: float, shift) -> np.ndarray:
-    """Length of [0, a) intersected with the circle arc [shift, shift + b).
-
-    max(0, min(min(s + b, 1), a) - s) + max(0, min(s + b - 1, a)) for s the
-    shift mod 1, in place in two buffers: the first term in a new one, the
-    second over s once the first is done with it (s + b is added again,
-    to the same bits).  Each operation keeps the expression's operand order,
-    so signed zeros come out as it gives them.  ``a``, ``b`` and ``shift``
-    broadcast; a 0-d result is a numpy scalar."""
-    s = np.asarray(wrap(shift))       # a fresh buffer, free to overwrite
-    shape = np.broadcast(s, a, b).shape
-    first = np.add(s, b, out=np.empty(shape))
-    np.minimum(np.minimum(first, 1.0, out=first), a, out=first)
-    first -= s
-    np.maximum(0.0, first, out=first)
-    wrapped = np.add(s, b, out=s if s.shape == shape else np.empty(shape))
-    wrapped -= 1.0
-    np.maximum(0.0, np.minimum(wrapped, a, out=wrapped), out=wrapped)
-    first += wrapped
-    return first if first.ndim else first[()]
+    """Length of [0, a) intersected with the circle arc [shift, shift + b)."""
+    s = wrap(shift)
+    first = np.maximum(0.0, np.minimum(np.minimum(s + b, 1.0), a) - s)
+    wrapped = np.maximum(0.0, np.minimum(s + b - 1.0, a))
+    return first + wrapped
 
 
 def box_overlap(a_sides, b_sides, shifts, factor=1.0):

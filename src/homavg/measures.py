@@ -822,33 +822,28 @@ class SelfSimilar(WeightMeasure):
         count of its edges below one uniform draw.
 
         Every level reuses one buffer each for the uniforms, the indices
-        and the shifts.  With one common ratio r the map is applied as
-        x *= r; x += c[idx], which rounds as c[idx] + r * x does; unequal
-        ratios gather theirs.  What is left is the stream itself: Philox
-        takes about 5.2 ns a uniform (2-core Xeon, numpy 2.4), so
-        cantor-thirds' 26 levels cost 136 ns a draw in uniforms alone, a
-        floor short of changing the stream and so every draw."""
+        and the gathered ratios and shifts, and applies the maps as
+        x *= r[idx]; x += c[idx], which rounds as c[idx] + r[idx] * x
+        does.  What is left is the stream itself: Philox takes about 5.2 ns
+        a uniform (2-core Xeon, numpy 2.4), so cantor-thirds' 26 levels
+        cost 136 ns a draw in uniforms alone, a floor short of changing the
+        stream and so every draw."""
         lo, hi = self.support()
         rng = generator(master, *path)
         r = np.array(self.ratios)
         c = np.array(self.shifts)
         cdf = np.cumsum(self.weights)
         cdf /= cdf[-1]
-        common = len(set(self.ratios)) == 1
         x = np.full(count, 0.5 * (lo + hi))
-        u, idx = np.empty(count), np.empty(count, dtype=np.intp)
-        above = np.empty(count, dtype=bool)
-        step = np.empty(count) if common else None
+        u, step = np.empty(count), np.empty(count)
+        idx, above = np.empty(count, dtype=np.intp), np.empty(count, dtype=bool)
         for _ in range(self._depth()):
             rng.random(out=u)
             np.greater_equal(u, cdf[0], out=idx)
             for edge in cdf[1:-1]:
                 idx += np.greater_equal(u, edge, out=above)
-            if common:
-                x *= r[0]
-                x += c.take(idx, out=step, mode="clip")    # idx < len(c): clip moves none
-            else:
-                x = c[idx] + r[idx] * x
+            x *= r.take(idx, out=step, mode="clip")    # idx < len(r): clip moves none
+            x += c.take(idx, out=step, mode="clip")
         return x
 
 

@@ -116,22 +116,22 @@ def test_wrap_warns_as_np_mod_on_infinities(x):
             assert np.isnan(fn(np.array([x]))).all()
 
 
-def expression_arc_overlap(a, b, shift):
-    """arc_overlap as one expression of fresh arrays: the reference for its bits."""
+def np_mod_arc_overlap(a, b, shift):
+    """arc_overlap as it was through np.mod: the reference for its bits."""
     s = np.mod(np.asarray(shift, dtype=float), 1.0)
     first = np.maximum(0.0, np.minimum(np.minimum(s + b, 1.0), a) - s)
     wrapped = np.maximum(0.0, np.minimum(s + b - 1.0, a))
     return first + wrapped
 
 
-def test_arc_overlap_in_place_keeps_the_expression_bits():
+def test_arc_overlap_keeps_the_np_mod_bits():
     rng = np.random.default_rng(5)
     shifts = np.concatenate((rng.uniform(-40.0, 40.0, 5000), [0.0, -0.0, 0.5, -0.5, 1.0, 3.0]))
     column = rng.uniform(0.05, 0.95, (7, 1))
     for a, b, s in [(0.5, 0.5, shifts), (0.3, 0.9, shifts), (column, 0.4, shifts),
                     (0.4, column, shifts[:50]), (column, column.T, 0.25),
                     (np.array([0.2, 0.5]), np.array([0.7, 0.5]), np.array(-2.3))]:
-        got, want = arc_overlap(a, b, s), expression_arc_overlap(a, b, s)
+        got, want = arc_overlap(a, b, s), np_mod_arc_overlap(a, b, s)
         assert same_bits(got, want)
     shift = shifts.copy()
     arc_overlap(0.5, 0.5, shift)
@@ -140,7 +140,7 @@ def test_arc_overlap_in_place_keeps_the_expression_bits():
 
 @pytest.mark.parametrize("shift", [0.1, -0.7, np.float64(2.25), np.array(-0.0)])
 def test_arc_overlap_of_a_0d_shift_is_a_numpy_scalar(shift):
-    got, want = arc_overlap(0.5, 0.3, shift), expression_arc_overlap(0.5, 0.3, shift)
+    got, want = arc_overlap(0.5, 0.3, shift), np_mod_arc_overlap(0.5, 0.3, shift)
     assert type(got) is type(want) is np.float64
     assert same_bits(got, want)
 

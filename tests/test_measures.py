@@ -546,43 +546,17 @@ def choice_chaos_game(measure, count, master, path):
 @pytest.mark.parametrize("measure", [
     CANTOR, DYADIC_ODD, DYADIC_EVEN,
     SelfSimilar((0.3, 0.3, 0.3), (0.0, 0.35, 0.7), (0.2, 0.5, 0.3)),
+    SelfSimilar((0.25, 0.25, 0.25), (0.0, 0.4, 0.75), (0.2, 0.5, 0.3)),
     SelfSimilar((0.5, 1 / 3), (0.0, 2 / 3), (0.3, 0.7)),
+    THREE_RATIOS,
     SelfSimilar((0.25, 0.25), (0.0, 0.5), (0.5, 0.5 + 5e-13)),
-], ids=["cantor", "dyadic-odd", "dyadic-even", "three-maps", "mixed-ratios", "near-one"])
+], ids=["cantor", "dyadic-odd", "dyadic-even", "three-maps", "three-maps-quarters",
+        "mixed-ratios", "three-ratios", "near-one"])
 def test_self_similar_sampler_bytes_match_per_level_choice(measure):
     for count in (1, 7, 20_000):
         for seed in (3, 4):
             got = measure._sample(count, seed, (5,))
             assert got.tobytes() == choice_chaos_game(measure, count, seed, (5,)).tobytes()
-
-
-def edge_count_chaos_game(measure, count, master, path):
-    """The self-similar sampler as it was before it reused its buffers: a
-    fresh uniform and index array per level and x = c[idx] + r[idx] * x."""
-    lo, hi = measure.support()
-    rng = generator(master, *path)
-    r, c = np.array(measure.ratios), np.array(measure.shifts)
-    cdf = np.cumsum(measure.weights)
-    cdf /= cdf[-1]
-    x = np.full(count, 0.5 * (lo + hi))
-    for _ in range(measure._depth()):
-        u = rng.random(count)
-        idx = np.zeros(count, dtype=np.intp)
-        for edge in cdf[:-1]:
-            idx += u >= edge
-        x = c[idx] + r[idx] * x
-    return x
-
-
-@pytest.mark.parametrize("measure", [
-    CANTOR,
-    SelfSimilar((0.25, 0.25, 0.25), (0.0, 0.4, 0.75), (0.2, 0.5, 0.3)),
-    THREE_RATIOS,
-], ids=["cantor", "three-maps-equal-ratio", "unequal-ratios"])
-def test_self_similar_sampler_keeps_the_bytes_of_the_fresh_buffer_game(measure):
-    for count in (1, 3, quadrature.BLOCK + 1):
-        got = measure._sample(count, 21, (2,))
-        assert got.tobytes() == edge_count_chaos_game(measure, count, 21, (2,)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["gauss-trunc", "triangular"])
