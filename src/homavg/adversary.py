@@ -31,11 +31,12 @@ import numpy as np
 
 from . import rng
 from .flows import (BoxSet, TorusWinding, _exact_distance, _exact_shifts,
-                    arc_correlation_exact, box_overlap, overlap_kernel, rigidity_times)
+                    arc_correlation_exact, arc_overlap, overlap_kernel, rigidity_times)
 from .measures import NestedIntervals
-from .quadrature import kink_integral
+from .quadrature import BLOCK, kink_integral
 
 MULTIPLIER_CAP = 1 << 30     # only reachable for an exactly periodic (Fraction) slope
+CHUNK = BLOCK // 4           # (leaf, eta) pairs per pass of the Monte Carlo's overlap product
 _DELTA_SAFETY = Fraction((1 << 20) - 1, 1 << 20)
 
 
@@ -260,6 +261,8 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
     product of coordinate overlaps.  So only the leaf and eta are drawn,
     and the estimate averages that product (Rao-Blackwell): no point x is
     drawn, and the error is that of the product alone."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if not plan.levels:
         return []
     box = plan.box
@@ -272,12 +275,30 @@ def verify_non_almost_mixing(plan: AdversaryPlan, n_samples: int = 100_000,
         eta = rng.generator(seed, rng.LEAF_OFFSET, lev_idx).uniform(
             -1.0, 1.0, size=n_samples)
         eta *= amp
-        corr = box_overlap(box.sides, box.sides, [b[leaf] + eta * al for b, al in zip(base, alpha)])
+        corr = _leaf_overlaps(box.sides, base, alpha, leaf, eta)
         mc = float(corr.mean())
         mc_err = float(corr.std() / np.sqrt(n_samples))
         quad = _quadrature_level_value(box, base, alpha, amp)
         out.append(LevelEstimate(lev.level, lev.scale, mc, mc_err, quad, vol, vol * vol))
     return out
+
+
+def _leaf_overlaps(sides, base: np.ndarray, alpha: np.ndarray, leaf: np.ndarray,
+                   eta: np.ndarray) -> np.ndarray:
+    """box_overlap(sides, sides, [b[leaf] + eta * al for b, al in zip(base, alpha)]),
+    bit for bit, CHUNK pairs at a time: each coordinate's shift and overlap
+    are taken in three reused chunk-sized buffers and multiplied into the one
+    full-length result, so no other full-length array is made."""
+    corr = np.ones(leaf.size)
+    buffers = np.empty((3, min(CHUNK, leaf.size)))
+    for lo in range(0, leaf.size, CHUNK):
+        part = corr[lo:lo + CHUNK]
+        shift, held, scratch = buffers[:, :part.size]
+        for a, b, al in zip(sides, base, alpha):
+            b.take(leaf[lo:lo + CHUNK], out=shift, mode="clip")   # leaf < len(b): clip moves none
+            shift += np.multiply(eta[lo:lo + CHUNK], al, out=held)
+            part *= arc_overlap(a, a, shift, (held, shift, scratch))
+    return corr
 
 
 def _quadrature_level_value(box: BoxSet, base: np.ndarray, alpha: np.ndarray,

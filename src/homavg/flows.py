@@ -193,7 +193,7 @@ class BoxSet:
         return np.all(x < np.asarray(self.sides), axis=-1)
 
 
-def wrap(x):
+def wrap(x, out=None):
     """x mod 1 on the circle, as x - floor(x): bit for bit numpy's ``mod(x, 1.0)``
     for float64 x, at a fraction of its cost.
 
@@ -202,18 +202,37 @@ def wrap(x):
     give +0 on both paths, and +-inf gives NaN with the same ``invalid``
     warning.  A 0-d input gives a numpy scalar, as ``np.mod`` does.  The
     difference is written over the floors: a second fresh buffer would
-    cost more than the arithmetic."""
+    cost more than the arithmetic.  ``out``, a float array shaped like x
+    and not x itself, receives the floors and so the value."""
     x = np.asarray(x, dtype=float)
-    frac = np.floor(x)
+    frac = np.floor(x, out=out)
     return np.subtract(x, frac, out=frac) if frac.ndim else x - frac
 
 
-def arc_overlap(a: float, b: float, shift) -> np.ndarray:
-    """Length of [0, a) intersected with the circle arc [shift, shift + b)."""
-    s = wrap(shift)
-    first = np.maximum(0.0, np.minimum(np.minimum(s + b, 1.0), a) - s)
-    wrapped = np.maximum(0.0, np.minimum(s + b - 1.0, a))
-    return first + wrapped
+def arc_overlap(a: float, b: float, shift, out=(None, None, None)) -> np.ndarray:
+    """Length of [0, a) intersected with the circle arc [shift, shift + b):
+    max(0, min(s + b, 1, a) - s) + max(0, min(s + b - 1, a)) for s = wrap(shift).
+
+    ``out`` may name three float buffers shaped like the result, so that a
+    caller evaluating many chunks allocates nothing per chunk: they receive
+    the wrapped shift, the value and the wrapped part, and the second may be
+    ``shift`` itself, which only the wrap reads.  Without them a 0-d shift
+    stays on numpy scalars.  Each step is the same operation on the same
+    operands either way, so the bits do not depend on ``out``."""
+    held, value, part = out
+    s = wrap(shift, held)
+    end = _sum(s, b, value)
+    wrapped = np.maximum(0.0, np.minimum(_sum(end, -1.0, part), a, out=part), out=part)
+    first = np.minimum(np.minimum(end, 1.0, out=value), a, out=value)
+    first -= s
+    first = np.maximum(0.0, first, out=value)
+    first += wrapped
+    return first
+
+
+def _sum(x, y, out):
+    """x + y, written into ``out`` when it is given; x - c is x + (-c) exactly."""
+    return x + y if out is None else np.add(x, y, out=out)
 
 
 def box_overlap(a_sides, b_sides, shifts, factor=1.0):

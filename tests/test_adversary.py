@@ -9,8 +9,8 @@ from homavg import (AdversaryPlan, BoxSet, arc_correlation,
                     periodic_winding, rigidity_times,
                     verify_non_almost_mixing)
 from homavg import adversary, rng
-from homavg.adversary import MULTIPLIER_CAP, correlation_deviation
-from homavg.flows import _exact_shifts, arc_overlap
+from homavg.adversary import CHUNK, MULTIPLIER_CAP, correlation_deviation
+from homavg.flows import _exact_shifts, arc_overlap, box_overlap
 
 GOLDEN_FLOW = golden_winding()
 HALF_BOX = BoxSet((0.5, 0.5))
@@ -130,6 +130,13 @@ def test_zero_level_plan_gives_empty_report():
     assert verify_non_almost_mixing(plan) == []
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_verification_needs_a_sample(n_samples):
+    plan = build_adversarial_measure(GOLDEN_FLOW, HALF_BOX, 2)
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_non_almost_mixing(plan, n_samples=n_samples)
+
+
 def test_verification_bounds_and_agreement():
     plan = build_adversarial_measure(GOLDEN_FLOW, HALF_BOX, 4)
     estimates = verify_non_almost_mixing(plan, n_samples=100_000, seed=18)
@@ -196,6 +203,66 @@ def test_verification_keeps_its_recorded_values():
         (0.18687240711140665, 0.00012573221956683914, 0.18700856645370859),
         (0.20920746059342782, 8.801598863014134e-05, 0.20918966779876952),
         (0.2134839234576182, 0.0001459029431750776, 0.21325141619793306)]
+
+
+# (mc_value, mc_std_error, quad_value) per level at 150,000 samples, recorded
+# before the Monte Carlo product was taken in chunks
+RECORDED_150K = {
+    ("golden", (0.5, 0.4), 4, 7): [
+        (0.08929294281479985, 9.971894450573505e-05, 0.08920694669507646),
+        (0.1453529335305596, 3.9509485790370594e-05, 0.1453716790155082),
+        (0.164488494553958, 2.7778117534103653e-05, 0.16446828880225645),
+        (0.1680710689790809, 4.6323320662091854e-05, 0.1680259913385564)],
+    ("pell", (0.5, 0.4), 4, 7): [
+        (0.09412569216432833, 0.00010425420848795345, 0.09419853301489173),
+        (0.14417215125567542, 8.802426532933281e-05, 0.14419536312684925),
+        (0.16386394131708223, 5.282529668031805e-05, 0.16379548364303959),
+        (0.17008886646400653, 4.360152688083504e-05, 0.17004659659185967)],
+    ("golden", (0.5, 0.5), 6, 3): [
+        (0.12292782159659144, 0.00010575682155350237, 0.12290235860627652),
+        (0.18703350840786379, 4.610732271725862e-05, 0.1870085664537085),
+        (0.20916775865179257, 3.211762581543741e-05, 0.2091896677987695),
+        (0.21767555906114772, 4.576066506102182e-05, 0.21766792905147464),
+        (0.22427964792169738, 3.137858714603509e-05, 0.22422639480087303),
+        (0.22510613165712945, 3.655358372073187e-05, 0.2250834906886715)],
+}
+
+
+@pytest.mark.parametrize("key", RECORDED_150K, ids=lambda k: f"{k[0]}-{k[2]}")
+def test_verification_keeps_its_values_at_150k_samples(key):
+    name, sides, depth, seed = key
+    flow = GOLDEN_FLOW if name == "golden" else pell_winding()
+    plan = build_adversarial_measure(flow, BoxSet(sides), depth)
+    got = [(e.mc_value, e.mc_std_error, e.quad_value)
+           for e in verify_non_almost_mixing(plan, n_samples=150_000, seed=seed)]
+    assert got == RECORDED_150K[key]
+
+
+# negative, integral, -0, tiny, and just below 1, where s + 1 rounds up to 2
+EDGE_SHIFTS = [-3.75, -1.0, -0.0, 0.0, 1.0, 2.0, -1e-300, 0.5, -0.5,
+               1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 - 1e-9, -(1.0 - 2.0 ** -53), 7.0 - 2.0 ** -50]
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0), (1e-9, 0.5), (0.5, 0.4), (0.5, 0.3, 0.7)])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 150_000])
+def test_chunked_overlap_product_is_the_full_length_expression(sides, n):
+    """The Monte Carlo's chunk kernel against the one-pass expression it
+    replaced, bit for bit: random shifts, and every edge shift taken as is
+    (eta 0 or -0) at the start and around the first chunk's end."""
+    gen = np.random.default_rng(n)
+    d = len(sides)
+    edges = np.array(EDGE_SHIFTS)
+    base = np.concatenate([np.tile(edges, (d, 1)), gen.uniform(-5.0, 5.0, (d, 40))], axis=1)
+    alpha = np.array([1.0, 0.6180339887498949, -2.5][:d])
+    leaf = gen.integers(0, base.shape[1], n)
+    eta = gen.uniform(-1.0, 1.0, n) * gen.choice([1e-12, 1e-3, 3.0], n)
+    at = np.flatnonzero((np.arange(n) < len(edges)) | (abs(np.arange(n) - CHUNK) < len(edges)))
+    leaf[at] = at % len(edges)
+    eta[at] = np.where(at % 2, -0.0, 0.0)
+    want = box_overlap(sides, sides, [b[leaf] + eta * al for b, al in zip(base, alpha)])
+    got = adversary._leaf_overlaps(sides, base, alpha, leaf, eta)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_level_quadrature_matches_fine_grid():

@@ -136,6 +136,9 @@ def test_arc_overlap_keeps_the_np_mod_bits():
     shift = shifts.copy()
     arc_overlap(0.5, 0.5, shift)
     assert same_bits(shift, shifts)   # the caller's shifts are left as they were
+    # with buffers, the value is written over the shift, as the chunked Monte Carlo has it
+    got = arc_overlap(0.3, 0.9, shift, (np.empty_like(shift), shift, np.empty_like(shift)))
+    assert got is shift and same_bits(got, np_mod_arc_overlap(0.3, 0.9, shifts))
 
 
 @pytest.mark.parametrize("shift", [0.1, -0.7, np.float64(2.25), np.array(-0.0)])
