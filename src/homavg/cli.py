@@ -17,6 +17,7 @@ fatal), 2 config/preset validation failure (the message names the field),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,6 +209,8 @@ def run_config(cfg: dict, out_prefix: str | None, threads: int) -> int:
     prefix = out_prefix or cfg.get("out")
     if not prefix:
         raise PresetError("out", "no output prefix given (config `out` or --out)")
+    if not isinstance(prefix, str):
+        raise PresetError("out", f"must be a non-empty string, got {prefix!r}")
     seed = _number(cfg, "seed", int, -1)
 
     resolved = {"config": cfg, "versions": serialize.versions()}
@@ -231,7 +234,10 @@ def run_config(cfg: dict, out_prefix: str | None, threads: int) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="homavg", description="weighted-averaging experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,7 +247,11 @@ def main(argv=None) -> int:
     runp.add_argument("--threads", type=int, default=1,
                       help="worker threads (never changes results)")
     sub.add_parser("presets", help="list named presets")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "presets":
         print(presets.list_presets(), end="")

@@ -17,7 +17,9 @@ bitwise independent of the number of worker threads.
 
 from __future__ import annotations
 
+import functools
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -349,6 +351,18 @@ def geometric_grid(start: float, factor: float, count: int) -> tuple[float, ...]
     return tuple(start * factor ** k for k in range(count))
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of ``threads`` workers: started on first use and
+    kept while the process lives, so a scan pays no thread start or join."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+# A forked child inherits the pools but not their threads: it starts its own.
+if hasattr(os, "register_at_fork"):     # absent where there is no fork
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def convergence_scan(evaluator: Callable[[float, int], tuple[float, float]],
                      t_grid, seed: int = 0, threads: int = 1,
                      metadata: dict | None = None) -> DecayCurve:
@@ -357,6 +371,9 @@ def convergence_scan(evaluator: Callable[[float, int], tuple[float, float]],
     Point seeds derive from (seed, index), so the curve is bitwise identical
     for any thread count.  A point that raises is flagged: its value and
     error become NaN and its index lands in metadata['failed_points'].
+    With ``threads > 1`` the points run on the process's pool of that many
+    workers (``_pool``), so an evaluator must not itself run a threaded
+    scan: its points would wait for workers that are busy waiting on them.
     """
     grid = tuple(float(t) for t in t_grid)
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -372,8 +389,7 @@ def convergence_scan(evaluator: Callable[[float, int], tuple[float, float]],
 
     tasks = list(enumerate(grid))
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
+        results = list(_pool(threads).map(run, tasks))
     else:
         results = [run(task) for task in tasks]
     results.sort(key=lambda r: r[0])

@@ -300,6 +300,47 @@ def test_output_io_failure_exit_3(tmp_path, capsys):
     assert "writing outputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [5, {"x": 1}, True])
+def test_config_out_that_is_not_a_string_exit_2(tmp_path, monkeypatch, capsys, out):
+    cfg = write_config(tmp_path, "avg.json", {**AVG_CONFIG, "out": out})
+    monkeypatch.chdir(tmp_path)     # a stringified prefix would land here
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error at out: must be a non-empty string")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["avg.json"]
+
+
+def test_successive_main_calls_keep_no_state(tmp_path, capsys):
+    cfg = write_config(tmp_path, "avg.json",
+                       {**AVG_CONFIG, "out": str(tmp_path / "from-config")})
+    given = tmp_path / "given"
+    assert main(["run", str(cfg), "--out", str(given), "--threads", "2"]) == 0
+    assert capsys.readouterr().out.split() == [str(given) + ".csv", str(given) + ".meta"]
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().out.split() == [str(tmp_path / "from-config.csv"),
+                                               str(tmp_path / "from-config.meta")]
+    assert main(["presets"]) == 0
+    assert capsys.readouterr().out == list_presets()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), "--threads", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert given.with_suffix(".csv").read_bytes() == (tmp_path / "from-config.csv").read_bytes()
+
+
+def test_threaded_run_process_exits_promptly(tmp_path):
+    cfg = write_config(tmp_path, "avg.json", AVG_CONFIG)
+    src = str(Path(homavg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "homavg.cli", "run", str(cfg),
+                           "--out", str(tmp_path / "avg"), "--threads", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "avg.meta").exists()
+
+
 PROFILED_SCAN = {
     "kind": "spectral-scan",
     "measure": "gauss-trunc",

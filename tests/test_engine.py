@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -1101,6 +1103,79 @@ def test_grid_validation():
         convergence_scan(lambda t, s: (0.0, 0.0), (1.0,), seed=0)
     with pytest.raises(ValueError):
         convergence_scan(lambda t, s: (0.0, 0.0), (2.0, 1.0), seed=0)
+
+
+def test_threaded_scans_share_one_pool():
+    # the first scan's points meet at a barrier, so both workers exist after it
+    meet = threading.Barrier(2, timeout=30)
+    first, second = [], []
+
+    def point(t, _seed, seen):
+        seen.append((threading.current_thread(), threading.active_count()))
+        if seen is first and len(seen) <= 2:
+            meet.wait()
+        return t, 0.0
+
+    grid = (1.0, 2.0, 3.0, 4.0, 5.0)
+    a = convergence_scan(lambda t, s: point(t, s, first), grid, seed=3, threads=2)
+    alive = threading.active_count()
+    b = convergence_scan(lambda t, s: point(t, s, second), grid, seed=3, threads=2)
+    assert a.values == b.values == grid
+    workers = {thread for thread, _ in first}
+    assert len(workers) == 2 and threading.current_thread() not in workers
+    assert {thread for thread, _ in second} <= workers
+    assert {count for _, count in second} == {alive}
+    assert threading.active_count() == alive
+
+
+def test_single_thread_scan_runs_inline_without_a_pool(monkeypatch):
+    def no_pool(threads):
+        raise AssertionError(f"a pool of {threads} was asked for")
+
+    monkeypatch.setattr(engine, "_pool", no_pool)
+    before = threading.active_count()
+    seen = []
+    curve = convergence_scan(
+        lambda t, s: (seen.append((threading.current_thread(), threading.active_count())) or t,
+                      0.0),
+        (1.0, 2.0, 3.0), seed=3, threads=1)
+    assert curve.values == (1.0, 2.0, 3.0)
+    assert seen == [(threading.current_thread(), before)] * 3
+
+
+FORKED_SCAN = """
+import os, signal, sys, time
+from homavg.engine import convergence_scan
+
+def scan():
+    curve = convergence_scan(lambda t, s: (2 * t, 0.0), (1.0, 2.0, 3.0, 4.0),
+                             seed=5, threads=2)
+    return curve.values == (2.0, 4.0, 6.0, 8.0)
+
+assert scan()                       # the parent's pool is up before the fork
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if scan() else 1)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, signal.SIGKILL)        # the child hung on the parent's pool
+os.waitpid(pid, 0)
+sys.exit("the forked child's threaded scan hung")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_its_own_threaded_scan():
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", FORKED_SCAN], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- almost-mixing probe ------------------------------------------------------------
