@@ -4,8 +4,9 @@
     homavg presets
 
 A config is one JSON document naming the experiment kind plus its inputs;
-``run`` writes ``<prefix>.csv`` and ``<prefix>.meta`` (the fully resolved
-config and library versions).  Reruns of an identical config are
+``run`` writes ``<prefix>.csv`` and ``<prefix>.meta`` (the config as given,
+each list of more than 64 floats recorded by its length and SHA-256 digest,
+and library versions).  Reruns of an identical config are
 byte-identical, and the thread count never changes any output byte.
 
 Exit codes: 0 success (numeric failures at single grid points are flagged
@@ -213,17 +214,19 @@ def run_config(cfg: dict, out_prefix: str | None, threads: int) -> int:
         raise PresetError("out", f"must be a non-empty string, got {prefix!r}")
     seed = _number(cfg, "seed", int, -1)
 
-    resolved = {"config": cfg, "versions": serialize.versions()}
     if kind == "adversary":
-        csv_text, extra = _run_adversary(cfg, seed)
-        resolved.update(extra)
+        csv_text, resolved = _run_adversary(cfg, seed)
     else:
         runner = {"avg-scan": _run_avg_scan, "spectral-scan": _run_spectral_scan,
                   "convolution-root": _run_convolution_root,
                   "almost-mixing-probe": _run_probe}[kind]
         curve = runner(cfg, seed, threads)
         csv_text = curve.to_csv()
-        resolved["metadata"] = curve.metadata
+        resolved = {"metadata": curve.metadata}
+    # digested after the run: float64 buffers freed before a dense probe
+    # stayed in the heap and raised its peak memory
+    resolved.update(config=serialize.digest_float_lists(cfg),
+                    versions=serialize.versions())
     try:
         paths = serialize.write_outputs(prefix, csv_text, resolved)
     except OSError as exc:
@@ -264,13 +267,17 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:    # not UTF-8, not JSON, or not a JSON object
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, not a JSON object, or nested too deeply to read
         print(f"config: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:
         return run_config(cfg, args.out, max(1, args.threads))
     except PresetError as exc:
         print(f"config error at {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:       # a document nested too deeply to read or to record
+        print("config: nested too deeply", file=sys.stderr)
         return 2
 
 

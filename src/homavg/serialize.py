@@ -8,8 +8,8 @@ configs produce byte-identical output.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from json.encoder import INFINITY as _INF, encode_basestring_ascii as _quote
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +18,7 @@ import scipy
 
 from . import __version__
 from .adversary import AdversaryPlan, LevelEstimate, LevelRecord
+from .engine import PROBE_META_SPIKES
 from .errors import PresetError
 from .flows import BoxSet, QuadraticIrrational, TorusWinding
 from .measures import (Convolution, NestedIntervals, PointMass, Scaled,
@@ -226,95 +227,25 @@ def plan_from_doc(doc: dict) -> AdversaryPlan:
 
 # -- files ----------------------------------------------------------------------
 
-# ``dumps`` writes the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``
-# plus a newline without running stdlib's pure-Python indenter.  A container
-# of at least _C_ITEMS items holding no container is one call of the C
-# encoder, whose item separator carries the newline and pad of its level.
-# Smaller containers and those holding containers are walked here, as stdlib
-# walks them: below _C_ITEMS items the C call (``JSONEncoder`` builds a new
-# C encoder per call) and the container test cost more than the items, and
-# the 18 KB adversary ``.meta`` holds 256 two-string lists.
-
-_CONTAINERS = (list, tuple, dict)
-_C_ITEMS = 8
-_LEAF_ENCODERS: dict = {}
-
-
-def _leaf_encoder(level: int):
-    """C-backed ``encode`` laying out items one level below ``level``."""
-    enc = _LEAF_ENCODERS.get(level)
-    if enc is None:
-        enc = _LEAF_ENCODERS[level] = json.JSONEncoder(
-            sort_keys=True, separators=(",\n" + "  " * (level + 1), ": ")).encode
-    return enc
-
-
-def _scalar(o) -> str:
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
-    return _leaf_encoder(0)(o)  # raises stdlib's TypeError
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return _quote(k)
-    if isinstance(k, (int, float)) or k is None:
-        return _quote(_scalar(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
-def _encode(o, level: int, out: list) -> None:
-    """Append the ``indent=2`` text of container ``o``, opened at ``level``."""
-    is_dict = isinstance(o, dict)
-    if not o:
-        out.append("{}" if is_dict else "[]")
-        return
-    pad = "\n" + "  " * (level + 1)
-    if len(o) >= _C_ITEMS and not any(
-            issubclass(t, _CONTAINERS)
-            for t in set(map(type, o.values() if is_dict else o))):
-        text = _leaf_encoder(level)(o)
-        out += (text[0], pad, text[1:-1], pad[:-2], text[-1])
-        return
-    out.append("{" if is_dict else "[")
-    items = sorted(o.items()) if is_dict else o
-    for i, item in enumerate(items):
-        out.append("," + pad if i else pad)
-        if is_dict:
-            out += (_key(item[0]), ": ")
-            item = item[1]
-        if isinstance(item, _CONTAINERS):
-            _encode(item, level + 1, out)
-        else:
-            out.append(_scalar(item))
-    out.append(pad[:-2] + ("}" if is_dict else "]"))
+def digest_float_lists(doc):
+    """``doc`` with every list of more than ``PROBE_META_SPIKES`` items, each
+    a Python float, replaced by ``{"length": n, "sha256": hex}``, the SHA-256
+    of its little-endian float64 bytes; every other value as it is,
+    recursively.  Only bare floats count, so the bytes are the parsed values
+    exactly and the conversion cannot fail."""
+    if isinstance(doc, dict):
+        return {k: digest_float_lists(v) for k, v in doc.items()}
+    if not isinstance(doc, list):
+        return doc
+    if len(doc) > PROBE_META_SPIKES and set(map(type, doc)) == {float}:
+        data = np.asarray(doc, dtype="<f8").tobytes()
+        return {"length": len(doc), "sha256": hashlib.sha256(data).hexdigest()}
+    return [digest_float_lists(v) for v in doc]
 
 
 def dumps(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
-    if not isinstance(doc, _CONTAINERS):
-        return _scalar(doc) + "\n"
-    out: list = []
-    _encode(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """The ``.meta`` text: sorted keys, an indent of 2, a closing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def versions() -> dict:

@@ -341,6 +341,8 @@ class SpikeCorrelation(CorrelationModel):
         if not self.growth > 1.0:
             raise ValueError("declared growth factor must exceed 1")
         h, w, heights = self.arrays
+        if h.ndim != 1 or w.ndim != 1 or heights.ndim != 1:
+            raise ValueError("spikes need 1-d centers, halfwidths and heights")
         if not np.all((w > 0) & (h - w > 0)):  # NaN (e.g. a null entry) fails too
             raise ValueError("spikes need positive halfwidths and h - L > 0")
         if not (np.isfinite(self.baseline) and np.all(np.isfinite(heights))):

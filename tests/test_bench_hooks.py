@@ -111,3 +111,17 @@ def test_tracer_sees_the_probe_density_hooks(tmp_path):
     assert spans["dense-quantized"].count("engine.difference_density") >= 1
     assert "engine.density_mass" in spans["dense-quantized"]
     assert "engine.density_mass" not in spans["sparse-cantor"]
+
+
+def test_round_zero_meta_stays_small(tmp_path):
+    """No workload's .meta echoes its inputs at length: a long inline float
+    list is recorded by digest, so the 50,001-spike probe writes a few KiB."""
+    sizes = {}
+    for workload in workloads.WORKLOADS:
+        for template, cfg in workloads.ConfigStream(workload, 1).round(0):
+            path = tmp_path / f"{template}.json"
+            path.write_text(json.dumps(cfg))
+            assert cli.main(["run", str(path), "--out", str(tmp_path / template)]) == 0
+            sizes[template] = (tmp_path / f"{template}.meta").stat().st_size
+    assert max(sizes.values()) < 32 * 1024, sizes
+    assert sizes["dense-uniform"] < 4 * 1024

@@ -1,5 +1,8 @@
+import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -148,9 +151,8 @@ def test_probe_config(tmp_path):
     assert values[-1] < values[0]
 
 
-def test_dense_inline_probe_meta_is_the_stdlib_encoding(tmp_path):
-    count = 5001
-    cfg = {
+def dense_probe_config(count: int) -> dict:
+    return {
         "kind": "almost-mixing-probe",
         "measure": "uniform[0.5,1.5]",
         "correlation": {"type": "spike", "baseline": 0.25,
@@ -160,13 +162,52 @@ def test_dense_inline_probe_meta_is_the_stdlib_encoding(tmp_path):
         "grid": {"start": 100, "factor": 10, "count": 2},
         "seed": 11,
     }
-    path = write_config(tmp_path, "dense.json", cfg)
-    out = tmp_path / "dense"
-    assert main(["run", str(path), "--out", str(out)]) == 0
-    text = out.with_suffix(".meta").read_text()
+
+
+def float_digest(values: list) -> dict:
+    """The .meta record of a long float list, from the packed doubles."""
+    data = struct.pack(f"<{len(values)}d", *values)
+    return {"length": len(values), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def run_meta(tmp_path: Path, name: str, cfg: dict) -> str:
+    path = write_config(tmp_path, f"{name}.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+    return (tmp_path / f"{name}.meta").read_text()
+
+
+def test_dense_inline_probe_meta_is_the_stdlib_encoding(tmp_path):
+    cfg = dense_probe_config(5001)
+    text = run_meta(tmp_path, "dense", cfg)
     doc = json.loads(text)
-    assert doc["config"] == cfg
+    spikes = cfg["correlation"]
+    assert doc["config"] == dict(cfg, correlation=dict(
+        spikes, **{key: float_digest(spikes[key])
+                   for key in ("centers", "halfwidths", "heights")}))
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_meta_digest_follows_each_float_list(tmp_path):
+    """A rerun writes the same .meta bytes; moving one center by one ulp
+    changes that list's digest and nothing else."""
+    cfg = dense_probe_config(101)
+    text = run_meta(tmp_path, "first", cfg)
+    assert run_meta(tmp_path, "again", cfg) == text
+    moved = json.loads(json.dumps(cfg))
+    centers = moved["correlation"]["centers"]
+    centers[50] = math.nextafter(centers[50], math.inf)
+    before, after = json.loads(text), json.loads(run_meta(tmp_path, "moved", moved))
+    assert after["config"]["correlation"]["centers"] == float_digest(centers)
+    assert float_digest(centers) != float_digest(cfg["correlation"]["centers"])
+    after["config"]["correlation"]["centers"] = before["config"]["correlation"]["centers"]
+    assert after["config"] == before["config"]
+
+
+def test_meta_metadata_lists_are_never_digested(tmp_path):
+    cfg = dict(PROBE_CONFIG, grid={"start": 10, "factor": 1.01, "count": 65})
+    doc = json.loads(run_meta(tmp_path, "long-grid", cfg))
+    assert len(doc["metadata"]["band_mass"]) == 65
+    assert all(isinstance(v, float) for v in doc["metadata"]["band_mass"])
 
 
 def test_adversary_config(tmp_path):
@@ -419,6 +460,43 @@ ADVERSARY_CONFIG = {"kind": "adversary", "flow": "winding-golden",
 def test_bad_numeric_field_exit_2(tmp_path, capsys, base, change, field):
     err = run_bad(tmp_path, capsys, {**base, **change})
     assert err.startswith(f"config error at {field}: ")
+
+
+def spike_document(centers, halfwidths, heights) -> dict:
+    return {"type": "spike", "baseline": 0.25, "centers": centers,
+            "halfwidths": halfwidths, "heights": heights, "growth": 2.0}
+
+
+@pytest.mark.parametrize("centers", [
+    [[2.0]],
+    [[2.0]] * 100,
+    [[2.0 * 3.0 ** j] for j in range(100)],
+], ids=["one", "100-equal", "100-growing"])
+def test_nested_spike_lists_exit_2(tmp_path, capsys, centers):
+    """Lists of one-item lists are no spike vectors: they ran to all-NaN
+    rows, or failed as centers that do not grow."""
+    count = len(centers)
+    doc = spike_document(centers, [[0.25]] * count, [[1.0]] * count)
+    err = run_bad(tmp_path, capsys, dict(PROBE_CONFIG, correlation=doc))
+    assert err.startswith("config error at correlation: ") and "1-d" in err
+
+
+def test_long_string_spike_lists_exit_2(tmp_path, capsys):
+    doc = spike_document(["2"] * 100, ["0.25"] * 100, ["1"] * 100)
+    err = run_bad(tmp_path, capsys, dict(PROBE_CONFIG, correlation=doc))
+    assert err.startswith("config error at correlation: ")
+
+
+@pytest.mark.parametrize("depth", [600, 100_000])
+def test_deeply_nested_config_exit_2(tmp_path, capsys, depth):
+    """A config nested deeper than the reader or the .meta writer recurses
+    exits 2 and writes nothing."""
+    notes = "[" * depth + "]" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(SCAN_CONFIG)[:-1] + f', "notes": {notes}}}')
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config: ")
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_non_finite_atom_document_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
+import hashlib
 import json
 import math
-from unittest import mock
+import struct
 
 import numpy as np
 import pytest
@@ -144,57 +145,8 @@ def test_dumps_is_stable():
     assert ser.dumps(doc) == ser.dumps(dict(reversed(doc.items())))
 
 
-# -- dumps against stdlib's indent=2 encoder ------------------------------------
-
 def stdlib_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def refuse_python_encoder(*args, **kwargs):
-    raise AssertionError("json.encoder._make_iterencode ran")
-
-
-def no_python_encoder():
-    return mock.patch.object(json.encoder, "_make_iterencode",
-                             refuse_python_encoder)
-
-
-TEXT = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
-    ['"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9 \u2603 \U0001f600"])
-FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), TEXT, FLOATS,
-    st.integers(min_value=2 ** 64, max_value=2 ** 200),
-    FLOATS.map(np.float64))
-NUMBER_LISTS = st.lists(st.one_of(FLOATS, st.integers(), st.booleans()),
-                        min_size=8, max_size=40)
-
-
-def containers(children):
-    """Lists, tuples and dicts of children, each key type as stdlib maps it."""
-    keys = [TEXT, st.integers() | st.booleans() | st.floats(), st.none()]
-    return st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        *[st.dictionaries(k, children, max_size=5) for k in keys],
-        st.tuples(st.lists(SCALARS, min_size=8, max_size=20), st.integers(0, 20),
-                  children).map(lambda p: p[0][:p[1]] + [p[2]] + p[0][p[1]:]))
-
-
-TREES = st.recursive(
-    st.one_of(SCALARS, NUMBER_LISTS, st.lists(SCALARS, min_size=8, max_size=20),
-              st.dictionaries(TEXT, SCALARS, min_size=8, max_size=20),
-              st.just([]), st.just({}), st.just(())),
-    containers, max_leaves=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(TREES)
-def test_dumps_matches_stdlib_indent_2(tree):
-    for doc in (tree, {"outer": [({"inner": [tree]},)]}):
-        expected = stdlib_dumps(doc)
-        with no_python_encoder():
-            assert ser.dumps(doc) == expected
 
 
 class Opaque:
@@ -222,15 +174,27 @@ def test_dumps_raises_what_stdlib_raises(doc):
         ser.dumps(doc)
 
 
-def test_dumps_never_runs_the_python_indenter():
-    doc = {"config": {"kind": "almost-mixing-probe", "correlation": {
-        "centers": [j / 7 for j in range(50_001)], "growth": 1.25}},
-        "versions": ser.versions()}
-    expected = stdlib_dumps(doc)
-    with no_python_encoder():
-        with pytest.raises(AssertionError):  # the guard bites stdlib's indenter
-            stdlib_dumps(doc)
-        assert ser.dumps(doc) == expected
+# -- long float lists by digest --------------------------------------------------
+
+def test_digest_is_the_packed_doubles_at_any_depth():
+    floats = [math.nan, -math.inf, -0.0, 5e-324] + [j / 7 for j in range(61)]
+    digest = {"length": 65,
+              "sha256": hashlib.sha256(struct.pack("<65d", *floats)).hexdigest()}
+    doc = {"a": [{"b": floats}, floats[:64]], "c": "x", "d": [[floats]]}
+    assert ser.digest_float_lists(doc) == {"a": [{"b": digest}, floats[:64]],
+                                           "c": "x", "d": [[digest]]}
+
+
+ODD_ONE_OUT = {"bool": True, "string": "0.5", "null": None, "list": [0.5]}
+VERBATIM = {"64 floats": [j / 7 for j in range(64)], "65 ints": list(range(65)),
+            **{f"100 items with a {name}": [0.5] * 50 + [item] + [0.5] * 49
+               for name, item in ODD_ONE_OUT.items()}}
+
+
+@pytest.mark.parametrize("items", VERBATIM.values(), ids=list(VERBATIM))
+def test_digest_keeps_short_and_mixed_lists(items):
+    doc = {"config": {"a": items, "b": [{"c": items}]}}
+    assert ser.digest_float_lists(doc) == doc
 
 
 def test_write_outputs_encodes_the_meta_before_writing(tmp_path):
