@@ -33,28 +33,19 @@ from . import rng
 from .flows import (BoxSet, TorusWinding, _exact_distance, _exact_shifts,
                     arc_correlation_exact, arc_overlap, overlap_kernel, rigidity_times)
 from .measures import NestedIntervals
-from .quadrature import BLOCK, kink_integral
+from .quadrature import CHUNK, kink_integral
 
-MULTIPLIER_CAP = 1 << 30     # only reachable for an exactly periodic (Fraction) slope
-CHUNK = BLOCK // 4           # (leaf, eta) pairs per pass of the Monte Carlo's overlap product
+MULTIPLIER_CAP = 1 << 30     # m at multiples of a rational (or float) slope's denominator
 _DELTA_SAFETY = Fraction((1 << 20) - 1, 1 << 20)
-
-
-def _floor_inv_sqrt(num: int, den: int) -> int:
-    """max { m >= 0 : m^2 * num <= den }, i.e. floor(sqrt(den / num))."""
-    m = isqrt(den // num)
-    while (m + 1) * (m + 1) * num <= den:
-        m += 1
-    while m > 0 and m * m * num > den:
-        m -= 1
-    return m
 
 
 def _multiplier(flow: TorusWinding, time: int) -> int:
     """floor(1 / sqrt(dist(time * slope, Z))), or MULTIPLIER_CAP when the
-    distance is exactly 0 (only an exactly periodic Fraction slope)."""
+    distance is exactly 0 (a multiple of a rational slope's denominator).
+    For dist = num / den that floor is m = isqrt(den // num): m^2 <= den // num
+    gives m^2 * num <= den, and (m + 1)^2 >= den // num + 1 > den / num."""
     num, den = _exact_distance(flow, time)
-    return MULTIPLIER_CAP if num == 0 else _floor_inv_sqrt(num, den)
+    return MULTIPLIER_CAP if num == 0 else isqrt(den // num)
 
 
 def correlation_deviation(flow: TorusWinding, box: BoxSet, time: int,
@@ -73,7 +64,7 @@ def choose_multiplier(flow: TorusWinding, box: BoxSet, i: int) -> int:
 
     Guarantees mu(A symdiff T_{k t(i)} A) <= 2 (1 + |alpha|_1) sqrt(dist)
     for every k <= m, while m grows without bound along i.  A displacement
-    of exactly zero (synthetically periodic windings) caps m at 2**30.
+    of exactly zero (a rational slope, past its denominator) caps m at 2**30.
     """
     if i < 1:
         raise ValueError("rigidity index starts at 1")

@@ -88,6 +88,14 @@ def _grid(cfg: dict) -> tuple[float, ...]:
     return grid
 
 
+def _measure(cfg: dict):
+    """The config's weight, refused here if it has an atom: every kind averages with it."""
+    measure = presets.resolve_measure(_require(cfg, "measure"))
+    if not measure.atomless:
+        raise PresetError("measure", "the weight has an atom; averaging needs an atomless weight")
+    return measure
+
+
 def _observable_spectrum(flow, obs):
     """Spectral model of a finite Fourier observable of unit L2 norm."""
     if not isinstance(obs, FourierObservable):
@@ -110,7 +118,7 @@ def _spectrum_for(cfg: dict):
 
 def _run_avg_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
     flow = presets.resolve_flow(_require(cfg, "flow"))
-    measure = presets.resolve_measure(_require(cfg, "measure"))
+    measure = _measure(cfg)
     obs = presets.resolve_observable(_require(cfg, "observable"), flow)
     grid = _grid(cfg)
     n_x = _number(cfg, "samples.n_x", int, 0, 10_000)
@@ -140,7 +148,7 @@ def _run_avg_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
 
 def _run_spectral_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
     spectrum, _, _ = _spectrum_for(cfg)
-    measure = presets.resolve_measure(_require(cfg, "measure"))
+    measure = _measure(cfg)
     grid = _grid(cfg)
 
     def point(t, _seed):
@@ -152,7 +160,7 @@ def _run_spectral_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
 
 def _run_convolution_root(cfg: dict, seed: int, threads: int) -> DecayCurve:
     spectrum, _, _ = _spectrum_for(cfg)
-    measure = presets.resolve_measure(_require(cfg, "measure"))
+    measure = _measure(cfg)
     order = _number(cfg, "power", int, 1, 2)
     grid = _grid(cfg)
     reports = {}
@@ -174,7 +182,7 @@ def _run_probe(cfg: dict, seed: int, threads: int) -> DecayCurve:
     model = presets.resolve_correlation(_require(cfg, "correlation"))
     if not isinstance(model, SpikeCorrelation):
         raise PresetError("correlation", "the probe needs a spike correlation")
-    measure = presets.resolve_measure(_require(cfg, "measure"))
+    measure = _measure(cfg)
     grid = _grid(cfg)
     samples = _number(cfg, "samples.n_pairs", int, 0, 10_000)
     band = _number(cfg, "band_halfwidth", float, 0, 1.0)
@@ -184,11 +192,15 @@ def _run_probe(cfg: dict, seed: int, threads: int) -> DecayCurve:
 
 def _run_adversary(cfg: dict, seed: int) -> tuple[str, dict]:
     flow = presets.resolve_flow(_require(cfg, "flow"))
+    if flow.dimension != 2:
+        raise PresetError("flow", f"the adversary needs a d = 2 winding, not d = {flow.dimension}")
     sides = _require(cfg, "box")
     try:
         box = BoxSet(tuple(float(a) for a in sides))
     except (TypeError, ValueError) as exc:
         raise PresetError("box", f"bad box sides: {exc}") from None
+    if len(box.sides) != 2:
+        raise PresetError("box", f"needs 2 sides, one per winding coordinate, got {len(box.sides)}")
     depth = _number(cfg, "depth", int, 0)
     samples = _number(cfg, "samples.n_pairs", int, 0, 100_000)
     plan = build_adversarial_measure(

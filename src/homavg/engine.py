@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .flows import TorusWinding
 from .measures import DigitPairs, PiecewiseLinearDensity, WeightMeasure, require_atomless
-from .quadrature import BLOCK
+from .quadrature import CHUNK
 from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
                        Observable, SpectralModel, SpikeCorrelation)
 
@@ -85,9 +85,9 @@ def _inner_means(flow: TorusWinding, observable: Observable, weight: WeightMeasu
                  t: float, xb: np.ndarray, n_r: int, seed: int, path: tuple) -> np.ndarray:
     """The observable averaged over n_r draws of the weight at each point of
     ``xb``, (A_t f)(x) by Monte Carlo, the draws from the stream ``path``;
-    the observable's ``orbit_mean`` takes at most max(BLOCK, n_r) pairs at once."""
+    the observable's ``orbit_mean`` takes at most max(CHUNK, n_r) pairs at once."""
     rs = weight._sample(len(xb) * n_r, seed, path).reshape(len(xb), n_r)
-    alpha, rows = np.asarray(flow.alpha), max(1, BLOCK // max(n_r, 1))
+    alpha, rows = np.asarray(flow.alpha), max(1, CHUNK // max(n_r, 1))
     out = np.empty(len(xb))
     for i in range(0, len(xb), rows):
         out[i:i + rows] = observable.orbit_mean(xb[i:i + rows], t * rs[i:i + rows], alpha)
@@ -99,7 +99,7 @@ def l1_deviation(flow: TorusWinding, observable: Observable,
                  n_r: int = 10_000, seed: int = 0) -> DeviationEstimate:
     """E_x | (A_t f)(x) - mean f |, nested Monte Carlo.  The weight is drawn
     per block of 8e6 (point, draw) pairs, each block from its own stream, and
-    the inner averages evaluated per chunk of ``quadrature.BLOCK`` pairs."""
+    the inner averages evaluated per chunk of ``quadrature.CHUNK`` pairs."""
     require_atomless(weight, "weighted averaging")
     d = flow.dimension
     xs = rng.generator(seed, rng.OUTER_POINTS).random((n_x, d))

@@ -1,11 +1,13 @@
 """Torus windings: linear flows x -> x + t*alpha (mod 1) on the d-torus.
 
-Box sets have exact arc-overlap correlations, and windings whose second
-slope is a quadratic irrational expose exact continued-fraction rigidity
-times through integer-only arithmetic.  The surd is tracked symbolically,
-and every multiple num * slope comes from one fixed-point integer square
-root whose precision grows with num (``QuadraticIrrational._fixed``): the
-error of dist(num * slope, Z) stays far below dist**2 at any magnitude.
+Box sets have exact arc-overlap correlations, and every winding of
+dimension >= 2 exposes exact continued-fraction rigidity times through
+integer-only arithmetic on its exact slope: a quadratic irrational or a
+rational (a float slope is the dyadic rational it stores).  A surd is
+tracked symbolically, and every multiple num * slope comes from one
+fixed-point integer square root whose precision grows with num
+(``QuadraticIrrational._fixed``): the error of dist(num * slope, Z) stays
+far below dist**2 at any magnitude.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from math import isqrt
 import numpy as np
 
 from .quadrature import Kinked
-
-FLOAT_SAFE_DENOMINATOR = 1 << 52   # float CF extraction refused past this
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ class TorusWinding:
     ``slope`` optionally carries the exact value of alpha[1] (a quadratic
     irrational, or a Fraction for synthetically periodic test flows); the
     float vector drives generic dynamics while the exact slope drives the
-    rigidity machinery.
+    rigidity machinery.  Without it the exact slope is the dyadic rational
+    that the float alpha[1] stores (``exact_slope``).
     """
 
     alpha: tuple[float, ...]
@@ -143,14 +144,21 @@ class TorusWinding:
         a = np.asarray(self.alpha)
         return wrap(np.asarray(x, dtype=float) + np.multiply.outer(np.asarray(t, dtype=float), a))
 
+    @property
+    def exact_slope(self) -> QuadraticIrrational | Fraction:
+        """alpha[1] exactly: the declared surd or Fraction, else Fraction(alpha[1]),
+        the dyadic rational its float stores."""
+        if self.dimension < 2:
+            raise ValueError("rigidity times need a second coordinate")
+        return Fraction(self.alpha[1]) if self.slope is None else self.slope
+
     def slope_fraction_of(self, num: int, den: int = 1) -> float:
         """frac(num * alpha[1] / den) through the exact slope."""
-        if isinstance(self.slope, QuadraticIrrational):
-            return self.slope.frac_multiple(num, den)
-        if isinstance(self.slope, Fraction):
-            val = Fraction(num, den) * self.slope
-            return float(val - (val.numerator // val.denominator))
-        raise ValueError("winding carries no exact slope")
+        slope = self.exact_slope
+        if isinstance(slope, QuadraticIrrational):
+            return slope.frac_multiple(num, den)
+        val = Fraction(num, den) * slope
+        return float(val - (val.numerator // val.denominator))
 
 
 def golden_winding() -> TorusWinding:
@@ -308,68 +316,44 @@ def arc_correlation_exact(flow: TorusWinding, a: BoxSet, b: BoxSet,
 
 
 def rigidity_times(flow: TorusWinding, count: int):
-    """Denominators q_1, ..., q_count of the convergents of alpha[1].
+    """The first ``count`` rigidity times of alpha[1] by the exact slope's rule.
 
-    Guarantees dist(q_i * alpha[1]) strictly decreasing.  For synthetically
-    periodic windings the times are the multiples of the exact period.
-    Windings carrying only a float slope are served by float continued
-    fractions up to denominators below 2**52 and refused beyond.
+    A surd's times are its convergent denominators q_1, q_2, ..., with
+    dist(q_i * alpha[1]) strictly decreasing.  A rational p/q (a declared
+    Fraction, or a float slope, which is the dyadic rational it stores) has
+    its convergent denominators up to q, where T_q is the identity, and then
+    the multiples of q, whose distance 0 caps the adversary's multiplier at
+    ``MULTIPLIER_CAP``.  So an irrational's own times need the slope declared
+    as a surd: a float slope's agree with them only while its convergents do
+    (through the 37th for the golden slope).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(flow.slope, QuadraticIrrational):
-        return [q for _, q in flow.slope.convergents(count)]
-    if isinstance(flow.slope, Fraction):
-        period = flow.slope.denominator
-        return [period * (i + 1) for i in range(count)]
-    if flow.dimension < 2:
-        raise ValueError("rigidity times need a second coordinate")
-    return _float_convergent_denominators(flow.alpha[1], count)
-
-
-def _float_convergent_denominators(x: float, count: int) -> list[int]:
-    val = Fraction(x)
-    if val.denominator <= 1 << 20:
-        raise ValueError("slope is rational; no rigidity-time expansion exists")
-    a0 = val.numerator // val.denominator
-    rem = val - a0
-    pm1, qm1, p0, q0 = 1, 0, a0, 1
-    out = []
-    while len(out) < count:
-        if rem == 0:
-            raise ValueError(
-                "float continued fraction exhausted its precision-safe depth "
-                "(the expansion terminated, denominators approaching 2**52); "
-                "supply an exact slope")
-        inv = 1 / rem
-        digit = inv.numerator // inv.denominator
-        rem = inv - digit
-        p0, pm1 = digit * p0 + pm1, p0
-        q0, qm1 = digit * q0 + qm1, q0
-        if q0 >= FLOAT_SAFE_DENOMINATOR:
-            raise ValueError(
-                "float continued fraction exhausted its precision-safe depth "
-                f"(denominator {q0} >= 2**52); supply an exact slope")
-        out.append(q0)
-    return out
+    slope = flow.exact_slope
+    if isinstance(slope, QuadraticIrrational):
+        return [q for _, q in slope.convergents(count)]
+    period = slope.denominator
+    num, den, prev, q, times = slope.numerator % period, period, 0, 1, []
+    while num and len(times) < count:      # Euclid on frac(slope)
+        a, num, den = den // num, den % num, num
+        prev, q = q, a * q + prev
+        times.append(q)
+    last = times[-1] if times else 0
+    return times + [last + k * period for k in range(1, count - len(times) + 1)]
 
 
 def _exact_distance(flow: TorusWinding, time: int) -> tuple[int, int]:
     """dist(time * slope, Z) as the integer pair num / den: exact for a
-    Fraction slope, to the precision of ``_fixed`` for a surd."""
-    if isinstance(flow.slope, QuadraticIrrational):
-        return flow.slope._dist_fixed(int(time))
-    if isinstance(flow.slope, Fraction):
-        frac = int(time) * flow.slope % 1
-        dist = min(frac, 1 - frac)
-        return dist.numerator, dist.denominator
-    raise ValueError("winding carries no exact slope")
+    rational slope, to the precision of ``_fixed`` for a surd."""
+    slope = flow.exact_slope
+    if isinstance(slope, QuadraticIrrational):
+        return slope._dist_fixed(int(time))
+    frac = int(time) * slope % 1
+    dist = min(frac, 1 - frac)
+    return dist.numerator, dist.denominator
 
 
 def lattice_distance(flow: TorusWinding, time: int) -> float:
-    """dist(time * alpha[1], Z) via the exact slope when available."""
-    if flow.slope is None:
-        f = (time * flow.alpha[1]) % 1.0
-        return min(f, 1.0 - f)
+    """dist(time * alpha[1], Z) through the exact slope."""
     num, den = _exact_distance(flow, time)
     return num / den

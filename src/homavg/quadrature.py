@@ -22,6 +22,7 @@ ORDER = 64            # Gauss-Legendre nodes per cell
 MAX_DOUBLINGS = 14    # cell doublings before adaptive_gl gives up
 SELF_SIMILAR_NODES = 8   # nodes of a self-similar law's Gauss rule
 BLOCK = 1 << 16   # values of any vectorized pass at once: bounds its memory
+CHUNK = BLOCK // 4   # pairs per pass of a Monte Carlo product, sized to stay in cache
 legendre = lru_cache(maxsize=None)(leggauss)   # a bare leggauss(2) takes about 0.1 ms
 
 

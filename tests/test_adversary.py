@@ -9,8 +9,9 @@ from homavg import (AdversaryPlan, BoxSet, arc_correlation,
                     periodic_winding, rigidity_times,
                     verify_non_almost_mixing)
 from homavg import adversary, rng
-from homavg.adversary import CHUNK, MULTIPLIER_CAP, correlation_deviation
-from homavg.flows import _exact_shifts, arc_overlap, box_overlap
+from homavg.adversary import MULTIPLIER_CAP, correlation_deviation
+from homavg.flows import GOLDEN, TorusWinding, _exact_shifts, arc_overlap, box_overlap
+from homavg.quadrature import CHUNK
 
 GOLDEN_FLOW = golden_winding()
 HALF_BOX = BoxSet((0.5, 0.5))
@@ -64,6 +65,27 @@ def test_multiplier_cap_for_exact_period():
     assert choose_multiplier(periodic_winding(2), HALF_BOX, 5) == MULTIPLIER_CAP
 
 
+def test_multiplier_cap_at_multiples_of_a_float_slopes_denominator():
+    flow = TorusWinding((1.0, float(GOLDEN)))
+    times = rigidity_times(flow, 60)
+    i = times.index(Fraction(float(GOLDEN)).denominator) + 1
+    assert choose_multiplier(flow, HALF_BOX, i - 1) < MULTIPLIER_CAP
+    assert [choose_multiplier(flow, HALF_BOX, j) for j in (i, i + 1, 60)] == [MULTIPLIER_CAP] * 3
+
+
+def test_multiplier_is_the_largest_m_with_m_squared_dist_at_most_one(monkeypatch):
+    """m = floor(1 / sqrt(num / den)) for distances next to perfect squares and huge ones."""
+    rng_ = np.random.default_rng(37)
+    pairs = [(1, 1), (2, 1), (1, 3), (1, 4), (4, 1), (3, 27), (3, 28), (3, 26), (7, 7 * 10 ** 40)]
+    pairs += [(int(n) + 1, int(n) * int(k) + int(r)) for n, k, r in
+              rng_.integers(1, 1 << 40, size=(200, 3))]
+    pairs += [((1 << 200) + 3, (1 << 330) - 1), (5 ** 90, 3 ** 400)]
+    for num, den in pairs:
+        monkeypatch.setattr(adversary, "_exact_distance", lambda flow, time: (num, den))
+        m = adversary._multiplier(GOLDEN_FLOW, 1)
+        assert m >= 0 and m * m * num <= den < (m + 1) * (m + 1) * num, (num, den)
+
+
 # -- plan construction ---------------------------------------------------------------
 
 def test_depth_one_plan():
@@ -115,6 +137,58 @@ def test_partial_plan_when_indices_run_out():
     assert plan.failure_level == 3
     assert plan.depth == 2
     assert "20" in plan.failure_reason
+
+
+def test_candidate_with_too_large_a_deviation_is_skipped(monkeypatch):
+    """Level 1 takes golden's index 4 (t = 5, m = 3); made to deviate by 1 at
+    5 and 10, that candidate is skipped for the next one, index 5 (t = 8)."""
+    assert build_adversarial_measure(GOLDEN_FLOW, HALF_BOX, 1).levels[0].index == 4
+    real = adversary.correlation_deviation
+    calls = []
+
+    def deviation(flow, box, time, den=1):
+        calls.append(time)
+        return 1.0 if time in (5, 10) else real(flow, box, time, den)
+    monkeypatch.setattr(adversary, "correlation_deviation", deviation)
+    plan = build_adversarial_measure(GOLDEN_FLOW, HALF_BOX, 1)
+    assert plan.failure_level is None
+    assert (plan.levels[0].index, plan.levels[0].time) == (5, 8)
+    assert calls[:4] == [5, 10, 8, 16]
+
+
+def test_candidate_whose_centers_miss_a_parent_is_skipped(monkeypatch):
+    """m (b - a) >= 2 leaves room for two centers p / m, (p + 1) / m strictly
+    inside [a, b] unless m a is an integer and m (b - a) is exactly 2.  With a
+    safety factor of 1/4, golden's t = 1 at m = 3 makes the level-1 intervals
+    [1/4, 5/12] and [7/12, 3/4], which m = 12 meets at exactly both ends: that
+    level-2 candidate (t = 2) is skipped before any correlation is taken, for
+    t = 3 at m = 13."""
+    box = BoxSet((0.1, 0.1))
+    monkeypatch.setattr(adversary, "_DELTA_SAFETY", Fraction(1, 4))
+    monkeypatch.setattr(adversary, "_multiplier", lambda flow, t: {1: 3, 2: 12, 3: 13}.get(t, 1))
+    real = adversary.correlation_deviation
+    calls = []
+
+    def deviation(flow, box, time, den=1):
+        calls.append(time)
+        return real(flow, box, time, den)
+    monkeypatch.setattr(adversary, "correlation_deviation", deviation)
+    plan = build_adversarial_measure(GOLDEN_FLOW, box, 2)
+    assert plan.failure_level is None
+    assert plan.levels[0].intervals == ((Fraction(1, 4), Fraction(5, 12)),
+                                        (Fraction(7, 12), Fraction(3, 4)))
+    assert [(lev.index, lev.time, lev.multiplier) for lev in plan.levels] == [(1, 1, 3), (3, 3, 13)]
+    assert plan.levels[1].p_values == (4, 8)
+    assert calls[:6] == [1, 2, 12, 15, 24, 27]   # level 1 at t = 1, level 2 at t = 3 only
+
+
+def test_float_golden_plan_runs_out_past_its_denominator():
+    """Float golden's own times leave golden's at the 38th and reach multiples of
+    2**49 from the 53rd, whose distance 0 caps m: three levels build, level 4 fits none."""
+    plan = build_adversarial_measure(TorusWinding((1.0, float(GOLDEN))), HALF_BOX, 4)
+    assert [lev.time for lev in plan.levels] == [5, 987, 31123167203]
+    assert plan.failure_level == 4 and "2000" in plan.failure_reason
+    plan.check_invariants()
 
 
 def test_plan_on_pell_winding():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import homavg
+from homavg import presets
 from homavg.cli import main
 from homavg.presets import list_presets
 
@@ -280,9 +281,10 @@ SCAN_CONFIG = {
 
 
 def run_bad(tmp_path, capsys, cfg) -> str:
-    """Run ``cfg``, require exit 2 and return the error message."""
+    """Run ``cfg``, require exit 2 with no file written and return the error message."""
     path = write_config(tmp_path, "bad.json", cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert not list(tmp_path.glob("x.*"))
     return capsys.readouterr().err
 
 
@@ -402,16 +404,21 @@ def test_profiled_band_scan_has_no_failed_points(tmp_path):
     assert "failed_points" not in meta["metadata"]
 
 
-@pytest.mark.parametrize("kind", ["spectral-scan", "convolution-root"])
-def test_point_mass_weight_fails_every_spectral_point(tmp_path, kind):
-    cfg = dict(SCAN_CONFIG, kind=kind, measure={"type": "point-mass", "at": 0.5})
-    path = write_config(tmp_path, "point.json", cfg)
-    out = tmp_path / "point"
+def test_unconverged_band_quadrature_lands_in_failed_points(tmp_path, monkeypatch):
+    """A self-similar weight of ratio sum 1.1 has no exact band term, so its
+    band goes to ``adaptive_gl``; allowed no doubling, that raises AccuracyError."""
+    from homavg import quadrature
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 0)
+    measure = {"type": "self-similar", "ratios": [0.55, 0.55], "shifts": [0.0, 0.45],
+               "weights": [0.5, 0.5]}
+    path = write_config(tmp_path, "scan.json", dict(SCAN_CONFIG, measure=measure))
+    out = tmp_path / "scan"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert [r[1:] for r in read_rows(out.with_suffix(".csv"))] == [["nan", "nan"]] * 2
     failed = json.loads(out.with_suffix(".meta").read_text())["metadata"]["failed_points"]
-    assert len(failed) == 2
-    assert all("InvalidMeasureError" in reason for reason in failed.values())
+    assert sorted(failed) == ["0", "1"]
+    assert all(reason.startswith("AccuracyError('quadrature on [-1.0, 1.0] did not reach")
+               for reason in failed.values())
 
 
 def test_self_similar_point_mass_exit_2(tmp_path, capsys):
@@ -429,6 +436,43 @@ PROBE_CONFIG = {"kind": "almost-mixing-probe", "measure": "uniform[0,1]",
                 "grid": {"start": 10, "factor": 10, "count": 2}, "seed": 7}
 ADVERSARY_CONFIG = {"kind": "adversary", "flow": "winding-golden",
                     "box": [0.5, 0.5], "depth": 2, "seed": 8}
+POINT_MASS = {"type": "point-mass", "at": 0.5}
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(dict(AVG_CONFIG, evaluator="spectral"), id="avg-scan-spectral"),
+    pytest.param(MC_CONFIG, id="avg-scan-l1-mc"),
+    pytest.param(SCAN_CONFIG, id="spectral-scan"),
+    pytest.param(ROOT_CONFIG, id="convolution-root"),
+    pytest.param(PROBE_CONFIG, id="almost-mixing-probe"),
+])
+@pytest.mark.parametrize("measure", [
+    pytest.param(POINT_MASS, id="point-mass"),
+    pytest.param({"type": "convolution", "components": [POINT_MASS, POINT_MASS]}, id="two-atoms"),
+])
+def test_weight_with_an_atom_exit_2(tmp_path, capsys, cfg, measure):
+    err = run_bad(tmp_path, capsys, dict(cfg, measure=measure))
+    assert err.startswith("config error at measure: ") and "atom" in err
+
+
+def test_point_mass_still_resolves_for_the_library():
+    # a point mass is the identity of convolution, so presets keep accepting it
+    assert not presets.resolve_measure(POINT_MASS).atomless
+
+
+def test_float_golden_adversary_builds_a_partial_plan(tmp_path, capsys):
+    """A float slope is the dyadic rational it stores: its times run past golden's
+    and then along the multiples of its denominator 2**49, where no level 4 fits."""
+    flow = {"type": "torus-winding", "alpha": [1.0, 0.6180339887498949]}
+    cfg = dict(ADVERSARY_CONFIG, flow=flow, depth=4, samples={"n_pairs": 2000})
+    path = write_config(tmp_path, "adv.json", cfg)
+    out = tmp_path / "adv"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "adversary plan partial: failure_level 4" in err
+    assert len(read_rows(out.with_suffix(".csv"))) == 3
+    levels = json.loads(out.with_suffix(".meta").read_text())["plan"]["levels"]
+    assert [lev["time"] for lev in levels] == [5, 987, 31123167203]
 
 
 @pytest.mark.parametrize("base, change, field", [
@@ -456,6 +500,11 @@ ADVERSARY_CONFIG = {"kind": "adversary", "flow": "winding-golden",
     # a grid that leaves the float range: inf, or OverflowError from factor ** k
     (SCAN_CONFIG, {"grid": {"start": 1e300, "factor": 1e10, "count": 3}}, "grid"),
     (SCAN_CONFIG, {"grid": {"start": 1, "factor": 1e10, "count": 40}}, "grid"),
+    # the adversary is built on d = 2 windings, with one box side per coordinate
+    (ADVERSARY_CONFIG, {"box": [0.5, 0.5, 0.5]}, "box"),
+    (ADVERSARY_CONFIG, {"box": [0.5]}, "box"),
+    (ADVERSARY_CONFIG, {"flow": "winding-circle"}, "flow"),
+    (ADVERSARY_CONFIG, {"flow": "winding-circle", "box": [0.5]}, "flow"),
 ])
 def test_bad_numeric_field_exit_2(tmp_path, capsys, base, change, field):
     err = run_bad(tmp_path, capsys, {**base, **change})

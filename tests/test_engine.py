@@ -160,10 +160,10 @@ def test_nested_mc_keeps_its_bits(weight, obs, t):
 
 
 def test_l1_deviation_chunks_rows_longer_than_a_block():
-    """n_r above ``quadrature.BLOCK`` takes one row per chunk, same bits."""
+    """n_r above ``quadrature.CHUNK`` takes one row per chunk, same bits."""
     dev = l1_deviation(golden_winding(), cos_mode(2, 1), Uniform(0, 1), 7.0,
                        n_x=30, n_r=70_000, seed=3)
-    assert quadrature.BLOCK < 70_000 and dev.value.hex() == "0x1.051eb51a5574dp-4"
+    assert quadrature.CHUNK < 70_000 and dev.value.hex() == "0x1.051eb51a5574dp-4"
 
 
 def test_l1_deviation_memory_stays_chunk_sized():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -212,10 +214,12 @@ def test_rigidity_times_synthetic_period():
     assert rigidity_times(periodic_winding(2), 4) == [2, 4, 6, 8]
 
 
-def test_rational_float_slope_rejected():
+def test_float_slope_is_the_rational_it_stores():
+    # 0.5 is the flow of periodic_winding(2), and one rule serves both
     w = TorusWinding((1.0, 0.5))
-    with pytest.raises(ValueError):
-        rigidity_times(w, 3)
+    assert rigidity_times(w, 4) == rigidity_times(periodic_winding(2), 4) == [2, 4, 6, 8]
+    assert [lattice_distance(w, t) for t in (1, 2, 3)] == [0.5, 0.0, 0.5]
+    assert w.slope_fraction_of(3) == 0.5 and w.slope_fraction_of(1, 4) == 0.125
 
 
 def test_float_slope_extraction_matches_exact():
@@ -223,13 +227,83 @@ def test_float_slope_extraction_matches_exact():
     assert rigidity_times(w, 15) == rigidity_times(golden_winding(), 15)
 
 
-def test_float_slope_depth_refusal():
-    w = TorusWinding((1.0, float(GOLDEN)))
-    with pytest.raises(ValueError, match="2\\*\\*52"):
-        rigidity_times(w, 500)
+def test_declared_rational_gains_its_convergents_before_its_denominator():
+    # 2/5 = [0; 2, 2]: convergent denominators 2 and 5, then the multiples of 5
+    w = TorusWinding((1.0, 0.4), Fraction(2, 5))
+    assert rigidity_times(w, 4) == [2, 5, 10, 15]
+    assert [lattice_distance(w, t) for t in (2, 5, 10)] == [0.2, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("w", [TorusWinding((1.0, 3.0)), TorusWinding((1.0, -2.0), Fraction(-2)),
+                               periodic_winding(1)])
+def test_integer_slope_times_are_every_integer(w):
+    assert rigidity_times(w, 3) == [1, 2, 3]
+    assert lattice_distance(w, 7) == 0.0
+
+
+def float_continued_fraction(x: Fraction) -> list[int]:
+    """Convergent denominators of x past the integer part, by 1 / frac in Fractions."""
+    out, (qm1, q0), rem = [], (0, 1), x - (x.numerator // x.denominator)
+    while rem:
+        inv = 1 / rem
+        digit = inv.numerator // inv.denominator
+        rem = inv - digit
+        qm1, q0 = q0, digit * q0 + qm1
+        out.append(q0)
+    return out
+
+
+def test_float_golden_slope_keeps_golden_times_then_its_own():
+    w, x = TorusWinding((1.0, float(GOLDEN))), Fraction(float(GOLDEN))
+    times, golden = rigidity_times(w, 200), rigidity_times(golden_winding(), 38)
+    assert times[:37] == golden[:37]
+    assert (times[37], golden[37]) == (102_334_155, 63_245_986)
+    own = float_continued_fraction(x)
+    assert own[-1] == x.denominator == 1 << 49
+    assert times[:len(own)] == own
+    assert times[len(own):] == [k * x.denominator for k in range(2, 202 - len(own))]
+    assert all(lattice_distance(w, t) == 0.0 for t in times[len(own) - 1:])
+
+
+def test_float_golden_lattice_distance_is_the_float_slopes_exact_value():
+    w, x = TorusWinding((1.0, float(GOLDEN))), Fraction(float(GOLDEN))
+    times = rigidity_times(w, 40)
+    for i in (36, 39, 40):
+        frac = times[i - 1] * x % 1
+        assert lattice_distance(w, times[i - 1]) == float(min(frac, 1 - frac)) > 0.0
+    assert lattice_distance(w, times[38]) == pytest.approx(9.96e-10, rel=1e-3)
+    assert lattice_distance(w, times[39]) == pytest.approx(1.92e-10, rel=1e-2)
+
+
+def test_rigidity_times_need_a_second_coordinate():
+    from homavg import circle_rotation
+    with pytest.raises(ValueError, match="second coordinate"):
+        rigidity_times(circle_rotation(), 3)
 
 
 # -- exact quadratic irrationals ----------------------------------------------
+
+def test_normalized_surd_matches_mpmath_oracle():
+    """sqrt(2) / 3 = (0 + sqrt(2)) / 3 needs normalizing: 3 does not divide 2 - 0**2."""
+    mp = pytest.importorskip("mpmath")
+    surd = QuadraticIrrational(0, 2, 3)
+    assert (surd.p, surd.d, surd.q) == (0, 18, 9)
+    nums = [1, 2, -3, 7, 10 ** 6 + 1] + [q for _, q in surd.convergents(12)]
+    with mp.workdps(50):
+        value = mp.sqrt(2) / 3
+        quotients, x = [], value
+        for _ in range(20):
+            quotients.append(int(mp.floor(x)))
+            x = 1 / (x - mp.floor(x))
+        fracs = [float(n * value - mp.floor(n * value)) for n in nums]
+        dists = [float(abs(n * value - mp.nint(n * value))) for n in nums]
+    assert surd.partial_quotients(20) == quotients
+    for n, frac, dist in zip(nums, fracs, dists):
+        assert surd.frac_multiple(n) == pytest.approx(frac, rel=1e-14, abs=1e-15)
+        assert surd.lattice_distance(n) == pytest.approx(dist, rel=1e-14)
+        flow = TorusWinding((1.0, float(surd)), surd)
+        assert lattice_distance(flow, n) == surd.lattice_distance(n)
+
 
 def test_partial_quotients():
     assert GOLDEN.partial_quotients(6) == [0, 1, 1, 1, 1, 1]

@@ -366,6 +366,20 @@ def test_dyadic_interleave_gives_uniform():
                                atol=1e-9)
 
 
+@pytest.mark.parametrize("t", [10.0, 100.0, 1e3])
+def test_dyadic_presets_convolve_to_uniform_on_the_flat_band(t):
+    """The paper's absolutely continuous convolution of two singular weights:
+    the presets' digits at odd and at even places sum to Uniform(0, 1), so its
+    spectral norm on the flat band is Uniform(0, 1)'s."""
+    from homavg.engine import l2_norm_spectral
+    from homavg.spectral import lebesgue_band
+    odd, even = resolve_measure("dyadic-odd"), resolve_measure("dyadic-even")
+    assert (odd, even) == (DYADIC_ODD, DYADIC_EVEN)
+    band, m = lebesgue_band(), convolve(odd, even)
+    assert l2_norm_spectral(band, m, t) == pytest.approx(
+        l2_norm_spectral(band, Uniform(0, 1), t), rel=1e-14, abs=0)
+
+
 def test_convolution_power_basics():
     assert convolution_power(CANTOR, 1) is CANTOR
     sq = convolution_power(Uniform(0, 1), 2)

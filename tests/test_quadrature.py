@@ -5,7 +5,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from homavg import quadrature
-from homavg.quadrature import adaptive_gl
+from homavg.errors import AccuracyError
+from homavg.quadrature import adaptive_gl, fixed_gl
 
 
 def first_pass_cells(monkeypatch, a, b, pieces, frequency):
@@ -57,3 +58,16 @@ def test_gl_pieces_matches_each_piece_alone(monkeypatch, n):
             for a, b in zip(left, right)]
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
     assert len(sizes) == 7 and max(sizes) <= 3 * n
+
+
+def test_adaptive_gl_that_never_converges_reports_its_best_difference(monkeypatch):
+    """A jump at 0.4 keeps every estimate about a cell width off: four doublings
+    from 2 cells never reach 1e-12, and ``achieved`` is the least difference,
+    which here is not the last one."""
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 4)
+    step = lambda x: np.where(x < 0.4, 0.0, 1.0)
+    with pytest.raises(AccuracyError, match="did not reach tol=1e-12") as info:
+        adaptive_gl(step, 0.0, 1.0, 1e-12)
+    estimates = [fixed_gl(step, 0.0, 1.0, 2 << k) for k in range(5)]
+    diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+    assert info.value.achieved == min(diffs) < diffs[-1]
