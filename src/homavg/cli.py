@@ -110,10 +110,10 @@ def _observable_spectrum(flow, obs):
 def _spectrum_for(cfg: dict):
     """Spectral model from an explicit spec or from (flow, observable)."""
     if "spectral" in cfg:
-        return presets.resolve_spectral(cfg["spectral"]), None, None
+        return presets.resolve_spectral(cfg["spectral"])
     flow = presets.resolve_flow(_require(cfg, "flow"))
     obs = presets.resolve_observable(_require(cfg, "observable"), flow)
-    return _observable_spectrum(flow, obs), flow, obs
+    return _observable_spectrum(flow, obs)
 
 
 def _run_avg_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
@@ -147,7 +147,7 @@ def _run_avg_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
 
 
 def _run_spectral_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
-    spectrum, _, _ = _spectrum_for(cfg)
+    spectrum = _spectrum_for(cfg)
     measure = _measure(cfg)
     grid = _grid(cfg)
 
@@ -159,7 +159,7 @@ def _run_spectral_scan(cfg: dict, seed: int, threads: int) -> DecayCurve:
 
 
 def _run_convolution_root(cfg: dict, seed: int, threads: int) -> DecayCurve:
-    spectrum, _, _ = _spectrum_for(cfg)
+    spectrum = _spectrum_for(cfg)
     measure = _measure(cfg)
     order = _number(cfg, "power", int, 1, 2)
     grid = _grid(cfg)

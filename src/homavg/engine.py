@@ -94,21 +94,32 @@ def _inner_means(flow: TorusWinding, observable: Observable, weight: WeightMeasu
     return out
 
 
+def _outer_deviations(flow: TorusWinding, observable: Observable, weight: WeightMeasure,
+                      t: float, n_x: int, n_r: int, seed: int, halves: tuple) -> np.ndarray:
+    """(A_t f)(x) - mean f at n_x uniform points x, one row per entry of
+    ``halves``: row h takes its inner means from the streams
+    (INNER_WEIGHT, b, *halves[h]) of the outer blocks b, a block holding
+    8e6 // (len(halves) n_r) points, so at most 8e6 (point, draw) pairs."""
+    require_atomless(weight, "weighted averaging")
+    xs = rng.generator(seed, rng.OUTER_POINTS).random((n_x, flow.dimension))
+    block = max(1, int(8e6) // (len(halves) * max(n_r, 1)))
+    devs = np.empty((len(halves), n_x))
+    for b, start in enumerate(range(0, n_x, block)):
+        xb = xs[start:start + block]
+        for row, half in zip(devs, halves):
+            row[start:start + len(xb)] = _inner_means(
+                flow, observable, weight, t, xb, n_r, seed, (rng.INNER_WEIGHT, b, *half)
+            ) - observable.mean
+    return devs
+
+
 def l1_deviation(flow: TorusWinding, observable: Observable,
                  weight: WeightMeasure, t: float, n_x: int = 10_000,
                  n_r: int = 10_000, seed: int = 0) -> DeviationEstimate:
-    """E_x | (A_t f)(x) - mean f |, nested Monte Carlo.  The weight is drawn
-    per block of 8e6 (point, draw) pairs, each block from its own stream, and
-    the inner averages evaluated per chunk of ``quadrature.CHUNK`` pairs."""
-    require_atomless(weight, "weighted averaging")
-    d = flow.dimension
-    xs = rng.generator(seed, rng.OUTER_POINTS).random((n_x, d))
-    block = max(1, int(8e6) // max(n_r, 1))
-    devs = np.empty(n_x)
-    for b, start in enumerate(range(0, n_x, block)):
-        xb = xs[start:start + block]
-        inner = _inner_means(flow, observable, weight, t, xb, n_r, seed, (rng.INNER_WEIGHT, b))
-        devs[start:start + len(xb)] = np.abs(inner - observable.mean)
+    """E_x | (A_t f)(x) - mean f |, nested Monte Carlo over one inner half
+    (``_outer_deviations``), the inner averages evaluated per chunk of
+    ``quadrature.CHUNK`` pairs."""
+    devs = np.abs(_outer_deviations(flow, observable, weight, t, n_x, n_r, seed, ((),))[0])
     return DeviationEstimate(float(devs.mean()),
                              float(devs.std() / np.sqrt(n_x)),
                              float(observable.sup_norm / np.sqrt(n_r)))
@@ -123,16 +134,8 @@ def l2_deviation_mc(flow: TorusWinding, observable: Observable,
     mean of the half products is an unbiased estimate of the squared norm
     with no inner-noise floor.
     """
-    require_atomless(weight, "weighted averaging")
-    d = flow.dimension
-    xs = rng.generator(seed, rng.OUTER_POINTS).random((n_x, d))
-    block = max(1, int(4e6) // max(n_r, 1))
-    prods = np.empty(n_x)
-    for b, start in enumerate(range(0, n_x, block)):
-        xb = xs[start:start + block]
-        halves = [_inner_means(flow, observable, weight, t, xb, n_r, seed,
-                               (rng.INNER_WEIGHT, b, half)) - observable.mean for half in (0, 1)]
-        prods[start:start + len(xb)] = halves[0] * halves[1]
+    first, second = _outer_deviations(flow, observable, weight, t, n_x, n_r, seed, ((0,), (1,)))
+    prods = first * second
     est = float(prods.mean())
     spread = float(prods.std() / np.sqrt(n_x))
     value = float(np.sqrt(max(est, 0.0)))

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
+from numbers import Real
 
 import numpy as np
 
@@ -130,6 +131,9 @@ class TorusWinding:
     name: str = ""
 
     def __post_init__(self):
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and isfinite(v)
+                   for v in self.alpha):
+            raise ValueError(f"alpha entries must be finite real numbers, got {self.alpha!r}")
         if len(self.alpha) < 1 or self.alpha[0] != 1.0:
             raise ValueError("alpha must start with the normalized component 1")
         if self.slope is not None and len(self.alpha) < 2:
@@ -201,7 +205,7 @@ class BoxSet:
         return np.all(x < np.asarray(self.sides), axis=-1)
 
 
-def wrap(x, out=None):
+def wrap(x):
     """x mod 1 on the circle, as x - floor(x): bit for bit numpy's ``mod(x, 1.0)``
     for float64 x, at a fraction of its cost.
 
@@ -210,37 +214,27 @@ def wrap(x, out=None):
     give +0 on both paths, and +-inf gives NaN with the same ``invalid``
     warning.  A 0-d input gives a numpy scalar, as ``np.mod`` does.  The
     difference is written over the floors: a second fresh buffer would
-    cost more than the arithmetic.  ``out``, a float array shaped like x
-    and not x itself, receives the floors and so the value."""
+    cost more than the arithmetic."""
     x = np.asarray(x, dtype=float)
-    frac = np.floor(x, out=out)
+    frac = np.floor(x)
     return np.subtract(x, frac, out=frac) if frac.ndim else x - frac
 
 
-def arc_overlap(a: float, b: float, shift, out=(None, None, None)) -> np.ndarray:
+def arc_overlap(a: float, b: float, shift) -> np.ndarray:
     """Length of [0, a) intersected with the circle arc [shift, shift + b):
-    max(0, min(s + b, 1, a) - s) + max(0, min(s + b - 1, a)) for s = wrap(shift).
+    max(0, min(s + b, min(a, 1)) - s) + max(0, min(s + b - 1, a)) for s = wrap(shift).
 
-    ``out`` may name three float buffers shaped like the result, so that a
-    caller evaluating many chunks allocates nothing per chunk: they receive
-    the wrapped shift, the value and the wrapped part, and the second may be
-    ``shift`` itself, which only the wrap reads.  Without them a 0-d shift
-    stays on numpy scalars.  Each step is the same operation on the same
-    operands either way, so the bits do not depend on ``out``."""
-    held, value, part = out
-    s = wrap(shift, held)
-    end = _sum(s, b, value)
-    wrapped = np.maximum(0.0, np.minimum(_sum(end, -1.0, part), a, out=part), out=part)
-    first = np.minimum(np.minimum(end, 1.0, out=value), a, out=value)
+    The subtractions and the sum are taken in place over arrays this call
+    made, never over ``shift``; a 0-d shift with scalar sides stays on
+    numpy scalars."""
+    s = wrap(shift)
+    end = s + b
+    first = np.minimum(end, np.minimum(a, 1.0))
     first -= s
-    first = np.maximum(0.0, first, out=value)
-    first += wrapped
+    first = np.maximum(0.0, first)
+    end -= 1.0
+    first += np.maximum(0.0, np.minimum(end, a))
     return first
-
-
-def _sum(x, y, out):
-    """x + y, written into ``out`` when it is given; x - c is x + (-c) exactly."""
-    return x + y if out is None else np.add(x, y, out=out)
 
 
 def box_overlap(a_sides, b_sides, shifts, factor=1.0):

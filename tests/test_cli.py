@@ -430,7 +430,7 @@ def test_self_similar_point_mass_exit_2(tmp_path, capsys):
 
 
 ROOT_CONFIG = dict(SCAN_CONFIG, kind="convolution-root")
-MC_CONFIG = dict(AVG_CONFIG, evaluator="l1-mc")
+MC_CONFIG = dict(AVG_CONFIG, evaluator="l1-mc", samples={"n_x": 10, "n_r": 10})
 PROBE_CONFIG = {"kind": "almost-mixing-probe", "measure": "uniform[0,1]",
                 "correlation": "spike(10,0.25,1)",
                 "grid": {"start": 10, "factor": 10, "count": 2}, "seed": 7}
@@ -505,6 +505,17 @@ def test_float_golden_adversary_builds_a_partial_plan(tmp_path, capsys):
     (ADVERSARY_CONFIG, {"box": [0.5]}, "box"),
     (ADVERSARY_CONFIG, {"flow": "winding-circle"}, "flow"),
     (ADVERSARY_CONFIG, {"flow": "winding-circle", "box": [0.5]}, "flow"),
+    (ADVERSARY_CONFIG, {"box": [0.5, "x"]}, "box"),
+    (ADVERSARY_CONFIG, {"box": 5}, "box"),
+    # a winding's alpha entries are finite real numbers, not strings or booleans
+    (MC_CONFIG, {"flow": {"alpha": [1.0, math.nan]}}, "flow"),
+    (MC_CONFIG, {"flow": {"alpha": [1.0, "0.3"]}}, "flow"),
+    (MC_CONFIG, {"flow": {"alpha": [1.0, True]}}, "flow"),
+    (ADVERSARY_CONFIG, {"flow": {"alpha": [1.0, math.inf]}}, "flow"),
+    (SCAN_CONFIG, {"kind": "scan"}, "kind"),
+    (AVG_CONFIG, {"evaluator": "exact"}, "evaluator"),
+    (PROBE_CONFIG, {"correlation": {"type": "bochner", "spectrum": {
+        "type": "spectral", "atoms": [[1.0, 1.0]], "band": None}}}, "correlation"),
 ])
 def test_bad_numeric_field_exit_2(tmp_path, capsys, base, change, field):
     err = run_bad(tmp_path, capsys, {**base, **change})
@@ -576,3 +587,19 @@ INF = float("inf")
 def test_infinite_measure_parameter_exit_2(tmp_path, capsys, measure):
     err = run_bad(tmp_path, capsys, dict(SCAN_CONFIG, measure=measure))
     assert err.startswith("config error at measure: ") and "finite" in err
+
+
+def test_no_output_prefix_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, "noout.json", SCAN_CONFIG)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error at out: ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_auto_evaluator_takes_l1_mc_on_an_indicator(tmp_path):
+    cfg = dict(AVG_CONFIG, observable="indicator[0.5,0.5]", samples={"n_x": 10, "n_r": 10})
+    out = tmp_path / "auto"
+    assert main(["run", str(write_config(tmp_path, "auto.json", cfg)), "--out", str(out)]) == 0
+    meta = json.loads(out.with_suffix(".meta").read_text())
+    assert meta["metadata"]["evaluator"] == "l1-mc"
+    assert len(read_rows(out.with_suffix(".csv"))) == 4

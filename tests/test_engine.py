@@ -159,6 +159,26 @@ def test_nested_mc_keeps_its_bits(weight, obs, t):
     assert [v.hex() for v in got] == list(MC_PINS[weight, obs, t])
 
 
+# the same four numbers over several outer blocks: l1_deviation at n_x 6 and
+# l2_deviation_mc at n_x 5, n_r 1.5e6 and t = 3 on Uniform(0, 1), seeds 13
+# and 14, run 2 and 3 blocks of 5 and 2 points, each block on its own streams
+MULTI_BLOCK_PINS = {
+    "cos": ("0x1.071a8b9e59c6cp-4", "0x1.9a83668dd337dp-7",
+            "0x1.fea5efc660f18p-5", "0x1.cc44a6ac4aeebp-7"),
+    "box": ("0x1.fac2c139c1da8p-6", "0x1.55729fd63daf0p-8",
+            "0x1.a57c6e84a2e63p-7", "0x1.42bffb4ff2fa9p-10"),
+}
+
+
+@pytest.mark.parametrize("obs", list(MULTI_BLOCK_PINS))
+def test_nested_mc_keeps_its_bits_over_several_blocks(obs):
+    flow, w, f = golden_winding(), Uniform(0, 1), PIN_OBSERVABLES[obs]
+    one = l1_deviation(flow, f, w, 3.0, n_x=6, n_r=1_500_000, seed=13)
+    two = l2_deviation_mc(flow, f, w, 3.0, n_x=5, n_r=1_500_000, seed=14)
+    got = [one.value, one.std_error, two.value, two.std_error]
+    assert [v.hex() for v in got] == list(MULTI_BLOCK_PINS[obs])
+
+
 def test_l1_deviation_chunks_rows_longer_than_a_block():
     """n_r above ``quadrature.CHUNK`` takes one row per chunk, same bits."""
     dev = l1_deviation(golden_winding(), cos_mode(2, 1), Uniform(0, 1), 7.0,

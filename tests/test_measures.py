@@ -689,6 +689,15 @@ def test_package_reduces_mod_1_only_through_flows_wrap():
     assert not found, found
 
 
+def test_package_takes_box_overlaps_only_through_flows():
+    # flows.box_overlap is the one box product: no other module names its
+    # factor, so no caller can inline a second copy of the product
+    package = Path(homavg.__file__).resolve().parent
+    found = [f"{path.name}:{n}" for path in sorted(package.glob("*.py")) if path.name != "flows.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if "arc_overlap" in line]
+    assert not found, found
+
+
 def test_package_never_imports_scipy_stats():
     src = str(Path(homavg.__file__).resolve().parent.parent)
     script = (
