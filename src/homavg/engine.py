@@ -34,6 +34,7 @@ from .spectral import (BochnerCorrelation, BoxAutocorrelation, CorrelationModel,
                        Observable, SpectralModel, SpikeCorrelation)
 
 DESCENT_SLACK = 1e-9
+SPECTRAL_TOL = 1e-8      # ``expect``'s tolerance in the spectral channel and its Parseval twin
 PROBE_META_SPIKES = 64   # per-spike probe masses go into metadata up to this count
 WILSON_Z = 3.0           # the z of the hit share's upper bound in a sampled spike error
 
@@ -148,7 +149,7 @@ def l2_deviation_mc(flow: TorusWinding, observable: Observable,
 # ---------------------------------------------------------------------------
 
 def l2_norm_spectral(spectrum: SpectralModel, weight: WeightMeasure,
-                     t: float, tol: float = 1e-8) -> float:
+                     t: float, tol: float = SPECTRAL_TOL) -> float:
     """||A_t f||_2 on the cyclic subspace carried by ``spectrum``:
     the square root of Int |nu_hat(t r)|^2 dsigma(r)."""
     total, _ = _spectral_power(spectrum, weight, float(t), tol)
@@ -216,8 +217,9 @@ def difference_density(measure: WeightMeasure) -> PiecewiseLinearDensity | Digit
     """The pair view of r - s for independent r, s ~ measure, its
     ``pair_view()``: the exact density of a density weight, error 0, or the
     kink walk over a digit law (``DigitPairs``); None where pairs are
-    sampled.  Each view answers ``mass(a, b)``, ``pair_integral`` and
-    ``spike_probe``, a walk declining (None) where sampling costs less."""
+    sampled.  Each view answers ``mass(a, b)`` and ``pair_integral``, the
+    kernel's integral with the masses of any intervals of t (r - s), a walk
+    declining (None) where sampling costs less."""
     return measure.pair_view()
 
 
@@ -235,7 +237,7 @@ class PairIntegral:
 def pair_correlation_integral(correlation: CorrelationModel,
                               weight: WeightMeasure, t: float,
                               method: str = "auto", n_samples: int = 10_000,
-                              seed: int = 0, tol: float = 1e-7) -> PairIntegral:
+                              seed: int = 0) -> PairIntegral:
     """Int Int rho(t (r - s)) dnu(r) dnu(s).
 
     ``sampling`` draws independent pairs and averages; ``quadrature``
@@ -247,25 +249,30 @@ def pair_correlation_integral(correlation: CorrelationModel,
     sampler does for ``n_samples`` pairs.  For a ``BochnerCorrelation`` it
     is the Parseval twin of the spectral channel,
     Int |nu_hat(t r)|^2 dsigma(r), evaluated for any weight as
-    ``l2_norm_spectral`` does.  Any other correlation, or
+    ``l2_norm_spectral`` does, at its tolerance.  Any other correlation, or
     a weight without a pair view, is sampled under ``auto`` and raises
     TypeError under ``quadrature``.  The two paths must agree within their
-    combined errors.
+    combined errors.  ``n_samples`` below 1 raises ValueError.
     """
     require_atomless(weight, "pair correlation")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if method not in ("auto", "sampling", "quadrature"):
         raise ValueError("method must be auto, sampling or quadrature")
     if method in ("auto", "quadrature"):
         if isinstance(correlation, BochnerCorrelation):
             value, error = _spectral_power(correlation.spectrum, weight,
-                                           float(t), tol)
+                                           float(t), SPECTRAL_TOL)
             return PairIntegral(value, error, "quadrature")
         kernel = isinstance(correlation, (SpikeCorrelation, BoxAutocorrelation))
         view = difference_density(weight) if kernel else None
         draws = None if method == "quadrature" else n_samples
-        exact = None if view is None else _pair_quadrature(correlation, view, float(t), draws)
+        # both correlations are even in t, and the view integrates rho(t u)
+        # less the spike baseline
+        exact = None if view is None else view.pair_integral(correlation, abs(float(t)), draws)
         if exact is not None:
-            return exact
+            baseline = correlation.baseline if isinstance(correlation, SpikeCorrelation) else 0.0
+            return PairIntegral(baseline + exact[0], exact[1], "quadrature")
         if method == "quadrature":
             raise TypeError(f"no pair quadrature for {type(correlation).__name__}"
                             f" and {type(weight).__name__}")
@@ -300,19 +307,6 @@ def _pair_sampling(correlation: CorrelationModel, t: float,
             share * (1 - share) / n + z2 / (4 * n * n))) / (1 + z2 / n)
         error = max(error, float(np.max(np.abs(correlation.arrays[2])) * np.sqrt(p_up / n)))
     return PairIntegral(float(vals.mean()), error, "sampling")
-
-
-def _pair_quadrature(correlation, view, t: float, draws=None) -> PairIntegral | None:
-    """Exact pair integral of a spike or box correlation against the pair
-    view of r - s, with the view's error; None when the view declines at
-    ``draws`` sampled pairs.  Both correlations are even in t, so they are
-    integrated at |t|, and the view integrates rho(t u) less the spike
-    baseline."""
-    got = view.pair_integral(correlation, abs(t), draws)
-    if got is None:
-        return None
-    baseline = correlation.baseline if isinstance(correlation, SpikeCorrelation) else 0.0
-    return PairIntegral(baseline + got[0], got[1], "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +412,22 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
     most ``PROBE_META_SPIKES`` spikes, per spike.
 
     The pair view of r - s (``difference_density``) is built once per
-    probe.  The density of a density weight gives the pair integral
-    and every mass exactly; the kink walk over a digit law gives them
-    exactly too, with the masses as differences of one cumulative
-    walk over all interval ends, at every t where the two walks compute no
-    more than the sampler does for ``n_samples`` pairs.  Otherwise each
-    grid point draws one set of pair differences, and the masses are counts
+    probe, and at each t != 0 one ``pair_integral`` query asks it for the
+    pair integral with the masses of the spike windows and the band.  The
+    density of a density weight answers exactly; the kink walk over a digit
+    law answers exactly too, with the masses as differences of one
+    cumulative walk over all window ends, wherever the two walks compute no
+    more than the sampler does for ``n_samples`` pairs.  Otherwise the grid
+    point draws one set of pair differences, and the masses are counts
     among the same draws that the sampled pair integral averages over.
+    ``n_samples`` below 1, or a ``band_halfwidth`` that is not finite and
+    positive, raises ValueError.
     """
     require_atomless(weight, "almost-mixing probe")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not 0.0 < band_halfwidth < np.inf:
+        raise ValueError(f"band_halfwidth must be finite and > 0, got {band_halfwidth!r}")
     grid = tuple(float(t) for t in t_grid)
     view = difference_density(weight)
     h, L, _ = spike.arrays
@@ -440,7 +441,7 @@ def almost_mixing_probe(spike: SpikeCorrelation, weight: WeightMeasure,
         # t (r - s) is 0, which the sampling branch counts without dividing by t
         exact = None
         if view is not None and t != 0.0:
-            exact = view.spike_probe(spike, abs(t), lo, hi, n_samples)
+            exact = view.pair_integral(spike, abs(t), n_samples, lo, hi)
         if exact is not None:
             # the view integrates the deviation itself: adding the baseline
             # and taking it off again would cost an ulp of the baseline

@@ -202,20 +202,16 @@ class PiecewiseLinearDensity:
                      + np.where(ia == ib, 0.0, inner))
         return float(out) if out.ndim == 0 else out
 
-    def pair_integral(self, correlation, t: float, draws=None) -> tuple[float, float]:
-        """(Int K(u) g(u) du, 0) for the kernel K of ``correlation`` at
-        t >= 0 (rho(t u) less any baseline), by ``kink_integral``.  Exact
-        at any cost: ``draws`` is not consulted."""
+    def pair_integral(self, correlation, t: float, draws=None, lo=(), hi=()):
+        """(Int K(u) g(u) du, 0, masses) for the kernel K of ``correlation``
+        at t >= 0 (rho(t u) less any baseline), by ``kink_integral``, the
+        masses those of the intervals [lo_j, hi_j] of t (r - s) (t > 0
+        unless there are none).  Exact at any cost: ``draws`` is not
+        consulted."""
         reach = max(-self.knots[0], self.knots[-1])
         kernel = correlation.kernel(t, reach)
-        return float(kink_integral(kernel, self.knots, self.shape, self.degree)[0]), 0.0
-
-    def spike_probe(self, spike, t: float, lo, hi, draws=None):
-        """(Int K(u) g(u) du, 0, masses) for the kernel K of the spike
-        correlation ``spike`` at t >= 0, the masses those of the intervals
-        [lo_j, hi_j] of t (r - s) (t > 0 unless there are none).  Exact at
-        any cost: ``draws`` is not consulted."""
-        return (*self.pair_integral(spike, t), self.mass(lo / t, hi / t))
+        value = float(kink_integral(kernel, self.knots, self.shape, self.degree)[0])
+        return value, 0.0, self.mass(np.divide(lo, t), np.divide(hi, t))
 
 
 def _cell_pairs(masses: np.ndarray, delta: float) -> tuple:
@@ -323,16 +319,16 @@ def _digit_power(law: DigitLaw, p: int) -> DigitLaw:
 
 class DigitPairs:
     """The law of r - s as a self-similar digit law D with M ratio <= 1,
-    seen by ``digit_walk``: interval masses, the box pair integral and the
-    spike pair integral with the masses of any intervals, exact up to the
-    walk's reported bound.
+    seen by ``digit_walk``: interval masses, and the box or spike pair
+    integral with the masses of any intervals, exact up to the walk's
+    reported bound.
 
     A walk's cost grows with the kinks of its kernel inside supp(D), while
     sampling costs the same at every t.  Given ``draws``, a pair integral
-    or a probe point declines (returns None) when its walks' work
-    (``digit_walk_work``: copies placed and kernel evaluations) exceeds the
-    sampler's: ``pair_work``, 2 draws per pair, each a chaos game of the
-    weight's ``SelfSimilar._depth()`` map choices.
+    declines (returns None) when its walks' work (``digit_walk_work``:
+    copies placed and kernel evaluations) exceeds the sampler's:
+    ``pair_work``, 2 draws per pair, each a chaos game of the weight's
+    ``SelfSimilar._depth()`` map choices.
     """
 
     def __init__(self, law: DigitLaw, pair_work: int):
@@ -351,9 +347,6 @@ class DigitPairs:
         reach = np.count_nonzero((kinks > self.lo) & (kinks < self.hi))
         return digit_walk_work(self.law, int(reach), degree, lipschitz, spread)
 
-    def _declines(self, work: int, draws) -> bool:
-        return draws is not None and work > draws * self.pair_work
-
     def _mass_walk(self, ends: np.ndarray) -> tuple:
         """``digit_walk``'s arguments after the law for the cumulative at the
         sorted ``ends``: the indicators of every end, a jump kernel."""
@@ -368,20 +361,24 @@ class DigitPairs:
 
     def mass(self, a, b):
         """Mass of [a, b], elementwise over array arguments and 0 where
-        b <= a; a float for scalar arguments.  One walk of the indicator
-        kernels of every end inside supp(D) gives the cumulative F there,
-        F is 0 below the support and the walk's total above it, and each
-        mass is F(b) - F(a); no interval takes no walk."""
+        b <= a; a float for scalar arguments."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        out = self._masses(a, b, self._ends(a, b))
+        return float(out) if out.ndim == 0 else out
+
+    def _masses(self, a: np.ndarray, b: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The masses of [a, b] for arrays of one shape whose ends inside
+        supp(D) are ``ends``.  One walk of the indicator kernels of the
+        ends gives the cumulative F there, F is 0 below the support and the
+        walk's total above it, and each mass is F(b) - F(a); no interval
+        takes no walk."""
         if a.size == 0:
             return np.zeros(a.shape)
-        ends = self._ends(a, b)
         bins, _ = digit_walk(self.law, *self._mass_walk(ends))
         points = np.concatenate(([self.lo], ends, [self.hi]))
         cdf = np.concatenate(([0.0], np.cumsum(bins)))
         at = lambda x: cdf[np.searchsorted(points, np.clip(x, self.lo, self.hi))]
-        out = np.where(b > a, at(b) - at(a), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(b > a, at(b) - at(a), 0.0)
 
     def _walk(self, correlation, t: float) -> tuple:
         """``digit_walk``'s arguments after the law for the kernel of
@@ -390,27 +387,22 @@ class DigitPairs:
         return (kernel.kinks[0], lambda u, w: float(w @ kernel.value(u)), kernel.degree,
                 kernel.lipschitz, kernel.spread)
 
-    def pair_integral(self, correlation, t: float, draws=None):
-        """(E[K(D)], the walk's bound) for the kernel K of ``correlation`` at
-        t >= 0, or None when its degree exceeds the Gauss rule's or the walk
-        would cost more than ``draws`` sampled pairs."""
-        walk = self._walk(correlation, t)
-        degree = walk[2]
-        if degree >= 2 * SELF_SIMILAR_NODES or self._declines(self._work(*walk), draws):
-            return None
-        return digit_walk(self.law, *walk)
-
-    def spike_probe(self, spike, t: float, lo, hi, draws=None):
-        """(E[K(D)], the walk's bound, masses) for the kernel K of the spike
-        correlation ``spike`` at t >= 0, the masses those of the intervals
+    def pair_integral(self, correlation, t: float, draws=None, lo=(), hi=()):
+        """(E[K(D)], the walk's bound, masses) for the kernel K of
+        ``correlation`` at t >= 0, the masses those of the intervals
         [lo_j, hi_j] of t (r - s) (t > 0 unless there are none), or None
-        when the two walks together would cost more than ``draws`` sampled
-        pairs; with no intervals the mass walk costs nothing."""
-        walk = self._walk(spike, t)
-        work = self._work(*self._mass_walk(self._ends(lo / t, hi / t))) + self._work(*walk)
-        if self._declines(work, draws):
+        when the kernel's degree exceeds the Gauss rule's or the kernel
+        walk and the cumulative walk over the intervals' ends would cost
+        more than ``draws`` sampled pairs; with no intervals the second
+        walk costs nothing."""
+        walk = self._walk(correlation, t)
+        a, b = np.divide(lo, t), np.divide(hi, t)
+        ends = self._ends(a, b)
+        work = self._work(*walk) + self._work(*self._mass_walk(ends))
+        over_budget = draws is not None and work > draws * self.pair_work
+        if walk[2] >= 2 * SELF_SIMILAR_NODES or over_budget:
             return None
-        return (*digit_walk(self.law, *walk), self.mass(lo / t, hi / t))
+        return (*digit_walk(self.law, *walk), self._masses(a, b, ends))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .measures import interval_transform
 from .quadrature import Kinked, adaptive_gl
 
 _MASS_TOL = 1e-9
+MERGE_TOL = 1e-12       # atom frequencies this close merge in ``spectrum_of_observable``
 
 
 @dataclass(frozen=True)
@@ -252,11 +253,11 @@ class BoxIndicator(Observable):
         return np.count_nonzero(inside, axis=1) / shifts.shape[1]
 
 
-def spectrum_of_observable(flow: TorusWinding, obs: FourierObservable,
-                           merge_tol: float = 1e-12) -> SpectralModel:
+def spectrum_of_observable(flow: TorusWinding, obs: FourierObservable) -> SpectralModel:
     """Spectral measure of the cyclic subspace of ``obs``: one atom of mass
-    |c_k|^2 at frequency 2 pi k.alpha, equal frequencies merged.  Requires
-    unit L2 norm so the result is a probability measure."""
+    |c_k|^2 at frequency 2 pi k.alpha, frequencies within ``MERGE_TOL`` of
+    the previous merged.  Requires unit L2 norm so the result is a
+    probability measure."""
     if obs.dimension != flow.dimension:
         raise ValueError("observable dimension must match the winding")
     if abs(obs.l2_norm - 1.0) > 1e-9:
@@ -267,7 +268,7 @@ def spectrum_of_observable(flow: TorusWinding, obs: FourierObservable,
     order = np.argsort(freqs)
     merged: list[list[float]] = []
     for w, m in zip(freqs[order], masses[order]):
-        if merged and abs(w - merged[-1][0]) <= merge_tol:
+        if merged and abs(w - merged[-1][0]) <= MERGE_TOL:
             merged[-1][1] += m
         else:
             merged.append([float(w), float(m)])

@@ -172,7 +172,7 @@ def test_criterion_4_pair_integral_consistency():
             0.0, 1.0, rng.random(32))
         t = float(rng.uniform(1.0, 100.0))
         pair = pair_correlation_integral(BochnerCorrelation(spec), weight, t,
-                                         method="quadrature", tol=1e-9)
+                                         method="quadrature")
         bridge_worst = max(bridge_worst, abs(
             pair.value - l2_norm_spectral(spec, weight, t) ** 2))
     elapsed = time.perf_counter() - start

@@ -1,7 +1,9 @@
-"""The summary of ``tools/bench_pairs.py`` on synthetic runs (no benchmark
-process is started)."""
+"""The summary of ``tools/bench_pairs.py`` on synthetic runs, and the files
+of its two sides in a scratch repository (no benchmark process is
+started)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +57,25 @@ def test_summary_quartiles_wins_and_verdicts():
     parent = [1.0, 2.0, 3.0, 4.0]
     assert bench_pairs.verdict(parent, [0.5, 0.6, 0.7, 0.8], False, 0.25) == (4, "within bound")
     assert bench_pairs.verdict(parent, [4.0, 1.0, 1.5, 2.0], False, 0.25) == (3, "unresolved")
+
+
+def test_both_sides_hold_the_same_files(tmp_path, monkeypatch):
+    """The parent side's archive and the change side's copy of one commit
+    hold the same files: src/, bench/ and BENCHMARK.json, none of the
+    repository's other files and none of the tree's caches."""
+    files = ["src/pkg/__init__.py", "src/pkg/mod.py", "bench/run.py", "BENCHMARK.json",
+             "README.md", "pyproject.toml", "tests/test_mod.py", "tools/tool.py"]
+    for name in files:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(name + "\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "files"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "BUILD", tmp_path / ".bench_build" / "pairs")
+    trees = bench_pairs._sides("HEAD")
+    held = {side: sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+            for side, tree in trees.items()}
+    assert held["parent"] == held["change"] == sorted(files[:4])

@@ -778,9 +778,9 @@ def test_bochner_pair_quadrature_is_the_spectral_kernel():
         assert pair.error == 0.0
         assert pair.value == pytest.approx(
             l2_norm_spectral(spec, weight, 37.0) ** 2, rel=1e-14)
-    # quantized weights fall back to adaptive quadrature and report its gap
-    pair = pair_correlation_integral(model, Triangular(0, 1), 37.0, tol=1e-9)
-    assert 0.0 <= pair.error < 1e-9
+    # the triangular weight's band term is its exact sinc-power rule
+    pair = pair_correlation_integral(model, Triangular(0, 1), 37.0)
+    assert pair.error == 0.0
     samp = pair_correlation_integral(model, Triangular(0, 1), 37.0,
                                      method="sampling", n_samples=40_000)
     assert abs(pair.value - samp.value) < 4 * samp.error
@@ -925,12 +925,12 @@ def test_rescaled_difference_density_is_the_inner_one_rescaled(inner):
         np.testing.assert_allclose(scaled.mass(u[:-1] * f, u[1:] * f), g.mass(u[:-1], u[1:]),
                                    rtol=0, atol=1e-15)
         for t in (2.0, 9.0):
-            want, _, masses = g.spike_probe(spikes, t, h - L, h + L)
-            got, error, scaled_masses = scaled.spike_probe(spikes, t / f, h - L, h + L)
+            want, _, masses = g.pair_integral(spikes, t, lo=h - L, hi=h + L)
+            got, error, scaled_masses = scaled.pair_integral(spikes, t / f, lo=h - L, hi=h + L)
             assert error == 0.0 and got == pytest.approx(want, rel=0, abs=1e-14)
             np.testing.assert_allclose(scaled_masses, masses, rtol=0, atol=1e-15)
-        assert scaled.pair_integral(GOLDEN_BOX, 30.0 / f) == pytest.approx(
-            g.pair_integral(GOLDEN_BOX, 30.0), rel=0, abs=1e-14)
+        assert scaled.pair_integral(GOLDEN_BOX, 30.0 / f)[0] == pytest.approx(
+            g.pair_integral(GOLDEN_BOX, 30.0)[0], rel=0, abs=1e-14)
     # nested rescalings apply their factors innermost first
     nested = difference_density(Scaled(7.0, Scaled(0.3, inner)))
     assert np.array_equal(nested.knots, g.knots * 0.3 * 7.0)
@@ -1236,9 +1236,8 @@ def test_exact_probe_reports_the_views_own_integral():
     spikes = geometric_spikes(10, 0.25, count=8)
     grid = (1e6, 1e7)
     curve = almost_mixing_probe(spikes, Uniform(0, 1), grid)
-    none = np.empty(0)
     for t, value in zip(grid, curve.values):
-        own = difference_density(Uniform(0, 1)).spike_probe(spikes, t, none, none)[0]
+        own = difference_density(Uniform(0, 1)).pair_integral(spikes, t)[0]
         assert value == pytest.approx(abs(own), rel=1e-15, abs=0)
 
 
@@ -1417,7 +1416,7 @@ def test_spike_band_integrals_match_per_spike_reference(monkeypatch, block):
         h, L, _ = spike.arrays
         bands = spike_band_reference(g, h, L, t)
         assert np.count_nonzero(bands) > 0
-        got, error = g.pair_integral(spike, t)
+        got, error, _ = g.pair_integral(spike, t)
         assert error == 0.0
         assert got == pytest.approx(heights @ bands, rel=0, abs=1e-13)
 
@@ -1436,7 +1435,7 @@ def test_kink_integral_memory_stays_within_its_blocks():
     g.pair_integral(spikes, t)      # caches the rule and the spike cells
     tracemalloc.start()
     try:
-        value, _ = g.pair_integral(spikes, t)
+        value = g.pair_integral(spikes, t)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1733,3 +1732,52 @@ def test_walk_budget_on_dense_spikes():
     forced = pair_correlation_integral(spikes, CANTOR, 100.0, n_samples=10, method="quadrature")
     assert forced.method == "quadrature"
     assert forced.value == pair_correlation_integral(spikes, CANTOR, 100.0).value
+
+
+def test_windows_walk_counts_in_the_budget():
+    """Cantor at t = 30: ``draws`` that pay for the spike walk alone walk
+    without windows and decline with the spike windows, whose cumulative
+    walk must be paid for too; enough draws for both walk both."""
+    view = difference_density(CANTOR)
+    spikes = geometric_spikes(10, 0.25, count=4)
+    h, L, _ = spikes.arrays
+    t = 30.0
+    kernel_work = view._work(*view._walk(spikes, t))
+    window_work = view._work(*view._mass_walk(view._ends((h - L) / t, (h + L) / t)))
+    assert kernel_work > 0 and window_work > 0
+    draws = -(-kernel_work // view.pair_work)
+    assert view.pair_integral(spikes, t, draws) is not None
+    assert view.pair_integral(spikes, t, draws, h - L, h + L) is None
+    both = -(-(kernel_work + window_work) // view.pair_work)
+    assert view.pair_integral(spikes, t, both, h - L, h + L) is not None
+
+
+@pytest.mark.parametrize("weight", [Uniform(0, 1), CANTOR], ids=["density", "digits"])
+def test_pair_integral_masses_only_its_windows(weight):
+    """With no windows both views return an empty mass array, at t = 0
+    too; windows add their masses and leave the integral as it was."""
+    view = difference_density(weight)
+    spikes = geometric_spikes(10, 0.25, count=4)
+    h, L, _ = spikes.arrays
+    assert view.pair_integral(spikes, 0.0)[2].shape == (0,)
+    value, error, masses = view.pair_integral(spikes, 30.0)
+    assert masses.shape == (0,) and masses.dtype == float
+    windowed = view.pair_integral(spikes, 30.0, lo=h - L, hi=h + L)
+    assert windowed[:2] == (value, error)
+    np.testing.assert_array_equal(windowed[2], view.mass((h - L) / 30.0, (h + L) / 30.0))
+
+
+def test_pair_entry_points_refuse_bad_samples_and_bands():
+    """``n_samples`` below 1 and a band half-width that is not finite and
+    positive raise ValueError naming the argument, on every path."""
+    spikes = geometric_spikes(10, 0.25, count=4)
+    weight = convolve(Uniform(0, 1), Uniform(0, 0.5))
+    for method in ("auto", "sampling", "quadrature"):
+        with pytest.raises(ValueError, match="n_samples"):
+            pair_correlation_integral(spikes, Uniform(0, 1), 5.0, method=method, n_samples=0)
+    for w in (weight, Uniform(0, 1)):
+        with pytest.raises(ValueError, match="n_samples"):
+            almost_mixing_probe(spikes, w, (0.5, 5.0), n_samples=0)
+        for band in (-0.3, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="band_halfwidth"):
+                almost_mixing_probe(spikes, w, (0.5, 5.0), band_halfwidth=band)

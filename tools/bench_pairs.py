@@ -1,11 +1,11 @@
 """python3 tools/bench_pairs.py --pr N --parent REV --workload W --pairs K --seed S:
 alternating parent/change pairs of ``bench/run.py``, kept in BENCH_<N>.json.
 
-The parent side is a ``git archive`` of REV, the change side a copy of this
-tree's src/, bench/ and BENCHMARK.json.  Each run starts from a fresh copy
-of its side under .bench_build/pairs/, so no run sees another's
-.bench_out/.  Pair k runs seed S + (k - first pair of this call) on both
-sides, the parent first when k is even.  Every run is kept, one that exits
+Each side holds only src/, bench/ and BENCHMARK.json: the parent side from
+a ``git archive`` of REV, the change side copied from this tree.  Each run
+starts from a fresh copy of its side under .bench_build/pairs/, so no run
+sees another's .bench_out/.  Pair k runs seed S + (k - first pair of this
+call) on both sides, the parent first when k is even.  Every run is kept, one that exits
 non-zero or prints no result line too, with its exit code.  Each run lasts
 BENCHMARK.json's run_seconds, as in bench/record_baseline.py.
 
@@ -37,8 +37,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build" / "pairs"
 COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --seconds <seconds> --trace 0"
-METHOD = ("each run from a fresh copy of the side's files (parent: git archive of the "
-          "parent; change: this tree's src/, bench/ and BENCHMARK.json), one at a time; "
+SIDE_PATHS = ("src", "bench", "BENCHMARK.json")
+METHOD = ("each run from a fresh copy of the side's src/, bench/ and BENCHMARK.json "
+          "(parent: from a git archive of the parent; change: from this tree), one at a time; "
           "in pair k both sides run one seed and the parent runs first when k is even; "
           "'order' is the run's position within its pair.  The summary covers the pairs "
           "in which both sides printed a result; every run made is listed.")
@@ -111,11 +112,11 @@ def _fresh(pristine: Path) -> Path:
 
 
 def _sides(parent: str) -> dict:
-    """The pristine trees of both sides under BUILD."""
+    """The pristine trees of both sides under BUILD, each holding SIDE_PATHS."""
     shutil.rmtree(BUILD, ignore_errors=True)
     trees = {"parent": BUILD / "parent-tree", "change": BUILD / "change-tree"}
-    archive = subprocess.run(["git", "archive", "--format=tar", parent], cwd=ROOT,
-                             capture_output=True, check=True).stdout
+    archive = subprocess.run(["git", "archive", "--format=tar", parent, *SIDE_PATHS],
+                             cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(trees["parent"], filter="data")
     skip = shutil.ignore_patterns("__pycache__", ".bench_out", ".bench_build")
